@@ -3,7 +3,9 @@
 A sign vector w assigns bit w_j = 0 where P_j > 0 and w_j = 1 where P_j < 0;
 points with any |P_j| at or below tolerance sit on the boundary and belong to
 no cell. Cell entry is decided by sampling for general varieties and exactly
-for lines via Sturm-sequence root isolation of the univariate restrictions.
+for lines from the real roots of the univariate restrictions: companion-matrix
+eigenvalues certified by Sturm counts, with Sturm-count bisection for the rows
+that certification rejects.
 """
 
 from __future__ import annotations
@@ -181,7 +183,7 @@ def point_counts(points, pvec, tau: float | None = None) -> CellCounts:
 
 
 # ---------------------------------------------------------------------------
-# Exact cell enumeration along lines via Sturm-sequence root isolation.
+# Exact cell enumeration along lines via certified real root isolation.
 # Chains are stored descending (np.polyval order), normalized to max |coef| 1.
 
 
@@ -260,12 +262,9 @@ def _variations_safe(pad, rows, ts, widths):
     return v, ts
 
 
-def isolate_real_roots_many(coeff_rows: list[np.ndarray]) -> list[np.ndarray]:
-    """All distinct real roots per ascending-coefficient univariate polynomial.
-
-    Sturm-count bisection, batched level-synchronously across rows; raises
-    RootIsolationError instead of returning uncertain output.
-    """
+def _isolate_by_bisection(coeff_rows) -> list[np.ndarray]:
+    """Sturm-count bisection, batched level-synchronously across rows; raises
+    RootIsolationError instead of returning uncertain output."""
     m = len(coeff_rows)
     roots: list[list[float]] = [[] for _ in range(m)]
     chains = []
@@ -340,6 +339,90 @@ def isolate_real_roots_many(coeff_rows: list[np.ndarray]) -> list[np.ndarray]:
     return [np.array(sorted(rs)) for rs in roots]
 
 
+def _as_rows(coeff_rows) -> np.ndarray:
+    """(m, w) ascending coefficients from an array or a zero-padded list of rows."""
+    if isinstance(coeff_rows, np.ndarray) and coeff_rows.ndim == 2:
+        return coeff_rows.astype(np.float64, copy=False)
+    rows = [np.atleast_1d(np.asarray(r, dtype=np.float64)) for r in coeff_rows]
+    C = np.zeros((len(rows), max([1] + [len(r) for r in rows])))
+    for i, r in enumerate(rows):
+        C[i, : len(r)] = r
+    return C
+
+
+def _sturm_chains_of_degree(P: np.ndarray):
+    """_sturm_chain of rows of one degree d >= 1, padded as by _pad_chains to
+    (m, d+1, d+1), and a mask of rows whose chain dropped a degree or met a gcd."""
+    m, w = P.shape
+    f = P / np.abs(P).max(axis=1, keepdims=True)
+    g = f[:, :-1] * np.arange(w - 1, 0, -1)
+    g /= np.abs(g).max(axis=1, keepdims=True)
+    pad = np.zeros((m, w, w))
+    pad[:, 0], pad[:, 1, 1:] = f, g
+    bad = np.zeros(m, dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore"):  # bad rows carry junk
+        for level in range(2, w):
+            r = f.copy()
+            for _ in range(2):  # deg f = deg g + 1
+                r[:, : g.shape[1]] -= (r[:, 0] / g[:, 0])[:, None] * g
+                r = r[:, 1:]
+            scale = np.abs(r).max(axis=1)
+            bad |= (scale <= _DEGENERATE_TOL) | (np.abs(r[:, 0]) <= 1e-14 * scale)
+            f, g = g, -r / scale[:, None]
+            pad[:, level, level:] = g
+    return pad, bad
+
+
+def _certified_roots(P: np.ndarray) -> list:
+    """Sorted real companion eigenvalues r per row of one degree d >= 1, or None
+    where Sturm counts fail to certify them: V(-M) - V(M) must equal their number
+    (M the Cauchy bound), and the brackets [r-h, r+h], h = 0.5e-12*max(1, M),
+    must be disjoint, hold one root each and not end on an exact zero."""
+    m, d = P.shape[0], P.shape[1] - 1
+    comp = np.zeros((m, d, d))
+    comp[:, 0] = -P[:, 1:] / P[:, :1]
+    comp[:, np.arange(1, d), np.arange(d - 1)] = 1.0
+    cand = np.linalg.eigvals(comp) if d > 1 else comp[:, :, 0]
+    real = cand.imag == 0.0
+    cand = np.sort(np.where(real, cand.real, np.inf), axis=1)
+    nreal = real.sum(axis=1)
+    ri, ki = np.nonzero(np.arange(d) < nreal[:, None])
+    t = cand[ri, ki]
+    M = 1.0 + np.abs(P[:, 1:]).max(axis=1) / np.abs(P[:, 0])
+    h = 0.5e-12 * np.maximum(1.0, M[ri])
+    pad, bad = _sturm_chains_of_degree(P)
+    at = np.concatenate([np.arange(m), np.arange(m), ri, ri])
+    v, zero = _variations(pad, at, np.concatenate([-M, M, t - h, t + h]))
+    v_lo, v_hi, v_a, v_b = np.split(v, np.cumsum([m, m, len(ri)]))
+    bad |= v_lo - v_hi != nreal
+    bad[at[zero]] = True
+    bad[ri[v_a - v_b != 1]] = True
+    bad[ri[1:][(ri[1:] == ri[:-1]) & (np.diff(t) <= 2.0 * h[1:])]] = True
+    return [None if bad[i] else cand[i, : nreal[i]] for i in range(m)]
+
+
+def isolate_real_roots_many(coeff_rows) -> list[np.ndarray]:
+    """All distinct real roots per ascending-coefficient univariate polynomial.
+
+    Takes an (m, w) array or a list of rows. Rows grouped by trimmed degree
+    (as _trim_desc trims) get certified companion eigenvalues, the rest
+    Sturm-count bisection, which raises RootIsolationError rather than return
+    uncertain roots. Each root is within 0.5e-12*max(1, M) of a true root.
+    """
+    C = _as_rows(coeff_rows)
+    keep = np.abs(C) > 1e-14 * np.abs(C).max(axis=1, keepdims=True)
+    deg = np.where(keep.any(axis=1), C.shape[1] - 1 - np.argmax(keep[:, ::-1], axis=1), 0)
+    roots = [np.zeros(0) for _ in range(len(C))]
+    for d in np.unique(deg[deg > 0]):
+        rows = np.flatnonzero(deg == d)
+        for i, r in zip(rows, _certified_roots(C[rows, d::-1])):
+            roots[i] = r
+    failed = [i for i, r in enumerate(roots) if r is None]
+    for i, r in zip(failed, _isolate_by_bisection(C[failed])):
+        roots[i] = r
+    return roots
+
+
 def _restriction_scale(p: Polynomial, A: np.ndarray) -> np.ndarray:
     reach = 1.0 + np.abs(A).max(axis=1)
     return max(1.0, p.coeff_norm()) * np.maximum(1.0, reach) ** p.basis.D
@@ -351,9 +434,8 @@ def line_restriction_roots(lines: list[VarietySpec], p: Polynomial):
     U = np.stack([g.sampler.direction for g in lines])
     C = restrict_to_line_batch(p, A, U)
     degenerate = np.abs(C).max(axis=1) < _DEGENERATE_TOL * _restriction_scale(p, A)
-    rows = [C[i] if not degenerate[i] else np.zeros(1) for i in range(len(lines))]
-    all_roots = isolate_real_roots_many(rows)
-    return all_roots, degenerate
+    C[degenerate] = 0.0
+    return isolate_real_roots_many(C), degenerate
 
 
 _MERGE_TOL = 1e-9

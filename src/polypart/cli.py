@@ -24,7 +24,7 @@ from .cells import CellCounts, SamplingConfig, cells_entered_line, index_w
 from .mollifier import schedule
 from .polyalg import MonomialBasis, Polynomial, degree_schedule, grad_bound
 from .solver import PartitionReport, SolveConfig, partition_points, partition_varieties
-from .spectrum import is_equidistributed, lemma_identity_check, wht_table
+from .spectrum import MAX_S, is_equidistributed, lemma_identity_check, wht_table
 from .varieties import VarietySpec, build, line
 
 
@@ -312,7 +312,18 @@ def verify_mollifier(delta_grid):
 # commands
 
 
+def _check_solve_flags(args) -> None:
+    """Reject out-of-range solver flags before anything is loaded or allocated."""
+    if not 1 <= args.s <= MAX_S:
+        raise InstanceError(f"--s must be in 1..{MAX_S}, got {args.s}")
+    if args.restarts < 1:
+        raise InstanceError(f"--restarts must be >= 1, got {args.restarts}")
+    if args.iters < 0:
+        raise InstanceError(f"--iters must be >= 0, got {args.iters}")
+
+
 def cmd_partition(args) -> int:
+    _check_solve_flags(args)
     inst = load_instance(args.input)
     if not inst.varieties:
         # empty families still produce a valid all-zero report
@@ -347,6 +358,7 @@ def cmd_partition(args) -> int:
 
 
 def cmd_partition_points(args) -> int:
+    _check_solve_flags(args)
     inst = load_instance(args.input)
     if inst.points is None:
         raise InstanceError("field 'points': required for partition-points")

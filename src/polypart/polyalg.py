@@ -7,6 +7,7 @@ first and the degree-1 monomials follow in coordinate order.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -43,6 +44,7 @@ class MonomialBasis:
         self.D = D
         self.monomials = _grlex_exponents(n, D)
         self.exponents = np.array(self.monomials, dtype=np.int64)
+        self.exponents.flags.writeable = False  # cached instances are shared
         assert len(self.monomials) == basis_dim(n, D)
 
     def __len__(self) -> int:
@@ -56,6 +58,12 @@ class MonomialBasis:
 
     def __repr__(self) -> str:
         return f"MonomialBasis(n={self.n}, D={self.D}, dim={len(self)})"
+
+
+@functools.lru_cache(maxsize=64)
+def monomial_basis(n: int, D: int) -> MonomialBasis:
+    """Shared MonomialBasis per (n, D); the enumeration runs once."""
+    return MonomialBasis(n, D)
 
 
 def basis_dim(n: int, D: int) -> int:
@@ -120,7 +128,7 @@ def from_terms(n: int, terms: dict[tuple[int, ...], float], D: int | None = None
     """Build a Polynomial from {exponent tuple: coefficient}."""
     if D is None:
         D = max((sum(e) for e in terms), default=0)
-    basis = MonomialBasis(n, D)
+    basis = monomial_basis(n, D)
     coeffs = np.zeros(len(basis))
     index = {m: i for i, m in enumerate(basis.monomials)}
     for expo, c in terms.items():

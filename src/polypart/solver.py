@@ -19,9 +19,9 @@ import numpy as np
 from . import cells as cells_mod
 from . import mollifier as moll_mod
 from .cells import CellCounts, SamplingConfig, point_counts, sign_vector_many
-from .polyalg import MonomialBasis, Polynomial, degree_schedule, eval_poly_many
+from .polyalg import MonomialBasis, Polynomial, degree_schedule, eval_poly_many, monomial_basis
 from .spectrum import Spectrum, spectral_power, wht
-from .sphereprod import XsPoint, block_size, random_point, to_polys
+from .sphereprod import XsPoint, block_poly, block_size, random_point, to_polys
 from .varieties import LineSampler, VarietySpec
 
 
@@ -175,7 +175,7 @@ class _DiscreteEvaluator:
         return table
 
     def try_block(self, j, x_cand: XsPoint):
-        poly = to_polys(x_cand, self.n)[j - 1]
+        poly = block_poly(x_cand, j, self.n)
         state = self._block_state(j, poly)
         saved = (self.pvec[j - 1], self.roots[j - 1], self.degen[j - 1],
                  [v[:, j - 1].copy() for v in self.other_vals])
@@ -247,7 +247,7 @@ class _SmoothEvaluator:
         return spectral_power(table)
 
     def try_block(self, j, x_cand: XsPoint):
-        poly = to_polys(x_cand, self.n)[j - 1]
+        poly = block_poly(x_cand, j, self.n)
         cols = self._block_cols(poly)
         saved = (self.pvec[j - 1], [v[:, j - 1].copy() for v in self.vals])
         self._commit(j, poly, cols)
@@ -295,7 +295,7 @@ def partition_varieties(Gamma: list[VarietySpec], cfg: SolveConfig) -> Partition
     sched = degree_schedule(n, cfg.s)
     D = sum(sched)
     sampling = cfg.sampling or SamplingConfig(R=4.0, seed=cfg.seed)
-    bases = [MonomialBasis(n, Dj) for Dj in sched]
+    bases = [monomial_basis(n, Dj) for Dj in sched]
 
     best = None
     for r in range(cfg.restarts):
@@ -458,7 +458,7 @@ def partition_points(X, s: int, cfg: SolveConfig) -> PartitionReport:
     pvec = []
     imbalance_trace = []
     for j in range(1, s + 1):
-        basis = MonomialBasis(n, sched[j - 1])
+        basis = monomial_basis(n, sched[j - 1])
         subdim = block_size(j)
         M = _monomial_matrix(X, basis, subdim)
         n_parts = 2 ** (j - 1)

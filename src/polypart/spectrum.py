@@ -39,17 +39,14 @@ def _check_table(table: np.ndarray) -> int:
 
 
 def wht_table(table: np.ndarray) -> np.ndarray:
-    """In-place-style fast transform; exact on integer inputs."""
+    """Fast transform by butterflies over all blocks at once; exact on integer inputs."""
     table = np.asarray(table)
     _check_table(table)
     out = table.astype(np.int64 if np.issubdtype(table.dtype, np.integer) else np.float64)
     h = 1
     while h < len(out):
-        for start in range(0, len(out), 2 * h):
-            a = out[start : start + h].copy()
-            b = out[start + h : start + 2 * h].copy()
-            out[start : start + h] = a + b
-            out[start + h : start + 2 * h] = a - b
+        a, b = out.reshape(-1, 2, h).transpose(1, 0, 2)
+        out = np.concatenate((a + b, a - b), axis=1).ravel()
         h *= 2
     return out
 

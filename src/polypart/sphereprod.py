@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .polyalg import MonomialBasis, Polynomial, degree_schedule
+from .polyalg import Polynomial, degree_schedule, monomial_basis
 
 _NORM_TOL = 1e-12
 
@@ -101,29 +101,29 @@ def to_polys(x: XsPoint, n: int, subspaces=None) -> list[Polynomial]:
     sum(D_j). Passing `subspaces` (one monomial-index array per block)
     selects different coefficient subspaces of the same dimensions.
     """
-    schedule = degree_schedule(n, x.s)
-    polys = []
-    for j, (b, Dj) in enumerate(zip(x.blocks, schedule), start=1):
-        basis = MonomialBasis(n, Dj)
-        if len(basis) < block_size(j):
+    subspaces = [None] * x.s if subspaces is None else subspaces
+    return [block_poly(x, j, n, subspaces[j - 1]) for j in range(1, x.s + 1)]
+
+
+def block_poly(x: XsPoint, j: int, n: int, subspace=None) -> Polynomial:
+    """Polynomial j of to_polys(x, n, subspaces) alone, given subspaces[j-1]."""
+    basis = monomial_basis(n, degree_schedule(n, x.s)[j - 1])
+    if len(basis) < block_size(j):
+        raise ValueError(f"basis dim {len(basis)} cannot host block of size {block_size(j)}")
+    if subspace is None:
+        idx = np.arange(block_size(j))
+    else:
+        idx = np.asarray(subspace, dtype=np.int64)
+        if (
+            idx.shape != (block_size(j),)
+            or len(np.unique(idx)) != block_size(j)
+            or idx.min() < 0
+            or idx.max() >= len(basis)
+        ):
             raise ValueError(
-                f"basis dim {len(basis)} cannot host block of size {block_size(j)}"
+                f"subspace for block {j} must be {block_size(j)} distinct "
+                f"indices below {len(basis)}"
             )
-        if subspaces is None:
-            idx = np.arange(block_size(j))
-        else:
-            idx = np.asarray(subspaces[j - 1], dtype=np.int64)
-            if (
-                idx.shape != (block_size(j),)
-                or len(np.unique(idx)) != block_size(j)
-                or idx.min() < 0
-                or idx.max() >= len(basis)
-            ):
-                raise ValueError(
-                    f"subspace for block {j} must be {block_size(j)} distinct "
-                    f"indices below {len(basis)}"
-                )
-        coeffs = np.zeros(len(basis))
-        coeffs[idx] = b
-        polys.append(Polynomial(basis, coeffs))
-    return polys
+    coeffs = np.zeros(len(basis))
+    coeffs[idx] = x.blocks[j - 1]
+    return Polynomial(basis, coeffs)

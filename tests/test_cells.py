@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from polypart import cells
 from polypart.cells import (
     CellCounts,
     RootIsolationError,
@@ -139,6 +142,111 @@ def test_isolation_multiple_roots():
     assert np.allclose(roots, [-2.0, 1.0], atol=1e-9)
 
 
+def cauchy_bound(asc):
+    c = np.trim_zeros(np.asarray(asc, dtype=float)[::-1], "f")
+    return 1.0 + np.abs(c[1:]).max() / abs(c[0])
+
+
+def test_isolation_batched_agrees_with_bisection():
+    rng = np.random.default_rng(10)
+    rows = []
+    for deg in range(1, 9):
+        rows += [rng.normal(size=deg + 1) for _ in range(25)]
+    # generic rows are certified, so the comparison below exercises the new path
+    assert all(cells._certified_roots(r[None, ::-1])[0] is not None for r in rows)
+    # leading near-zeros trim to a lower degree; constants have no roots
+    rows += [np.r_[rng.normal(size=3), 1e-17], np.r_[rng.normal(size=2), 0.0, 0.0]]
+    rows += [np.array([2.5]), np.zeros(4)]
+    order = rng.permutation(len(rows))
+    rows = [rows[i] for i in order]
+    padded = np.zeros((len(rows), 9))
+    for i, r in enumerate(rows):
+        padded[i, : len(r)] = r
+    expected = cells._isolate_by_bisection(rows)
+    got_list = isolate_real_roots_many(rows)
+    got_array = isolate_real_roots_many(padded)
+    for asc, want, a, b in zip(rows, expected, got_list, got_array):
+        assert np.array_equal(a, b)
+        assert len(a) == len(want)
+        if len(a):
+            assert np.abs(a - want).max() <= 1e-12 * max(1.0, cauchy_bound(asc))
+
+
+def isolation_outcome(fn, rows):
+    try:
+        return [r.tolist() for r in fn(rows)]
+    except RootIsolationError:
+        return "RootIsolationError"
+
+
+@pytest.mark.parametrize(
+    "asc",
+    [
+        np.array([1.0 + 1e-10, -(2.0 + 1e-10), 1.0]),  # (t-1)(t-1-1e-10): clustered
+        np.array([2.0, -3.0, 0.0, 1.0]),  # (t-1)^2 (t+2): even multiplicity
+        np.array([-1.0, 3.0, 3.0, 1.0]),  # (t+1)^3 - 2: the chain drops a degree
+    ],
+)
+def test_isolation_uncertified_rows_take_bisection(asc):
+    (certified,) = cells._certified_roots(asc[None, ::-1])
+    assert certified is None
+    assert isolation_outcome(isolate_real_roots_many, [asc]) == isolation_outcome(
+        cells._isolate_by_bisection, [asc]
+    )
+
+
+def _endpoint_on_root(h):
+    r = 1.0 - h
+    while r + h != 1.0:
+        r = np.nextafter(r, 2.0 if r + h < 1.0 else 0.0)
+    return r
+
+
+@pytest.mark.parametrize(
+    "cands",
+    [
+        [-1.0 + 0.5j, 1.0],  # a real root is missing: the Sturm count is 2
+        [-1.0, 1.0 + 1e-6],  # a bracket holds no root
+        [1.0, 1.0 + 1e-13],  # overlapping brackets around one root
+        [-1.0, _endpoint_on_root(1e-12)],  # a bracket ends on the root t = 1
+    ],
+)
+def test_certification_rejects_wrong_candidates(monkeypatch, cands):
+    P = np.array([[1.0, 0.0, -1.0]])  # t^2 - 1, Cauchy bound 2, h = 1e-12
+    assert np.array_equal(cells._certified_roots(P)[0], [-1.0, 1.0])
+    monkeypatch.setattr(np.linalg, "eigvals", lambda comp: np.array([cands]))
+    assert cells._certified_roots(P) == [None]
+
+
+def test_isolation_errors_still_raise(monkeypatch):
+    monkeypatch.setattr(cells, "_REFINE_MAX_ITERS", 1)
+    asc = np.array([2.0, -3.0, 0.0, 1.0])
+    with pytest.raises(RootIsolationError):
+        cells._isolate_by_bisection([asc])
+    with pytest.raises(RootIsolationError):
+        isolate_real_roots_many([np.array([1.0, -1.0]), asc])
+
+
+_coeff = st.one_of(
+    st.integers(-4, 4).map(float),
+    st.floats(-8.0, 8.0, allow_nan=False, allow_subnormal=False),
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.lists(_coeff, min_size=1, max_size=7), min_size=1, max_size=8))
+def test_isolation_batching_invariance(rows):
+    rows = [np.array(r) for r in rows]
+    try:
+        singles = [isolate_real_roots_many([r])[0] for r in rows]
+    except RootIsolationError:
+        with pytest.raises(RootIsolationError):
+            isolate_real_roots_many(rows)
+        return
+    for a, b in zip(isolate_real_roots_many(rows), singles):
+        assert np.array_equal(a, b)
+
+
 def test_cells_entered_line_examples():
     xaxis = line((0.0, 0.0), (1.0, 0.0))
     xm1 = from_terms(2, {(1, 0): 1.0, (0, 0): -1.0})
@@ -217,3 +325,22 @@ def test_exact_enumeration_rejects_non_lines():
 
     with pytest.raises(UnsupportedVarietyError):
         line_cell_sets([circle((0.0, 0.0), 1.0)], [X])
+
+
+def test_seeded_line_solve_pinned_table():
+    from polypart.solver import SolveConfig, partition_varieties
+
+    rng = np.random.default_rng(20)
+    theta = rng.uniform(0, 2 * np.pi, size=200)
+    rho = rng.uniform(-1.0, 1.0, size=200)
+    Gamma = [
+        line(r * np.array([-np.sin(t), np.cos(t)]), (np.cos(t), np.sin(t)))
+        for t, r in zip(theta, rho)
+    ]
+    cfg = SolveConfig(
+        s=4, n=2, restarts=1, iters=40, seed=3, sampling=SamplingConfig(R=4.0, seed=3)
+    )
+    rep = partition_varieties(Gamma, cfg)
+    # recorded with the Sturm-bisection isolator before certified eigenvalue roots
+    pinned = [77, 15, 117, 78, 100, 94, 128, 37, 15, 51, 72, 143, 85, 76, 141, 84]
+    assert rep.counts.table.tolist() == pinned

@@ -169,3 +169,19 @@ def test_console_script_runs():
     )
     assert proc.returncode == 0
     assert "PASS" in proc.stdout
+
+
+@pytest.mark.parametrize("command", ["partition", "partition-points"])
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--s", "0"), ("--s", "21"), ("--restarts", "0"), ("--iters", "-1")],
+)
+def test_bad_solver_flags_exit_2(tmp_path, capsys, command, flag, value):
+    # checked before the instance is read, so a large --s allocates nothing
+    inst = write_instance(tmp_path, {"n": 2, "points": [[0.1, 0.2]]})
+    argv = [command, "--input", inst, "--s", "2", "--out", str(tmp_path / "o")]
+    rc = main(argv + [f"{flag}={value}"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert flag in err and len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "o").exists()

@@ -14,6 +14,7 @@ from polypart.polyalg import (
     from_terms,
     grad,
     grad_bound,
+    monomial_basis,
     restrict_to_line,
     restrict_to_line_batch,
 )
@@ -68,6 +69,14 @@ def test_monomial_order_constant_first():
     assert b.monomials[:3] == [(0, 0), (1, 0), (0, 1)]
     assert b.monomials[3:] == [(2, 0), (1, 1), (0, 2)]
     assert len(b) == 6
+
+
+def test_shared_basis_is_read_only():
+    b = monomial_basis(2, 3)
+    assert b is monomial_basis(2, 3) and b == MonomialBasis(2, 3)
+    assert b is from_terms(2, {(3, 0): 1.0}).basis
+    with pytest.raises(ValueError):
+        b.exponents[0, 0] = 5
 
 
 def test_eval_examples():

@@ -4,6 +4,7 @@ import pytest
 from polypart.polyalg import degree_schedule, eval_poly
 from polypart.sphereprod import (
     XsPoint,
+    block_poly,
     block_size,
     flip,
     random_point,
@@ -136,3 +137,11 @@ def test_flip_embedding_equivariance():
                 assert np.array_equal(q.coeffs, -p.coeffs)
             else:
                 assert np.array_equal(q.coeffs, p.coeffs)
+
+
+def test_block_poly_matches_to_polys():
+    for n in (2, 3):
+        x = random_point(5, seed=n)
+        for j, p in enumerate(to_polys(x, n), start=1):
+            q = block_poly(x, j, n)
+            assert q.basis == p.basis and np.array_equal(q.coeffs, p.coeffs)
