@@ -110,17 +110,29 @@ def sign_vector(pvec: list[Polynomial], x, tau: float | None = None):
     return index_w(int(idx[0]), len(pvec))
 
 
+def pack_signs(vals: np.ndarray, tols) -> tuple[np.ndarray, np.ndarray]:
+    """Table index per row of vals (m, s) plus the interior mask.
+
+    Bit j of the index is set where vals[:, j] < 0; a row is interior when
+    every |vals[:, j]| exceeds tols[j]. Comparisons, integer and boolean
+    operations only, so the packing is exact.
+    """
+    idx = np.zeros(len(vals), dtype=np.int64)
+    interior = np.ones(len(vals), dtype=bool)
+    for j in range(vals.shape[1]):
+        interior &= np.abs(vals[:, j]) > tols[j]
+        idx |= (vals[:, j] < 0).astype(np.int64) << j
+    return idx, interior
+
+
 def sign_vector_many(pvec, X, tau=None):
     """Batch sign vectors as table indices plus a boundary mask."""
     X = np.asarray(X, dtype=np.float64)
-    tols = _sign_tols(pvec, tau)
-    idx = np.zeros(len(X), dtype=np.int64)
-    boundary = np.zeros(len(X), dtype=bool)
+    vals = np.empty((len(X), len(pvec)))
     for j, p in enumerate(pvec):
-        vals = eval_poly_many(p, X)
-        boundary |= np.abs(vals) <= tols[j]
-        idx |= (vals < 0).astype(np.int64) << j
-    return idx, boundary
+        vals[:, j] = eval_poly_many(p, X)
+    idx, interior = pack_signs(vals, _sign_tols(pvec, tau))
+    return idx, ~interior
 
 
 def entered_cells_sampled(spec: VarietySpec, pvec, sampling: SamplingConfig) -> set:
@@ -517,18 +529,16 @@ def _midpoint_indices(lines, pvec, owners, lo, hi):
     ts = 0.5 * (lo + hi)
     pts = A[owners] + ts[:, None] * U[owners]
     vals = np.stack([eval_poly_many(p, pts) for p in pvec], axis=1)
-    ambiguous = np.any(np.abs(vals) <= tols[None, :], axis=1)
-    idx = np.zeros(len(owners), dtype=np.int64)
-    for j in range(len(pvec)):
-        idx |= (vals[:, j] < 0).astype(np.int64) << j
-    for k in np.flatnonzero(ambiguous):
+    idx, interior = pack_signs(vals, tols)
+    for k in np.flatnonzero(~interior):
         i = owners[k]
         for frac in _GAP_FRACTIONS[1:]:
             t = lo[k] + frac * (hi[k] - lo[k])
             x = A[i] + t * U[i]
-            v = np.array([eval_poly_many(p, x[None, :])[0] for p in pvec])
-            if np.all(np.abs(v) > tols):
-                idx[k] = w_index(tuple((v < 0).astype(int)))
+            v = np.array([[eval_poly_many(p, x[None, :])[0] for p in pvec]])
+            w, ok = pack_signs(v, tols)
+            if ok[0]:
+                idx[k] = w[0]
                 break
         else:
             raise RootIsolationError(

@@ -322,9 +322,22 @@ def _check_solve_flags(args) -> None:
         raise InstanceError(f"--iters must be >= 0, got {args.iters}")
 
 
+def _check_family(varieties) -> None:
+    """Reject families the variety solver cannot count, before solving."""
+    for i, g in enumerate(varieties):
+        if g.kind == "implicit":
+            raise InstanceError(f"varieties[{i}]: kind 'implicit' has no sampler to count it by")
+        if g.k != varieties[0].k:
+            raise InstanceError(
+                f"varieties[{i}]: dimension k = {g.k} differs from k = {varieties[0].k}"
+                " of varieties[0]; a family must share k"
+            )
+
+
 def cmd_partition(args) -> int:
     _check_solve_flags(args)
     inst = load_instance(args.input)
+    _check_family(inst.varieties)
     if not inst.varieties:
         # empty families still produce a valid all-zero report
         table = CellCounts.zeros(args.s)

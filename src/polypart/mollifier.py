@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cells import w_index
+from .cells import pack_signs, w_index
 from .polyalg import MonomialBasis, Polynomial, eval_poly_many, grad_bound
 from .spectrum import wht_table
 from .varieties import VarietySpec, WeightedCloud, tube_sample
@@ -75,6 +75,30 @@ def tube_cloud(spec: VarietySpec, cfg: MollConfig) -> WeightedCloud:
     return tube_sample(spec, cfg.delta, cfg.radius, cfg.mc_count, cfg.seed)
 
 
+def family_clouds(Gamma: list[VarietySpec], cfg: MollConfig) -> list[WeightedCloud]:
+    """One tube cloud per variety, on seed substream (cfg.seed, i)."""
+    return [
+        tube_cloud(g, MollConfig(cfg.delta, cfg.eps, cfg.radius, cfg.mc_count, (cfg.seed, i)))
+        for i, g in enumerate(Gamma)
+    ]
+
+
+def mollified_rows(vals: np.ndarray, sizes, weights, cfg: MollConfig, n: int) -> np.ndarray:
+    """Mollified rows (m, 2^s) of m tube clouds from their stacked values.
+
+    vals is (N, s): P_j at the cloud points stacked in cloud order, cloud c
+    owning sizes[c] consecutive rows of volume weights[c] each. A single
+    bincount keyed by c * 2^s + cell gives every cloud's tube integral.
+    Column-major vals keep the per-row minimum a pass over s columns.
+    """
+    m, ncell = len(sizes), 2 ** vals.shape[1]
+    idx, interior = pack_signs(vals, np.zeros(vals.shape[1]))
+    inner = eta(cfg.eps, np.abs(vals).min(axis=1)) * np.repeat(weights, sizes)
+    key = np.repeat(np.arange(m) * ncell, sizes) + idx
+    totals = np.bincount(key[interior], weights=inner[interior], minlength=m * ncell)
+    return eta(cfg.eps, totals.reshape(m, ncell) * cfg.delta ** (-n))
+
+
 def mollified_row(
     spec: VarietySpec,
     pvec: list[Polynomial],
@@ -82,21 +106,9 @@ def mollified_row(
     cloud: WeightedCloud | None = None,
 ) -> np.ndarray:
     """Mollified indicator of one variety against all 2^s sign cells."""
-    s = len(pvec)
-    n = pvec[0].basis.n
     if cloud is None:
         cloud = tube_cloud(spec, cfg)
-    if len(cloud.points) == 0:
-        return np.zeros(2**s)
-    vals = np.stack([eval_poly_many(p, cloud.points) for p in pvec], axis=1)
-    idx = np.zeros(len(cloud.points), dtype=np.int64)
-    interior = np.ones(len(cloud.points), dtype=bool)
-    for j in range(s):
-        idx |= (vals[:, j] < 0).astype(np.int64) << j
-        interior &= vals[:, j] != 0.0
-    inner = eta(cfg.eps, np.abs(vals).min(axis=1)) * cloud.weight
-    totals = np.bincount(idx[interior], weights=inner[interior], minlength=2**s)
-    return eta(cfg.eps, totals * cfg.delta ** (-n))
+    return mollified_table([spec], pvec, cfg, [cloud])
 
 
 def i_delta(spec: VarietySpec, pvec, w, cfg: MollConfig, cloud=None) -> float:
@@ -115,16 +127,13 @@ def mollified_table(
     Without explicit clouds each variety gets its own seed substream so the
     estimate is deterministic in (Gamma order, cfg.seed).
     """
-    s = len(pvec)
-    total = np.zeros(2**s)
-    for i, spec in enumerate(Gamma):
-        if clouds is not None:
-            cloud = clouds[i]
-        else:
-            sub = MollConfig(cfg.delta, cfg.eps, cfg.radius, cfg.mc_count, (cfg.seed, i))
-            cloud = tube_cloud(spec, sub)
-        total += mollified_row(spec, pvec, cfg, cloud)
-    return total
+    n = pvec[0].basis.n
+    if clouds is None:
+        clouds = family_clouds(Gamma, cfg)
+    pts = np.concatenate([c.points for c in clouds] + [np.zeros((0, n))])  # Gamma may be []
+    vals = np.stack([eval_poly_many(p, pts) for p in pvec]).T
+    sizes = [len(c.points) for c in clouds]
+    return mollified_rows(vals, sizes, [c.weight for c in clouds], cfg, n).sum(axis=0)
 
 
 def f_delta_v(Gamma, pvec, v, cfg: MollConfig, clouds=None) -> float:

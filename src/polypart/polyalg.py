@@ -157,17 +157,21 @@ def eval_poly(p: Polynomial, x) -> float:
     return float(mono @ p.coeffs)
 
 
+def monomial_matrix(X: np.ndarray, basis: MonomialBasis) -> np.ndarray:
+    """Every monomial of `basis` at each row of X, shape (m, n) -> (m, dim)."""
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2 or X.shape[1] != basis.n:
+        raise ValueError(f"points have shape {X.shape}, expected (m, {basis.n})")
+    pt = X[:, :, None] ** np.arange(basis.D + 1)[None, None, :]
+    out = pt[:, 0, basis.exponents[:, 0]]
+    for i in range(1, basis.n):
+        out *= pt[:, i, basis.exponents[:, i]]  # left to right, as np.prod rounds
+    return out
+
+
 def eval_poly_many(p: Polynomial, X: np.ndarray) -> np.ndarray:
     """Evaluate p at each row of X, shape (m, n) -> (m,)."""
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != p.n:
-        raise ValueError(f"points have shape {X.shape}, expected (m, {p.n})")
-    if X.shape[0] == 0:
-        return np.zeros(0)
-    pt = X[:, :, None] ** np.arange(p.basis.D + 1)[None, None, :]
-    cols = np.broadcast_to(np.arange(p.n), p.basis.exponents.shape)
-    mono = np.prod(pt[:, cols, p.basis.exponents], axis=2)
-    return mono @ p.coeffs
+    return monomial_matrix(X, p.basis) @ p.coeffs
 
 
 def grad(p: Polynomial, x) -> np.ndarray:

@@ -19,7 +19,7 @@ import numpy as np
 from . import cells as cells_mod
 from . import mollifier as moll_mod
 from .cells import CellCounts, SamplingConfig, point_counts, sign_vector_many
-from .polyalg import MonomialBasis, Polynomial, degree_schedule, eval_poly_many, monomial_basis
+from .polyalg import Polynomial, degree_schedule, eval_poly_many, monomial_basis, monomial_matrix
 from .spectrum import Spectrum, spectral_power, wht
 from .sphereprod import XsPoint, block_poly, block_size, random_point, to_polys
 from .varieties import LineSampler, VarietySpec
@@ -161,17 +161,10 @@ class _DiscreteEvaluator:
             table += cells_mod.cell_table_from_roots(
                 self.lines, self.pvec, self.roots, self.degen
             )
+        tols = cells_mod._sign_tols(self.pvec, None)
         for vals in self.other_vals:
-            if len(vals) == 0:
-                continue
-            idx = np.zeros(len(vals), dtype=np.int64)
-            interior = np.ones(len(vals), dtype=bool)
-            for j in range(self.s):
-                tol = cells_mod.DEFAULT_SIGN_TOL_SCALE * self.pvec[j].coeff_norm()
-                interior &= np.abs(vals[:, j]) > tol
-                idx |= (vals[:, j] < 0).astype(np.int64) << j
-            for w in np.unique(idx[interior]):
-                table[w] += 1
+            idx, interior = cells_mod.pack_signs(vals, tols)
+            table[np.unique(idx[interior])] += 1
         return table
 
     def try_block(self, j, x_cand: XsPoint):
@@ -197,70 +190,53 @@ class _DiscreteEvaluator:
 
 
 class _SmoothEvaluator:
-    """Same incremental structure over fixed tube clouds at one delta level."""
+    """Same incremental structure over fixed tube clouds at one delta level.
 
-    def __init__(self, Gamma, n, s, mcfg: moll_mod.MollConfig):
-        self.Gamma = Gamma
+    The level's clouds are stacked into one point array, and the monomials of
+    the largest schedule basis are tabulated on it once per level; a smaller
+    graded-lex basis is a prefix of its columns. A one-block proposal is then
+    one matrix-vector product into column j of the stacked (N, s) values plus
+    one pass of mollifier.mollified_rows over them.
+    """
+
+    def __init__(self, Gamma, n, s, mcfg: moll_mod.MollConfig, bases):
         self.n = n
-        self.s = s
         self.mcfg = mcfg
-        self.clouds = []
-        for i, g in enumerate(Gamma):
-            sub = moll_mod.MollConfig(
-                mcfg.delta, mcfg.eps, mcfg.radius, mcfg.mc_count, (mcfg.seed, i)
-            )
-            self.clouds.append(moll_mod.tube_cloud(g, sub))
-        self.vals = [np.zeros((len(c.points), s)) for c in self.clouds]
-        self.pvec = None
+        clouds = moll_mod.family_clouds(Gamma, mcfg)
+        self.sizes = [len(c.points) for c in clouds]
+        self.weights = [c.weight for c in clouds]
+        ends = np.cumsum(self.sizes)
+        basis = max(bases, key=len)
+        self.mono = np.empty((ends[-1], len(basis)))
+        for c, stop in zip(clouds, ends):
+            # cloud by cloud, so the gather temporary stays cloud-sized
+            self.mono[stop - len(c.points) : stop] = monomial_matrix(c.points, basis)
+        self.vals = np.zeros((ends[-1], s), order="F")  # contiguous columns
+
+    def _column(self, j, poly):
+        self.vals[:, j - 1] = self.mono[:, : len(poly.coeffs)] @ poly.coeffs
 
     def set_point(self, x: XsPoint):
-        self.pvec = to_polys(x, self.n)
-        for j in range(1, self.s + 1):
-            cols = self._block_cols(self.pvec[j - 1])
-            self._commit(j, self.pvec[j - 1], cols)
+        for j, poly in enumerate(to_polys(x, self.n), start=1):
+            self._column(j, poly)
         return self._objective()
 
-    def _block_cols(self, poly):
-        return [
-            eval_poly_many(poly, c.points) if len(c.points) else np.zeros(0)
-            for c in self.clouds
-        ]
-
-    def _commit(self, j, poly, cols):
-        self.pvec[j - 1] = poly
-        for vi, col in enumerate(cols):
-            self.vals[vi][:, j - 1] = col
-
     def _objective(self):
-        table = np.zeros(2**self.s)
-        for cloud, vals in zip(self.clouds, self.vals):
-            if len(vals) == 0:
-                continue
-            idx = np.zeros(len(vals), dtype=np.int64)
-            interior = np.ones(len(vals), dtype=bool)
-            for j in range(self.s):
-                idx |= (vals[:, j] < 0).astype(np.int64) << j
-                interior &= vals[:, j] != 0.0
-            inner = moll_mod.eta(self.mcfg.eps, np.abs(vals).min(axis=1)) * cloud.weight
-            totals = np.bincount(idx[interior], weights=inner[interior], minlength=2**self.s)
-            table += moll_mod.eta(self.mcfg.eps, totals * self.mcfg.delta ** (-self.n))
-        return spectral_power(table)
+        rows = moll_mod.mollified_rows(self.vals, self.sizes, self.weights, self.mcfg, self.n)
+        return spectral_power(rows.sum(axis=0))
 
     def try_block(self, j, x_cand: XsPoint):
         poly = block_poly(x_cand, j, self.n)
-        cols = self._block_cols(poly)
-        saved = (self.pvec[j - 1], [v[:, j - 1].copy() for v in self.vals])
-        self._commit(j, poly, cols)
+        saved = self.vals[:, j - 1].copy()
+        self._column(j, poly)
         return self._objective(), (j, saved)
 
     def accept(self, handle):
         pass
 
     def reject(self, handle):
-        j, (poly, cols) = handle
-        self.pvec[j - 1] = poly
-        for vi, col in enumerate(cols):
-            self.vals[vi][:, j - 1] = col
+        j, col = handle
+        self.vals[:, j - 1] = col
 
 
 def _anneal(evaluator, x, obj, iters, step_init, step_final, rng, trace, it_offset):
@@ -314,13 +290,14 @@ def partition_varieties(Gamma: list[VarietySpec], cfg: SolveConfig) -> Partition
             per_level = max(cfg.iters // len(cfg.delta_grid), 20)
             for level, delta in enumerate(cfg.delta_grid):
                 mcfg = moll_mod.schedule(delta, bases, cfg.mc_count, (cfg.seed, 3, level))
-                ev = _SmoothEvaluator(Gamma, n, cfg.s, mcfg)
+                ev = _SmoothEvaluator(Gamma, n, cfg.s, mcfg, bases)
                 obj = ev.set_point(x)
                 if level == 0:
                     trace.append((-1, float(obj)))
                 x, obj = _anneal(
                     ev, x, obj, per_level, cfg.step_init, cfg.step_final, rng, trace, offset
                 )
+                del ev  # one level's caches alive at a time
                 offset += per_level
             obj = objective_discrete(Gamma, x, sampling, cfg.exact_lines)
         key = (obj, r)
@@ -358,13 +335,6 @@ def partition_varieties(Gamma: list[VarietySpec], cfg: SolveConfig) -> Partition
 
 # ---------------------------------------------------------------------------
 # Point partitioning by sequential bisection.
-
-
-def _monomial_matrix(X: np.ndarray, basis: MonomialBasis, subdim: int) -> np.ndarray:
-    pt = X[:, :, None] ** np.arange(basis.D + 1)[None, None, :]
-    cols = np.broadcast_to(np.arange(X.shape[1]), basis.exponents.shape)
-    mono = np.prod(pt[:, cols, basis.exponents], axis=2)
-    return mono[:, :subdim]
 
 
 def _imbalances(vals, part, alive, n_parts, tau=1e-9):
@@ -460,7 +430,7 @@ def partition_points(X, s: int, cfg: SolveConfig) -> PartitionReport:
     for j in range(1, s + 1):
         basis = monomial_basis(n, sched[j - 1])
         subdim = block_size(j)
-        M = _monomial_matrix(X, basis, subdim)
+        M = monomial_matrix(X, basis)[:, :subdim]
         n_parts = 2 ** (j - 1)
         best_c, best_score = None, None
         for start in range(cfg.restarts):

@@ -344,3 +344,14 @@ def test_seeded_line_solve_pinned_table():
     # recorded with the Sturm-bisection isolator before certified eigenvalue roots
     pinned = [77, 15, 117, 78, 100, 94, 128, 37, 15, 51, 72, 143, 85, 76, 141, 84]
     assert rep.counts.table.tolist() == pinned
+
+
+def test_pack_signs_bits_and_interior():
+    vals = np.array([[1.0, -2.0, 3.0], [-1.0, -1.0, 0.5], [2.0, 1e-12, -4.0], [0.0, 1.0, 1.0]])
+    idx, interior = cells.pack_signs(vals, np.array([1e-9, 1e-9, 1e-9]))
+    assert idx.tolist() == [w_index((0, 1, 0)), w_index((1, 1, 0)), w_index((0, 0, 1)), 0]
+    assert interior.tolist() == [True, True, False, False]
+    idx0, interior0 = cells.pack_signs(vals, np.zeros(3))
+    assert np.array_equal(idx0, idx) and interior0.tolist() == [True, True, True, False]
+    idx, interior = cells.pack_signs(np.zeros((0, 2)), np.zeros(2))
+    assert idx.shape == interior.shape == (0,)

@@ -185,3 +185,31 @@ def test_bad_solver_flags_exit_2(tmp_path, capsys, command, flag, value):
     err = capsys.readouterr().err
     assert flag in err and len(err.strip().splitlines()) == 1
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "varieties, why",
+    [
+        (
+            [
+                {"kind": "line", "point": [0.0, 0.0, 0.0], "dir": [1.0, 0.0, 0.0]},
+                {"kind": "implicit", "polys": [{"exponents": [[1, 0, 0]], "coeffs": [1.0]}]},
+            ],
+            "implicit",
+        ),
+        (
+            [
+                {"kind": "line", "point": [0.0, 0.0, 0.0], "dir": [1.0, 0.0, 0.0]},
+                {"kind": "kplane", "point": [0.0, 0.0, 1.0], "frame": [[1, 0, 0], [0, 1, 0]]},
+            ],
+            "dimension k",
+        ),
+    ],
+)
+def test_unsolvable_family_exit_2(tmp_path, capsys, varieties, why):
+    inst = write_instance(tmp_path, {"n": 3, "varieties": varieties})
+    rc = main(["partition", "--input", inst, "--s", "2", "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "varieties[1]" in err and why in err and len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "o").exists()

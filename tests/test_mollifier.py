@@ -10,6 +10,7 @@ from polypart.mollifier import (
     f_delta_v,
     i_delta,
     mollified_row,
+    mollified_rows,
     mollified_table,
     schedule,
     tube_cloud,
@@ -165,3 +166,24 @@ def test_mollified_row_empty_tube():
     pvec = [unit_linear(1.0, 0.0, 0.0)]
     cfg = schedule(2.0**-4, [pvec[0].basis], mc_count=256, seed=12)
     assert np.all(mollified_row(g, pvec, cfg) == 0.0)
+
+
+def test_mollified_rows_match_per_point_oracle():
+    rng = np.random.default_rng(6)
+    sizes = [5, 0, 40, 17]
+    weights = [0.01, 0.5, 0.002, 0.03]
+    vals = rng.normal(size=(sum(sizes), 3))
+    vals[[3, 20], [1, 0]] = 0.0  # boundary points count nowhere
+    cfg = MollConfig(delta=0.25, eps=0.2, radius=3.0)
+    rows = mollified_rows(np.asfortranarray(vals), sizes, weights, cfg, n=2)
+    want = np.zeros((len(sizes), 8))
+    start = 0
+    for c, (size, w) in enumerate(zip(sizes, weights)):
+        for v in vals[start : start + size]:
+            if np.all(v != 0.0):
+                cell = sum(int(b) << j for j, b in enumerate(v < 0))
+                want[c, cell] += float(eta(cfg.eps, np.abs(v).min())) * w
+        start += size
+    want = eta(cfg.eps, want * cfg.delta**-2)
+    assert 0.0 < want.max() and np.any((want > 0.0) & (want < 1.0))
+    assert np.allclose(rows, want, rtol=1e-12, atol=0.0)

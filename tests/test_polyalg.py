@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polypart.polyalg import (
     MonomialBasis,
@@ -15,6 +17,7 @@ from polypart.polyalg import (
     grad,
     grad_bound,
     monomial_basis,
+    monomial_matrix,
     restrict_to_line,
     restrict_to_line_batch,
 )
@@ -219,3 +222,48 @@ def test_restrict_to_line_batch_matches_single():
     for i in range(15):
         single = restrict_to_line(p, A[i], U[i])
         assert np.allclose(batch[i], single, rtol=1e-12, atol=1e-12)
+
+
+def test_monomial_matrix_rounds_as_gather_prod():
+    # reference: the (m, dim, n) gather reduced by np.prod, which the line and
+    # point solvers used before; the table must match it bit for bit
+    rng = np.random.default_rng(3)
+    for n in range(1, 5):
+        for D in range(8):
+            basis = monomial_basis(n, D)
+            X = rng.normal(size=(50, n)) * rng.choice([1e-3, 1.0, 30.0])
+            pt = X[:, :, None] ** np.arange(D + 1)[None, None, :]
+            cols = np.broadcast_to(np.arange(n), basis.exponents.shape)
+            ref = np.prod(pt[:, cols, basis.exponents], axis=2)
+            assert np.array_equal(monomial_matrix(X, basis), ref)
+
+
+def test_monomial_matrix_columns_and_eval():
+    rng = np.random.default_rng(4)
+    basis = monomial_basis(3, 3)
+    X = rng.normal(size=(25, 3))
+    M = monomial_matrix(X, basis)
+    assert M.shape == (25, len(basis))
+    for col, expo in enumerate(basis.monomials):
+        assert np.allclose(M[:, col], np.prod(X ** np.array(expo), axis=1), rtol=1e-13)
+    p = Polynomial(basis, rng.normal(size=len(basis)))
+    assert np.array_equal(eval_poly_many(p, X), M @ p.coeffs)
+    # graded-lex: a lower-degree basis is a prefix of the columns
+    assert np.array_equal(monomial_matrix(X, monomial_basis(3, 2)), M[:, : basis_dim(3, 2)])
+    with pytest.raises(ValueError):
+        monomial_matrix(X[:, :2], basis)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(1, 3),
+    st.integers(0, 6),
+    st.lists(st.integers(0, 40), min_size=1, max_size=6),
+    st.integers(0, 2**32 - 1),
+)
+def test_monomial_matrix_stacked_rows_exact(n, D, sizes, seed):
+    rng = np.random.default_rng(seed)
+    blocks = [rng.normal(size=(m, n)) * 3.0 for m in sizes]
+    basis = monomial_basis(n, D)
+    stacked = monomial_matrix(np.concatenate(blocks), basis)
+    assert np.array_equal(stacked, np.concatenate([monomial_matrix(b, basis) for b in blocks]))

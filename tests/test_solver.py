@@ -2,16 +2,19 @@ import numpy as np
 import pytest
 
 from polypart.cells import SamplingConfig, counts, point_counts
-from polypart.mollifier import schedule
-from polypart.polyalg import MonomialBasis, degree_schedule
+from polypart.mollifier import family_clouds, schedule
+from polypart.polyalg import MonomialBasis, degree_schedule, monomial_basis
 from polypart.solver import (
     SolveConfig,
+    _DiscreteEvaluator,
+    _SmoothEvaluator,
+    _step_block,
     objective_discrete,
     objective_smooth,
     partition_points,
     partition_varieties,
 )
-from polypart.sphereprod import XsPoint, flip, random_point, to_polys
+from polypart.sphereprod import XsPoint, block_size, flip, random_point, to_polys
 from polypart.varieties import circle, line
 
 
@@ -145,6 +148,72 @@ def test_partition_varieties_validation():
         SolveConfig(s=2, n=2, objective="magic")
     with pytest.raises(ValueError):
         SolveConfig(s=2, n=2, delta_grid=(0.25, 0.5))
+
+
+def drive_evaluator(ev, x, rng, steps, check):
+    """Seeded try/accept/reject sequence; check(point, value) after every step,
+    for the candidate right after try_block and for the kept point after."""
+    check(x, ev.set_point(x))
+    for _ in range(steps):
+        j = int(rng.integers(1, x.s + 1))
+        cand = _step_block(x, j, rng.normal(size=block_size(j)), 0.5)
+        obj, handle = ev.try_block(j, cand)
+        check(cand, obj)
+        if rng.random() < 0.5:
+            ev.accept(handle)
+            x = cand
+        else:
+            ev.reject(handle)
+        check(x, ev._objective())
+
+
+def test_smooth_evaluator_matches_from_scratch():
+    # unequal clouds: the circle on the sphere |x| = R of a level loses about
+    # half its tube to the clipping at B_R, and the one at (40, 0) is empty
+    Gamma = [
+        circle((0.3, 0.0), 0.5),
+        line((0.1, -0.2), (0.6, 0.8)),
+        circle((0.0, 0.0), 8.0),
+        circle((0.0, 0.0), 11.0),
+        circle((-0.4, 0.2), 0.9),
+        circle((40.0, 0.0), 0.5),
+    ]
+    s, n = 3, 2
+    bases = [monomial_basis(n, D) for D in degree_schedule(n, s)]
+    rng = np.random.default_rng(5)
+    for level, delta in enumerate((2.0**-7, 2.0**-10)):  # R = 8, 11
+        mcfg = schedule(delta, bases, mc_count=300, seed=(9, level))
+        clouds = family_clouds(Gamma, mcfg)
+        sizes = [len(c.points) for c in clouds]
+        assert sizes[-1] == 0 and len(set(sizes)) >= 3
+        ev = _SmoothEvaluator(Gamma, n, s, mcfg, bases)
+        seen = []
+
+        def check(y, got):
+            want = objective_smooth(Gamma, y, mcfg, clouds)
+            assert abs(got - want) <= 1e-12 * want
+            seen.append(want)
+
+        drive_evaluator(ev, random_point(s, seed=level), rng, 30, check)
+        assert np.count_nonzero(seen) > len(seen) // 2
+
+
+def test_discrete_evaluator_matches_counts():
+    rng = np.random.default_rng(11)
+    theta = rng.uniform(0.0, 2 * np.pi, size=40)
+    rho = rng.uniform(-1.0, 1.0, size=40)
+    Gamma = [
+        line((-r * np.sin(t), r * np.cos(t)), (np.cos(t), np.sin(t))) for t, r in zip(theta, rho)
+    ]
+    s, n = 3, 2
+    sampling = SamplingConfig(R=4.0, seed=0)
+    ev = _DiscreteEvaluator(Gamma, n, s, sampling, exact_lines=True)
+
+    def check(y, _):
+        want = counts(Gamma, to_polys(y, n), sampling, exact_lines=True).table
+        assert np.array_equal(ev._table(), want)
+
+    drive_evaluator(ev, random_point(s, seed=2), rng, 30, check)
 
 
 def test_partition_points_single_point():
