@@ -5,13 +5,17 @@ points with any |P_j| at or below tolerance sit on the boundary and belong to
 no cell. Cell entry is decided by sampling for general varieties and exactly
 for lines from the real roots of the univariate restrictions: companion-matrix
 eigenvalues certified by Sturm counts, with Sturm-count bisection for the rows
-that certification rejects.
+that certification rejects. The sign of each P_j in every gap between the
+merged roots of a line is read from the same restricted univariate
+coefficients the roots were isolated from (Horner at the gap midpoint), so no
+polynomial is evaluated in R^n along lines.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -440,41 +444,56 @@ def _restriction_scale(p: Polynomial, A: np.ndarray) -> np.ndarray:
     return max(1.0, p.coeff_norm()) * np.maximum(1.0, reach) ** p.basis.D
 
 
-def line_restriction_roots(lines: list[VarietySpec], p: Polynomial):
-    """Roots of p restricted to each line, plus a line-in-Z(p) degeneracy mask."""
+def line_frames(lines: list[VarietySpec]) -> tuple[np.ndarray, np.ndarray]:
+    """Points A and unit directions U of the lines, each stacked to (m, n)."""
+    for g in lines:
+        if not isinstance(g.sampler, LineSampler):
+            raise UnsupportedVarietyError("exact cell enumeration needs a line sampler")
     A = np.stack([g.sampler.point for g in lines])
     U = np.stack([g.sampler.direction for g in lines])
+    return A, U
+
+
+class LineRestriction(NamedTuple):
+    """One polynomial p restricted to m lines t -> A[i] + t*U[i].
+
+    coeffs: (m, D+1) ascending univariate coefficients, zero on the rows of
+        lines inside Z(p), which `degenerate` flags;
+    owners, roots: every real root with the index of its line, grouped by line;
+    tol: the tolerance below which a value of p along a line has no sign.
+    """
+
+    coeffs: np.ndarray
+    degenerate: np.ndarray
+    owners: np.ndarray
+    roots: np.ndarray
+    tol: float
+
+
+def line_restriction_roots(A: np.ndarray, U: np.ndarray, p: Polynomial) -> LineRestriction:
+    """Restrict p to the lines of the stacked frame (A, U) and isolate the roots."""
     C = restrict_to_line_batch(p, A, U)
     degenerate = np.abs(C).max(axis=1) < _DEGENERATE_TOL * _restriction_scale(p, A)
     C[degenerate] = 0.0
-    return isolate_real_roots_many(C), degenerate
+    roots = isolate_real_roots_many(C)
+    owners = np.repeat(np.arange(len(C)), [len(r) for r in roots])
+    tol = float(_sign_tols([p], None)[0] * 1e-2)
+    return LineRestriction(C, degenerate, owners, np.concatenate(roots), tol)
 
 
 _MERGE_TOL = 1e-9
 _GAP_FRACTIONS = (0.5, 0.25, 0.75, 0.4, 0.6)
 
 
-def _flatten_roots(m, roots_per_j):
-    owners = []
-    vals = []
-    for roots in roots_per_j:
-        lens = [len(r) for r in roots]
-        if sum(lens) == 0:
-            continue
-        owners.append(np.repeat(np.arange(m), lens))
-        vals.append(np.concatenate(roots))
-    if not owners:
-        return np.zeros(0, dtype=np.int64), np.zeros(0)
-    return np.concatenate(owners), np.concatenate(vals)
-
-
-def _gap_midpoints(m, roots_per_j, skip_mask):
+def _gap_midpoints(restrictions, skip_mask):
     """One evaluation gap per realized sign interval, across all lines.
 
     Returns (owner line ids, gap los, gap his); the midpoint of each gap is
     the primary sign-reading point. Lines in skip_mask contribute nothing.
     """
-    owner_raw, val_raw = _flatten_roots(m, roots_per_j)
+    m = len(skip_mask)
+    owner_raw = np.concatenate([r.owners for r in restrictions])
+    val_raw = np.concatenate([r.roots for r in restrictions])
     order = np.lexsort((val_raw, owner_raw))
     o, v = owner_raw[order], val_raw[order]
     if len(o):
@@ -521,81 +540,70 @@ def _gap_midpoints(m, roots_per_j, skip_mask):
     return owners[ok], lo[ok], hi[ok]
 
 
-def _midpoint_indices(lines, pvec, owners, lo, hi):
-    """Sign-vector table index per gap; falls back pointwise when ambiguous."""
-    tols = _sign_tols(pvec, None) * 1e-2
-    A = np.stack([g.sampler.point for g in lines])
-    U = np.stack([g.sampler.direction for g in lines])
-    ts = 0.5 * (lo + hi)
-    pts = A[owners] + ts[:, None] * U[owners]
-    vals = np.stack([eval_poly_many(p, pts) for p in pvec], axis=1)
-    idx, interior = pack_signs(vals, tols)
-    for k in np.flatnonzero(~interior):
-        i = owners[k]
-        for frac in _GAP_FRACTIONS[1:]:
-            t = lo[k] + frac * (hi[k] - lo[k])
-            x = A[i] + t * U[i]
-            v = np.array([[eval_poly_many(p, x[None, :])[0] for p in pvec]])
-            w, ok = pack_signs(v, tols)
-            if ok[0]:
-                idx[k] = w[0]
-                break
-        else:
-            raise RootIsolationError(
-                f"ambiguous sign reading on line {i} in gap ({lo[k]}, {hi[k]})"
-            )
+def _gap_values(restrictions, owners, ts):
+    """Each restriction at t = ts[g] on line owners[g], by Horner: (G, s)."""
+    vals = np.empty((len(owners), len(restrictions)))
+    for j, r in enumerate(restrictions):
+        C = r.coeffs[owners]
+        v = C[:, -1]
+        for k in range(C.shape[1] - 2, -1, -1):
+            v = v * ts + C[:, k]
+        vals[:, j] = v
+    return vals
+
+
+def _midpoint_indices(restrictions, owners, lo, hi):
+    """Sign-vector table index per gap, read at its midpoint; an ambiguous gap
+    is read again at the other _GAP_FRACTIONS and raises if none resolves it."""
+    tols = np.array([r.tol for r in restrictions])
+    idx, interior = pack_signs(_gap_values(restrictions, owners, 0.5 * (lo + hi)), tols)
+    pending = np.flatnonzero(~interior)
+    for frac in _GAP_FRACTIONS[1:]:
+        if len(pending) == 0:
+            break
+        t = lo[pending] + frac * (hi[pending] - lo[pending])
+        w, ok = pack_signs(_gap_values(restrictions, owners[pending], t), tols)
+        idx[pending[ok]] = w[ok]
+        pending = pending[~ok]
+    if len(pending):
+        k = pending[0]
+        raise RootIsolationError(
+            f"ambiguous sign reading on line {owners[k]} in gap ({lo[k]}, {hi[k]})"
+        )
     return idx
 
 
-def _skip_mask(m, degenerate_per_j):
-    skip = np.zeros(m, dtype=bool)
-    for deg in degenerate_per_j:
-        skip |= np.asarray(deg, dtype=bool)
-    return skip
+def _line_cells(restrictions):
+    """(line id, table index) of every sign interval realized along the lines;
+    lines inside some Z(P_j) are boundary everywhere and realize none."""
+    skip = np.zeros(len(restrictions[0].degenerate), dtype=bool)
+    for r in restrictions:
+        skip |= r.degenerate
+    owners, lo, hi = _gap_midpoints(restrictions, skip)
+    return owners, _midpoint_indices(restrictions, owners, lo, hi)
 
 
-def cell_sets_from_roots(lines, pvec, roots_per_j, degenerate_per_j) -> list[set]:
-    """Sign vectors realized along each line, reading signs between roots.
-
-    Lines inside some Z(P_j) are boundary everywhere and get the empty set.
-    """
-    s = len(pvec)
-    out: list[set] = [set() for _ in lines]
-    skip = _skip_mask(len(lines), degenerate_per_j)
-    owners, lo, hi = _gap_midpoints(len(lines), roots_per_j, skip)
-    if len(owners) == 0:
-        return out
-    idx = _midpoint_indices(lines, pvec, owners, lo, hi)
-    for i, w in zip(owners, idx):
+def cell_sets_from_roots(restrictions: list[LineRestriction]) -> list[set]:
+    """Sign vectors realized along each line, one restriction per P_j."""
+    s = len(restrictions)
+    out: list[set] = [set() for _ in restrictions[0].degenerate]
+    for i, w in zip(*_line_cells(restrictions)):
         out[i].add(index_w(int(w), s))
     return out
 
 
-def cell_table_from_roots(lines, pvec, roots_per_j, degenerate_per_j) -> np.ndarray:
+def cell_table_from_roots(restrictions: list[LineRestriction]) -> np.ndarray:
     """Count of lines entering each cell, straight to the 2^s table."""
-    s = len(pvec)
-    table = np.zeros(2**s, dtype=np.int64)
-    skip = _skip_mask(len(lines), degenerate_per_j)
-    owners, lo, hi = _gap_midpoints(len(lines), roots_per_j, skip)
-    if len(owners) == 0:
-        return table
-    idx = _midpoint_indices(lines, pvec, owners, lo, hi)
+    s = len(restrictions)
+    owners, idx = _line_cells(restrictions)
     keys = np.unique(owners * (2**s) + idx)
     return np.bincount(keys % (2**s), minlength=2**s).astype(np.int64)
 
 
 def line_cell_sets(lines: list[VarietySpec], pvec) -> list[set]:
     """Exact sets of sign vectors each line enters (batched over lines)."""
-    for g in lines:
-        if not isinstance(g.sampler, LineSampler):
-            raise UnsupportedVarietyError("exact cell enumeration needs a line sampler")
-    roots_per_j = []
-    degenerate_per_j = []
-    for p in pvec:
-        roots, degen = line_restriction_roots(lines, p)
-        roots_per_j.append(roots)
-        degenerate_per_j.append(degen)
-    return cell_sets_from_roots(lines, pvec, roots_per_j, degenerate_per_j)
+    A, U = line_frames(lines)
+    return cell_sets_from_roots([line_restriction_roots(A, U, p) for p in pvec])
 
 
 def cells_entered_line(line: VarietySpec, pvec) -> set:

@@ -25,6 +25,10 @@ from .sphereprod import XsPoint, block_poly, block_size, random_point, to_polys
 from .varieties import LineSampler, VarietySpec
 
 
+class SelfCheckError(RuntimeError):
+    """The incremental evaluator's count table disagrees with cells.counts."""
+
+
 @dataclass
 class SolveConfig:
     s: int
@@ -102,8 +106,9 @@ def _step_block(x: XsPoint, j: int, direction: np.ndarray, h: float) -> XsPoint:
 
 
 class _DiscreteEvaluator:
-    """Incremental discrete objective: per-block caches for line roots and
-    per-variety sample values, so a one-block proposal recomputes one column."""
+    """Incremental discrete objective: per-block caches of the line
+    restrictions (coefficient rows, flattened roots) and per-variety sample
+    values, so a one-block proposal recomputes one column."""
 
     def __init__(self, Gamma, n, s, sampling, exact_lines):
         self.Gamma = Gamma
@@ -125,30 +130,26 @@ class _DiscreteEvaluator:
             self.other_pts.append(
                 cells_mod.sample_in_ball(g, sampling.R, count, (sampling.seed, i))
             )
+        self.frame = cells_mod.line_frames(self.lines) if self.lines else None
         self.pvec = None
-        self.roots = [None] * s
-        self.degen = [None] * s
+        self.restrictions = [None] * s
         self.other_vals = [np.zeros((len(p), s)) for p in self.other_pts]
 
     def _block_state(self, j, poly):
-        if self.lines:
-            roots, degen = cells_mod.line_restriction_roots(self.lines, poly)
-        else:
-            roots, degen = [], np.zeros(0, dtype=bool)
+        restriction = cells_mod.line_restriction_roots(*self.frame, poly) if self.lines else None
         vals = [eval_poly_many(poly, pts) if len(pts) else np.zeros(0) for pts in self.other_pts]
-        return roots, degen, vals
+        return restriction, vals
 
     def set_point(self, x: XsPoint):
         self.pvec = to_polys(x, self.n)
         for j in range(1, self.s + 1):
-            roots, degen, vals = self._block_state(j, self.pvec[j - 1])
-            self._commit(j, self.pvec[j - 1], roots, degen, vals)
+            restriction, vals = self._block_state(j, self.pvec[j - 1])
+            self._commit(j, self.pvec[j - 1], restriction, vals)
         return self._objective()
 
-    def _commit(self, j, poly, roots, degen, vals):
+    def _commit(self, j, poly, restriction, vals):
         self.pvec[j - 1] = poly
-        self.roots[j - 1] = roots
-        self.degen[j - 1] = degen
+        self.restrictions[j - 1] = restriction
         for vi, v in enumerate(vals):
             self.other_vals[vi][:, j - 1] = v
 
@@ -158,9 +159,7 @@ class _DiscreteEvaluator:
     def _table(self):
         table = np.zeros(2**self.s, dtype=np.int64)
         if self.lines:
-            table += cells_mod.cell_table_from_roots(
-                self.lines, self.pvec, self.roots, self.degen
-            )
+            table += cells_mod.cell_table_from_roots(self.restrictions)
         tols = cells_mod._sign_tols(self.pvec, None)
         for vals in self.other_vals:
             idx, interior = cells_mod.pack_signs(vals, tols)
@@ -170,21 +169,19 @@ class _DiscreteEvaluator:
     def try_block(self, j, x_cand: XsPoint):
         poly = block_poly(x_cand, j, self.n)
         state = self._block_state(j, poly)
-        saved = (self.pvec[j - 1], self.roots[j - 1], self.degen[j - 1],
+        saved = (self.pvec[j - 1], self.restrictions[j - 1],
                  [v[:, j - 1].copy() for v in self.other_vals])
         self._commit(j, poly, *state)
         obj = self._objective()
-        return obj, (j, poly, state, saved)
+        return obj, (j, saved)
 
     def accept(self, handle):
         pass  # state already committed by try_block
 
     def reject(self, handle):
-        j, _, _, saved = handle
-        poly, roots, degen, cols = saved
+        j, (poly, restriction, cols) = handle
         self.pvec[j - 1] = poly
-        self.roots[j - 1] = roots
-        self.degen[j - 1] = degen
+        self.restrictions[j - 1] = restriction
         for vi, col in enumerate(cols):
             self.other_vals[vi][:, j - 1] = col
 
@@ -278,6 +275,7 @@ def partition_varieties(Gamma: list[VarietySpec], cfg: SolveConfig) -> Partition
         rng = np.random.default_rng((cfg.seed, 2, r))
         x = random_point(cfg.s, (cfg.seed, 1, r))
         trace: list = []
+        ev_table = None  # the incremental table at x, checked against cells.counts
         if cfg.objective == "discrete":
             ev = _DiscreteEvaluator(Gamma, n, cfg.s, sampling, cfg.exact_lines)
             obj = ev.set_point(x)
@@ -285,6 +283,7 @@ def partition_varieties(Gamma: list[VarietySpec], cfg: SolveConfig) -> Partition
             x, obj = _anneal(
                 ev, x, obj, cfg.iters, cfg.step_init, cfg.step_final, rng, trace, 0
             )
+            ev_table = ev._table()
         else:
             offset = 0
             per_level = max(cfg.iters // len(cfg.delta_grid), 20)
@@ -302,11 +301,17 @@ def partition_varieties(Gamma: list[VarietySpec], cfg: SolveConfig) -> Partition
             obj = objective_discrete(Gamma, x, sampling, cfg.exact_lines)
         key = (obj, r)
         if best is None or key < best[0]:
-            best = (key, x, trace)
+            best = (key, x, trace, ev_table)
 
-    _, x, trace = best
+    _, x, trace, ev_table = best
     pvec = to_polys(x, n)
     table = cells_mod.counts(Gamma, pvec, sampling, exact_lines=cfg.exact_lines)
+    if ev_table is not None and not np.array_equal(ev_table, table.table):
+        i = int(np.flatnonzero(ev_table != table.table)[0])
+        raise SelfCheckError(
+            f"incremental count {ev_table[i]} differs from cells.counts {table.table[i]} "
+            f"in cell {cells_mod.index_w(i, cfg.s)}"
+        )
     max_count = int(table.table.max())
     bound_ratio = max_count / (len(Gamma) * float(D) ** (k - n))
     return PartitionReport(

@@ -22,10 +22,15 @@ class UnsupportedVarietyError(ValueError):
     """Raised when an operation needs a parametric sampler the variety lacks."""
 
 
+# Each sampler keeps `normals`, an orthonormal basis of the complement of its
+# direction or frame span, computed once when the variety is built.
+
+
 @dataclass
 class LineSampler:
     point: np.ndarray
     direction: np.ndarray  # unit
+    normals: np.ndarray  # (n-1, n)
 
 
 @dataclass
@@ -33,12 +38,14 @@ class CircleSampler:
     center: np.ndarray
     radius: float
     frame: np.ndarray  # (2, n) orthonormal plane frame
+    normals: np.ndarray  # (n-2, n)
 
 
 @dataclass
 class PlaneSampler:
     point: np.ndarray
     frame: np.ndarray  # (k, n) orthonormal
+    normals: np.ndarray  # (n-k, n)
 
 
 @dataclass
@@ -119,7 +126,7 @@ def line(point, direction) -> VarietySpec:
         raise ValueError("line point/direction dimension mismatch")
     normals = _complement(u[None, :], n)
     defining = [_linear_poly(n, w, -float(w @ a)) for w in normals]
-    return VarietySpec(n=n, k=1, defining=defining, sampler=LineSampler(a, u))
+    return VarietySpec(n=n, k=1, defining=defining, sampler=LineSampler(a, u, normals))
 
 
 def circle(center, radius, frame=None) -> VarietySpec:
@@ -136,10 +143,12 @@ def circle(center, radius, frame=None) -> VarietySpec:
     F = _orthonormal(frame, n, "circle frame")
     if F.shape[0] != 2:
         raise ValueError("circle frame must have exactly 2 rows")
+    normals = _complement(F, n)
     defining = [_sphere_poly(n, c, float(radius))]
-    for w in _complement(F, n):
+    for w in normals:
         defining.append(_linear_poly(n, w, -float(w @ c)))
-    return VarietySpec(n=n, k=1, defining=defining, sampler=CircleSampler(c, float(radius), F))
+    sampler = CircleSampler(c, float(radius), F, normals)
+    return VarietySpec(n=n, k=1, defining=defining, sampler=sampler)
 
 
 def kplane(point, frame) -> VarietySpec:
@@ -153,8 +162,9 @@ def kplane(point, frame) -> VarietySpec:
     k = F.shape[0]
     if k >= n:
         raise ValueError(f"need variety dimension k < n, got k={k}, n={n}")
-    defining = [_linear_poly(n, w, -float(w @ a)) for w in _complement(F, n)]
-    return VarietySpec(n=n, k=k, defining=defining, sampler=PlaneSampler(a, F))
+    normals = _complement(F, n)
+    defining = [_linear_poly(n, w, -float(w @ a)) for w in normals]
+    return VarietySpec(n=n, k=k, defining=defining, sampler=PlaneSampler(a, F, normals))
 
 
 def implicit(polys: list[Polynomial], k: int | None = None) -> VarietySpec:
@@ -319,19 +329,14 @@ def sample_in_ball(spec: VarietySpec, R: float, count: int, seed) -> np.ndarray:
 def _perp_frames(spec: VarietySpec, params):
     """Orthonormal (n-k) perpendicular frame at each sampled parameter."""
     s = spec.sampler
-    if isinstance(s, LineSampler):
-        W = _complement(s.direction[None, :], spec.n)
-        return np.broadcast_to(W, (len(params),) + W.shape)
-    if isinstance(s, PlaneSampler):
-        W = _complement(s.frame, spec.n)
-        return np.broadcast_to(W, (len(params),) + W.shape)
+    if isinstance(s, (LineSampler, PlaneSampler)):
+        return np.broadcast_to(s.normals, (len(params),) + s.normals.shape)
     if isinstance(s, CircleSampler):
         u, v = s.frame
-        W = _complement(s.frame, spec.n)  # (n-2, n)
         radial = np.cos(params)[:, None] * u[None, :] + np.sin(params)[:, None] * v[None, :]
         frames = np.empty((len(params), spec.n - 1, spec.n))
         frames[:, 0, :] = radial
-        frames[:, 1:, :] = W[None, :, :]
+        frames[:, 1:, :] = s.normals[None, :, :]
         return frames
     raise UnsupportedVarietyError("variety has no parametric sampler")
 

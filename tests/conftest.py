@@ -1,0 +1,19 @@
+"""Shared test settings.
+
+Every Hypothesis test runs under one profile: no deadline (timings on a
+shared host vary), a derandomized example stream so that tier-1 is
+reproducible, and no example database. Decorators set only `max_examples`.
+Hypothesis also caches constants it reads from the source; that cache goes
+to a temporary directory removed at exit, so a test run leaves no
+`.hypothesis/` directory behind.
+"""
+
+import tempfile
+
+from hypothesis import configuration, settings
+
+settings.register_profile("polypart", deadline=None, derandomize=True, database=None)
+settings.load_profile("polypart")
+
+_storage = tempfile.TemporaryDirectory(prefix="polypart-hypothesis-")
+configuration.set_hypothesis_home_dir(_storage.name)

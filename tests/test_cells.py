@@ -17,9 +17,17 @@ from polypart.cells import (
     line_cell_sets,
     point_counts,
     sign_vector,
+    sign_vector_many,
     w_index,
 )
-from polypart.polyalg import Polynomial, MonomialBasis, from_terms, restrict_to_line
+from polypart.polyalg import (
+    MonomialBasis,
+    Polynomial,
+    from_terms,
+    restrict_to_line,
+    restrict_to_line_batch,
+)
+from polypart.sphereprod import random_point, to_polys
 from polypart.varieties import circle, implicit, line
 
 X = from_terms(2, {(1, 0): 1.0})
@@ -233,7 +241,7 @@ _coeff = st.one_of(
 )
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@settings(max_examples=60)
 @given(st.lists(st.lists(_coeff, min_size=1, max_size=7), min_size=1, max_size=8))
 def test_isolation_batching_invariance(rows):
     rows = [np.array(r) for r in rows]
@@ -305,6 +313,77 @@ def test_line_cell_sets_batched_consistent():
     batched = line_cell_sets(lines, pvec)
     for g, ws in zip(lines, batched):
         assert cells_entered_line(g, pvec) == ws
+
+
+@settings(max_examples=40)
+@given(
+    st.integers(2, 3),
+    st.lists(st.integers(1, 4), min_size=1, max_size=4),
+    st.integers(0, 2**32 - 1),
+)
+def test_random_line_enters_at_most_d_plus_one_cells(n, degs, seed):
+    rng = np.random.default_rng(seed)
+    pvec = [random_unit_poly(rng, n, d) for d in degs]
+    ws = cells_entered_line(random_line(rng, n), pvec)
+    assert 1 <= len(ws) <= sum(p.degree() for p in pvec) + 1
+
+
+def unit_disk_lines(seed, m=200):
+    """Criterion 8's family shape: m lines meeting the unit disk."""
+    rng = np.random.default_rng(seed)
+    theta = rng.uniform(0, 2 * np.pi, size=m)
+    rho = rng.uniform(-1.0, 1.0, size=m)
+    return [
+        line(r * np.array([-np.sin(t), np.cos(t)]), (np.cos(t), np.sin(t)))
+        for t, r in zip(theta, rho)
+    ]
+
+
+def test_gap_signs_from_restrictions_match_sign_vector_many():
+    for seed in range(3):
+        lines = unit_disk_lines(seed)
+        pvec = to_polys(random_point(4, seed), 2)
+        assert sum(p.degree() for p in pvec) == 7
+        A, U = cells.line_frames(lines)
+        rs = [cells.line_restriction_roots(A, U, p) for p in pvec]
+        assert not any(r.degenerate.any() for r in rs)
+        owners, lo, hi = cells._gap_midpoints(rs, np.zeros(len(lines), dtype=bool))
+        got = cells._midpoint_indices(rs, owners, lo, hi)
+        ts = 0.5 * (lo + hi)
+        want, boundary = sign_vector_many(pvec, A[owners] + ts[:, None] * U[owners])
+        assert not boundary.any()  # every midpoint is clear of the zero sets
+        assert np.array_equal(got, want)
+
+
+def test_line_restriction_rows_match_restrict_to_line_batch():
+    rng = np.random.default_rng(12)
+    lines = [random_line(rng, 2) for _ in range(30)] + [line((0.0, 0.0), (0.0, 1.0))]
+    A, U = cells.line_frames(lines)
+    for p in (X, random_unit_poly(rng, 2, 3)):
+        r = cells.line_restriction_roots(A, U, p)
+        C = restrict_to_line_batch(p, A, U)
+        C[r.degenerate] = 0.0
+        assert np.array_equal(r.coeffs, C)
+        roots = isolate_real_roots_many(C)
+        assert np.array_equal(r.roots, np.concatenate(roots))
+        assert r.owners.tolist() == [i for i, ri in enumerate(roots) for _ in ri]
+    # the y-axis lies inside Z(x)
+    assert cells.line_restriction_roots(A, U, X).degenerate.tolist() == [False] * 30 + [True]
+
+
+def test_ambiguous_gap_reads_other_fractions_or_raises():
+    xaxis = line((0.0, 0.0), (1.0, 0.0))
+    # (x-1)^2 + 2e-11 has no real root, yet at x = 1, the midpoint of the gap
+    # (0, 2) after the root of x, it is below its sign tolerance
+    near = from_terms(2, {(2, 0): 1.0, (1, 0): -2.0, (0, 0): 1.0 + 2e-11})
+    r = cells.line_restriction_roots(*cells.line_frames([xaxis]), near)
+    assert len(r.roots) == 0
+    assert abs(cells._gap_values([r], np.array([0]), np.array([1.0]))[0, 0]) < r.tol
+    assert cells_entered_line(xaxis, [X, near]) == {(0, 0), (1, 0)}
+    # y + 5e-12 is not degenerate along the x-axis but has no sign anywhere on it
+    tiny = from_terms(2, {(0, 1): 1.0, (0, 0): 5e-12})
+    with pytest.raises(RootIsolationError, match="ambiguous sign reading on line 0"):
+        cells_entered_line(xaxis, [X, tiny])
 
 
 def test_partition_property_random_points():

@@ -254,7 +254,7 @@ def test_monomial_matrix_columns_and_eval():
         monomial_matrix(X[:, :2], basis)
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@settings(max_examples=40)
 @given(
     st.integers(1, 3),
     st.integers(0, 6),

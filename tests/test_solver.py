@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from polypart.cells import SamplingConfig, counts, point_counts
+from polypart import cells as cells_mod
+from polypart.cells import CellCounts, SamplingConfig, counts, point_counts
 from polypart.mollifier import family_clouds, schedule
 from polypart.polyalg import MonomialBasis, degree_schedule, monomial_basis
 from polypart.solver import (
+    SelfCheckError,
     SolveConfig,
     _DiscreteEvaluator,
     _SmoothEvaluator,
@@ -214,6 +216,21 @@ def test_discrete_evaluator_matches_counts():
         assert np.array_equal(ev._table(), want)
 
     drive_evaluator(ev, random_point(s, seed=2), rng, 30, check)
+
+
+def test_partition_self_check_names_first_differing_cell(monkeypatch):
+    scratch_counts = cells_mod.counts
+
+    def off_by_one(*args, **kwargs):
+        cc = scratch_counts(*args, **kwargs)
+        table = cc.table.copy()
+        table[2] += 1
+        return CellCounts(cc.s, table)
+
+    monkeypatch.setattr(cells_mod, "counts", off_by_one)
+    cfg = SolveConfig(s=2, n=2, restarts=2, iters=20, seed=0)
+    with pytest.raises(SelfCheckError, match=r"in cell \(0, 1\)$"):
+        partition_varieties(crossing_lines(), cfg)
 
 
 def test_partition_points_single_point():

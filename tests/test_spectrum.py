@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polypart.cells import CellCounts, index_w
 from polypart.spectrum import (
@@ -59,6 +61,18 @@ def test_wht_involution_exact():
         table = rng.integers(0, 1000, size=2**s).astype(np.int64)
         twice = wht_table(wht_table(table))
         assert np.array_equal(twice, (2**s) * table)
+
+
+@settings(max_examples=50)
+@given(
+    st.integers(1, 8).flatmap(
+        lambda s: st.lists(st.integers(0, 10**6), min_size=2**s, max_size=2**s)
+    )
+)
+def test_wht_involution_property(entries):
+    table = np.array(entries, dtype=np.int64)
+    s = len(table).bit_length() - 1
+    assert np.array_equal(wht_table(wht_table(table)), (2**s) * table)
 
 
 def test_is_equidistributed_examples():

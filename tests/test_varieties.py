@@ -209,6 +209,28 @@ def test_tube_determinism():
     assert np.array_equal(a.points, b.points) and a.weight == b.weight
 
 
+def test_tube_sample_reuses_the_normals_of_the_variety(monkeypatch):
+    import polypart.varieties as varieties
+
+    specs = [
+        line((0.1, -0.2, 0.3), (0.6, 0.8, 0.0)),
+        circle((0.2, 0.1, 0.0), 0.7, np.eye(3)[:2]),
+        kplane((0.0, 0.0, 0.1), np.eye(3)[:2]),
+    ]
+    for spec in specs:
+        s = spec.sampler
+        span = s.direction[None, :] if spec.kind == "line" else s.frame
+        assert np.array_equal(s.normals, varieties._complement(span, 3))
+    before = [tube_sample(spec, 0.05, 1.5, 64, seed=3) for spec in specs]
+
+    def no_svd(*args):
+        raise AssertionError("tube_sample recomputed a complement")
+
+    monkeypatch.setattr(varieties, "_complement", no_svd)
+    for spec, cloud in zip(specs, before):
+        assert np.array_equal(tube_sample(spec, 0.05, 1.5, 64, seed=3).points, cloud.points)
+
+
 def test_region_measure_closed_forms():
     assert region_measure(line((0.0, 0.0), (1.0, 0.0)), 2.0) == pytest.approx(4.0)
     assert region_measure(circle((0.0, 0.0), 0.5), 1.0) == pytest.approx(math.pi)
