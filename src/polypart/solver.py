@@ -5,7 +5,10 @@ steps one block at a time and accepting whenever the objective does not
 increase, so accepted traces are non-increasing by construction. The discrete
 objective is the spectral power of the cell-count table (zero exactly at
 equidistribution); the smoothed objective swaps in mollified counts over a
-shrinking delta grid. The point solver instead bisects sequentially, one
+shrinking delta grid. Both score proposals through one incremental evaluator
+that caches one column per block (restrictions and sample values for the
+discrete table, tube-cloud values for the mollified one) and recomputes only
+the moved block's column. The point solver instead bisects sequentially, one
 polynomial per step, minimizing the worst signed imbalance over the current
 parts (a numerical stand-in for a ham-sandwich cut on the lifted points).
 """
@@ -42,7 +45,6 @@ class SolveConfig:
     delta_grid: tuple = tuple(2.0**-e for e in range(1, 13))
     mc_count: int = 4096
     sampling: SamplingConfig | None = None
-    exact_lines: bool = True
 
     def __post_init__(self):
         if self.restarts < 1:
@@ -65,12 +67,13 @@ class PartitionReport:
     meta: dict = field(default_factory=dict)
 
 
-def objective_discrete(Gamma, x: XsPoint, sampling: SamplingConfig, exact_lines=True) -> float:
-    """Sum of squared nonzero-frequency balance values of the discrete counts."""
+def objective_discrete(Gamma, x: XsPoint, sampling: SamplingConfig) -> float:
+    """Sum of squared nonzero-frequency balance values of the discrete counts,
+    lines counted exactly."""
     if not Gamma:
         return 0.0
     pvec = to_polys(x, _ambient(Gamma))
-    table = cells_mod.counts(Gamma, pvec, sampling, exact_lines=exact_lines).table
+    table = cells_mod.counts(Gamma, pvec, sampling, exact_lines=True).table
     return spectral_power(table)
 
 
@@ -105,135 +108,113 @@ def _step_block(x: XsPoint, j: int, direction: np.ndarray, h: float) -> XsPoint:
     return XsPoint(tuple(blocks))
 
 
-class _DiscreteEvaluator:
-    """Incremental discrete objective: per-block caches of the line
-    restrictions (coefficient rows, flattened roots) and per-variety sample
-    values, so a one-block proposal recomputes one column."""
+class _Evaluator:
+    """Incremental objective over one cached column per block.
 
-    def __init__(self, Gamma, n, s, sampling, exact_lines):
-        self.Gamma = Gamma
-        self.s = s
+    column(P_j) is whatever block j contributes to the count table, and
+    table(cols) combines the s columns; the objective is the table's spectral
+    power. A one-block proposal recomputes column j alone, keeping the old
+    column as the undo handle, so a rejected proposal puts it back and an
+    accepted one needs nothing further.
+    """
+
+    def __init__(self, n, column, table):
         self.n = n
-        self.sampling = sampling
-        self.line_ids = [
-            i for i, g in enumerate(Gamma) if exact_lines and isinstance(g.sampler, LineSampler)
-        ]
-        self.lines = [Gamma[i] for i in self.line_ids]
-        self.other_ids = [i for i in range(len(Gamma)) if i not in set(self.line_ids)]
-        D = None
-        self.other_pts = []
-        for i in self.other_ids:
-            g = Gamma[i]
-            if D is None:
-                D = sum(degree_schedule(n, s))
-            count = sampling.count or cells_mod._auto_count(g, sampling.R, D)
-            self.other_pts.append(
-                cells_mod.sample_in_ball(g, sampling.R, count, (sampling.seed, i))
-            )
-        self.frame = cells_mod.line_frames(self.lines) if self.lines else None
-        self.pvec = None
-        self.restrictions = [None] * s
-        self.other_vals = [np.zeros((len(p), s)) for p in self.other_pts]
-
-    def _block_state(self, j, poly):
-        restriction = cells_mod.line_restriction_roots(*self.frame, poly) if self.lines else None
-        vals = [eval_poly_many(poly, pts) if len(pts) else np.zeros(0) for pts in self.other_pts]
-        return restriction, vals
+        self.column = column
+        self.table = table
+        self.cols = []
 
     def set_point(self, x: XsPoint):
-        self.pvec = to_polys(x, self.n)
-        for j in range(1, self.s + 1):
-            restriction, vals = self._block_state(j, self.pvec[j - 1])
-            self._commit(j, self.pvec[j - 1], restriction, vals)
+        self.cols = [self.column(p) for p in to_polys(x, self.n)]
         return self._objective()
 
-    def _commit(self, j, poly, restriction, vals):
-        self.pvec[j - 1] = poly
-        self.restrictions[j - 1] = restriction
-        for vi, v in enumerate(vals):
-            self.other_vals[vi][:, j - 1] = v
+    def _table(self):
+        return self.table(self.cols)
 
     def _objective(self):
         return spectral_power(self._table())
 
-    def _table(self):
-        table = np.zeros(2**self.s, dtype=np.int64)
-        if self.lines:
-            table += cells_mod.cell_table_from_roots(self.restrictions)
-        tols = cells_mod._sign_tols(self.pvec, None)
-        for vals in self.other_vals:
-            idx, interior = cells_mod.pack_signs(vals, tols)
-            table[np.unique(idx[interior])] += 1
-        return table
-
     def try_block(self, j, x_cand: XsPoint):
-        poly = block_poly(x_cand, j, self.n)
-        state = self._block_state(j, poly)
-        saved = (self.pvec[j - 1], self.restrictions[j - 1],
-                 [v[:, j - 1].copy() for v in self.other_vals])
-        self._commit(j, poly, *state)
-        obj = self._objective()
-        return obj, (j, saved)
-
-    def accept(self, handle):
-        pass  # state already committed by try_block
+        old = self.cols[j - 1]
+        self.cols[j - 1] = self.column(block_poly(x_cand, j, self.n))
+        return self._objective(), (j, old)
 
     def reject(self, handle):
-        j, (poly, restriction, cols) = handle
-        self.pvec[j - 1] = poly
-        self.restrictions[j - 1] = restriction
-        for vi, col in enumerate(cols):
-            self.other_vals[vi][:, j - 1] = col
+        j, old = handle
+        self.cols[j - 1] = old
 
 
-class _SmoothEvaluator:
-    """Same incremental structure over fixed tube clouds at one delta level.
+def _discrete_evaluator(Gamma, n, s, D, sampling) -> _Evaluator:
+    """Discrete counts: lines exactly, from each block's cached restriction
+    to every line; other varieties through fixed samples, from each block's
+    values on them and its sign tolerance."""
+    lines = [g for g in Gamma if isinstance(g.sampler, LineSampler)]
+    frame = cells_mod.line_frames(lines) if lines else None
+    samples = [
+        cells_mod.sample_in_ball(
+            g, sampling.R, sampling.count or cells_mod._auto_count(g, sampling.R, D),
+            (sampling.seed, i),
+        )
+        for i, g in enumerate(Gamma)
+        if not isinstance(g.sampler, LineSampler)
+    ]
+
+    def column(poly):
+        restriction = cells_mod.line_restriction_roots(*frame, poly) if lines else None
+        vals = [eval_poly_many(poly, pts) if len(pts) else np.zeros(0) for pts in samples]
+        return restriction, vals, cells_mod._sign_tols([poly], None)[0]
+
+    def table(cols):
+        restrictions, vals, tols = zip(*cols)
+        out = np.zeros(2**s, dtype=np.int64)
+        if lines:
+            out += cells_mod.cell_table_from_roots(restrictions)
+        for i in range(len(samples)):
+            idx, interior = cells_mod.pack_signs(np.column_stack([v[i] for v in vals]), tols)
+            out[np.unique(idx[interior])] += 1
+        return out
+
+    return _Evaluator(n, column, table)
+
+
+def _smooth_evaluator(Gamma, n, mcfg: moll_mod.MollConfig, bases) -> _Evaluator:
+    """Mollified counts over fixed tube clouds at one delta level.
 
     The level's clouds are stacked into one point array, and the monomials of
-    the largest schedule basis are tabulated on it once per level; a smaller
-    graded-lex basis is a prefix of its columns. A one-block proposal is then
-    one matrix-vector product into column j of the stacked (N, s) values plus
-    one pass of mollifier.mollified_rows over them.
+    the largest schedule basis are tabulated on it once; a smaller graded-lex
+    basis is a prefix of its columns. A block's column is then one
+    matrix-vector product, and the table one pass of mollifier.mollified_rows.
     """
+    clouds = moll_mod.family_clouds(Gamma, mcfg)
+    sizes = [len(c.points) for c in clouds]
+    weights = [c.weight for c in clouds]
+    ends = np.cumsum(sizes)
+    basis = max(bases, key=len)
+    mono = np.empty((ends[-1], len(basis)))
+    for c, stop in zip(clouds, ends):
+        # cloud by cloud, so the gather temporary stays cloud-sized
+        mono[stop - len(c.points) : stop] = monomial_matrix(c.points, basis)
 
-    def __init__(self, Gamma, n, s, mcfg: moll_mod.MollConfig, bases):
-        self.n = n
-        self.mcfg = mcfg
-        clouds = moll_mod.family_clouds(Gamma, mcfg)
-        self.sizes = [len(c.points) for c in clouds]
-        self.weights = [c.weight for c in clouds]
-        ends = np.cumsum(self.sizes)
-        basis = max(bases, key=len)
-        self.mono = np.empty((ends[-1], len(basis)))
-        for c, stop in zip(clouds, ends):
-            # cloud by cloud, so the gather temporary stays cloud-sized
-            self.mono[stop - len(c.points) : stop] = monomial_matrix(c.points, basis)
-        self.vals = np.zeros((ends[-1], s), order="F")  # contiguous columns
+    def column(poly):
+        return mono[:, : len(poly.coeffs)] @ poly.coeffs
 
-    def _column(self, j, poly):
-        self.vals[:, j - 1] = self.mono[:, : len(poly.coeffs)] @ poly.coeffs
+    def table(cols):
+        vals = np.array(cols).T  # (N, s) with contiguous columns
+        return moll_mod.mollified_rows(vals, sizes, weights, mcfg, n).sum(axis=0)
 
-    def set_point(self, x: XsPoint):
-        for j, poly in enumerate(to_polys(x, self.n), start=1):
-            self._column(j, poly)
-        return self._objective()
+    return _Evaluator(n, column, table)
 
-    def _objective(self):
-        rows = moll_mod.mollified_rows(self.vals, self.sizes, self.weights, self.mcfg, self.n)
-        return spectral_power(rows.sum(axis=0))
 
-    def try_block(self, j, x_cand: XsPoint):
-        poly = block_poly(x_cand, j, self.n)
-        saved = self.vals[:, j - 1].copy()
-        self._column(j, poly)
-        return self._objective(), (j, saved)
-
-    def accept(self, handle):
-        pass
-
-    def reject(self, handle):
-        j, col = handle
-        self.vals[:, j - 1] = col
+def _levels(Gamma, n, cfg: SolveConfig, D, sampling, bases):
+    """(evaluator, iterations) per annealing level: one discrete level, or
+    one smooth level per delta, each built only when the previous is done."""
+    if cfg.objective == "discrete":
+        yield _discrete_evaluator(Gamma, n, cfg.s, D, sampling), cfg.iters
+        return
+    per_level = max(cfg.iters // len(cfg.delta_grid), 20)
+    for level, delta in enumerate(cfg.delta_grid):
+        mcfg = moll_mod.schedule(delta, bases, cfg.mc_count, (cfg.seed, 3, level))
+        yield _smooth_evaluator(Gamma, n, mcfg, bases), per_level
 
 
 def _anneal(evaluator, x, obj, iters, step_init, step_final, rng, trace, it_offset):
@@ -247,7 +228,6 @@ def _anneal(evaluator, x, obj, iters, step_init, step_final, rng, trace, it_offs
         cand, handle = evaluator.try_block(j, x_cand)
         if cand <= obj:
             x, obj = x_cand, cand
-            evaluator.accept(handle)
             trace.append((it_offset + k, float(obj)))
         else:
             evaluator.reject(handle)
@@ -275,37 +255,27 @@ def partition_varieties(Gamma: list[VarietySpec], cfg: SolveConfig) -> Partition
         rng = np.random.default_rng((cfg.seed, 2, r))
         x = random_point(cfg.s, (cfg.seed, 1, r))
         trace: list = []
-        ev_table = None  # the incremental table at x, checked against cells.counts
-        if cfg.objective == "discrete":
-            ev = _DiscreteEvaluator(Gamma, n, cfg.s, sampling, cfg.exact_lines)
+        offset = 0
+        for ev, iters in _levels(Gamma, n, cfg, D, sampling, bases):
             obj = ev.set_point(x)
-            trace.append((-1, float(obj)))
+            if not trace:  # the restart's starting objective
+                trace.append((-1, float(obj)))
             x, obj = _anneal(
-                ev, x, obj, cfg.iters, cfg.step_init, cfg.step_final, rng, trace, 0
+                ev, x, obj, iters, cfg.step_init, cfg.step_final, rng, trace, offset
             )
-            ev_table = ev._table()
-        else:
-            offset = 0
-            per_level = max(cfg.iters // len(cfg.delta_grid), 20)
-            for level, delta in enumerate(cfg.delta_grid):
-                mcfg = moll_mod.schedule(delta, bases, cfg.mc_count, (cfg.seed, 3, level))
-                ev = _SmoothEvaluator(Gamma, n, cfg.s, mcfg, bases)
-                obj = ev.set_point(x)
-                if level == 0:
-                    trace.append((-1, float(obj)))
-                x, obj = _anneal(
-                    ev, x, obj, per_level, cfg.step_init, cfg.step_final, rng, trace, offset
-                )
-                del ev  # one level's caches alive at a time
-                offset += per_level
-            obj = objective_discrete(Gamma, x, sampling, cfg.exact_lines)
+            offset += iters
+            # the discrete incremental table at x, checked against cells.counts
+            ev_table = ev._table() if cfg.objective == "discrete" else None
+            del ev  # one level's caches alive at a time
+        if cfg.objective == "smooth":
+            obj = objective_discrete(Gamma, x, sampling)
         key = (obj, r)
         if best is None or key < best[0]:
             best = (key, x, trace, ev_table)
 
     _, x, trace, ev_table = best
     pvec = to_polys(x, n)
-    table = cells_mod.counts(Gamma, pvec, sampling, exact_lines=cfg.exact_lines)
+    table = cells_mod.counts(Gamma, pvec, sampling, exact_lines=True)
     if ev_table is not None and not np.array_equal(ev_table, table.table):
         i = int(np.flatnonzero(ev_table != table.table)[0])
         raise SelfCheckError(
@@ -333,7 +303,7 @@ def partition_varieties(Gamma: list[VarietySpec], cfg: SolveConfig) -> Partition
             "restarts": cfg.restarts,
             "num_varieties": len(Gamma),
             "sampling": {"R": sampling.R, "count": sampling.count, "seed": sampling.seed},
-            "exact_lines": cfg.exact_lines,
+            "exact_lines": True,
         },
     )
 
@@ -343,11 +313,10 @@ def partition_varieties(Gamma: list[VarietySpec], cfg: SolveConfig) -> Partition
 
 
 def _imbalances(vals, part, alive, n_parts, tau=1e-9):
-    pos = (vals > tau) & alive
-    neg = (vals < -tau) & alive
-    pos_c = np.bincount(part[pos], minlength=n_parts)
-    neg_c = np.bincount(part[neg], minlength=n_parts)
-    return np.abs(pos_c - neg_c)
+    """|#positive - #negative| per part over the live points off the boundary."""
+    live = alive & (np.abs(vals) > tau)
+    signed = np.bincount(part[live], weights=np.sign(vals[live]), minlength=n_parts)
+    return np.abs(signed).astype(np.int64)
 
 
 def _bisect_score(vals, part, alive, n_parts):

@@ -27,7 +27,7 @@ from polypart.polyalg import (
     restrict_to_line,
     restrict_to_line_batch,
 )
-from polypart.sphereprod import random_point, to_polys
+from polypart.sphereprod import flip, random_point, to_polys
 from polypart.varieties import circle, implicit, line
 
 X = from_terms(2, {(1, 0): 1.0})
@@ -326,6 +326,27 @@ def test_random_line_enters_at_most_d_plus_one_cells(n, degs, seed):
     pvec = [random_unit_poly(rng, n, d) for d in degs]
     ws = cells_entered_line(random_line(rng, n), pvec)
     assert 1 <= len(ws) <= sum(p.degree() for p in pvec) + 1
+
+
+@settings(max_examples=30)
+@given(
+    st.integers(2, 3),
+    st.integers(1, 4).flatmap(lambda s: st.tuples(st.just(s), st.integers(1, s))),
+    st.integers(0, 2**32 - 1),
+)
+def test_flip_negates_one_polynomial_and_permutes_line_table(n, s_j, seed):
+    s, j = s_j
+    rng = np.random.default_rng(seed)
+    x = random_point(s, seed)
+    lines = [random_line(rng, n) for _ in range(8)]
+    pvec, flipped = to_polys(x, n), to_polys(flip(x, j), n)
+    for jj, (p, q) in enumerate(zip(pvec, flipped), start=1):
+        assert np.array_equal(q.coeffs, -p.coeffs if jj == j else p.coeffs)
+    sampling = SamplingConfig(R=3.0, seed=seed)
+    base = counts(lines, pvec, sampling, exact_lines=True).table
+    moved = counts(lines, flipped, sampling, exact_lines=True).table
+    # negating P_j toggles bit j - 1 of every cell index: w -> w + e_j
+    assert np.array_equal(moved, base[np.arange(2**s) ^ (1 << (j - 1))])
 
 
 def unit_disk_lines(seed, m=200):

@@ -8,8 +8,8 @@ from polypart.polyalg import MonomialBasis, degree_schedule, monomial_basis
 from polypart.solver import (
     SelfCheckError,
     SolveConfig,
-    _DiscreteEvaluator,
-    _SmoothEvaluator,
+    _discrete_evaluator,
+    _smooth_evaluator,
     _step_block,
     objective_discrete,
     objective_smooth,
@@ -17,7 +17,7 @@ from polypart.solver import (
     partition_varieties,
 )
 from polypart.sphereprod import XsPoint, block_size, flip, random_point, to_polys
-from polypart.varieties import circle, line
+from polypart.varieties import circle, kplane, line
 
 
 def crossing_lines():
@@ -153,8 +153,9 @@ def test_partition_varieties_validation():
 
 
 def drive_evaluator(ev, x, rng, steps, check):
-    """Seeded try/accept/reject sequence; check(point, value) after every step,
-    for the candidate right after try_block and for the kept point after."""
+    """Seeded try/reject sequence; check(point, value) after every step, for
+    the candidate right after try_block and for the kept point after. A kept
+    candidate needs no call: try_block already holds its column."""
     check(x, ev.set_point(x))
     for _ in range(steps):
         j = int(rng.integers(1, x.s + 1))
@@ -162,7 +163,6 @@ def drive_evaluator(ev, x, rng, steps, check):
         obj, handle = ev.try_block(j, cand)
         check(cand, obj)
         if rng.random() < 0.5:
-            ev.accept(handle)
             x = cand
         else:
             ev.reject(handle)
@@ -188,7 +188,7 @@ def test_smooth_evaluator_matches_from_scratch():
         clouds = family_clouds(Gamma, mcfg)
         sizes = [len(c.points) for c in clouds]
         assert sizes[-1] == 0 and len(set(sizes)) >= 3
-        ev = _SmoothEvaluator(Gamma, n, s, mcfg, bases)
+        ev = _smooth_evaluator(Gamma, n, mcfg, bases)
         seen = []
 
         def check(y, got):
@@ -209,13 +209,34 @@ def test_discrete_evaluator_matches_counts():
     ]
     s, n = 3, 2
     sampling = SamplingConfig(R=4.0, seed=0)
-    ev = _DiscreteEvaluator(Gamma, n, s, sampling, exact_lines=True)
+    ev = _discrete_evaluator(Gamma, n, s, sum(degree_schedule(n, s)), sampling)
 
     def check(y, _):
         want = counts(Gamma, to_polys(y, n), sampling, exact_lines=True).table
         assert np.array_equal(ev._table(), want)
 
     drive_evaluator(ev, random_point(s, seed=2), rng, 30, check)
+
+
+def test_discrete_evaluator_matches_counts_on_sampled_varieties():
+    # circles and 0-planes are counted through fixed samples, lines through
+    # their restrictions; the one table must match cells.counts on all kinds
+    rng = np.random.default_rng(13)
+    Gamma = []
+    for _ in range(6):
+        t = rng.uniform(0.0, 2 * np.pi)
+        Gamma.append(line(rng.uniform(-1.0, 1.0, size=2), (np.cos(t), np.sin(t))))
+        Gamma.append(circle(rng.uniform(-1.0, 1.0, size=2), rng.uniform(0.2, 1.0)))
+        Gamma.append(kplane(rng.uniform(-1.5, 1.5, size=2), np.zeros((0, 2))))
+    s, n = 3, 2
+    sampling = SamplingConfig(R=2.0, seed=4)
+    ev = _discrete_evaluator(Gamma, n, s, sum(degree_schedule(n, s)), sampling)
+
+    def check(y, _):
+        want = counts(Gamma, to_polys(y, n), sampling, exact_lines=True).table
+        assert np.array_equal(ev._table(), want)
+
+    drive_evaluator(ev, random_point(s, seed=3), rng, 20, check)
 
 
 def test_partition_self_check_names_first_differing_cell(monkeypatch):
