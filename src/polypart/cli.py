@@ -83,6 +83,9 @@ def load_instance(path: str) -> Instance:
             raise InstanceError(
                 f"field 'points' must have shape (N, {n}), got {points.shape}"
             )
+        bad = ~np.isfinite(points).all(axis=1)
+        if bad.any():
+            raise InstanceError(f"points[{np.flatnonzero(bad)[0]}]: coordinates must be finite")
     return Instance(n=n, varieties=varieties, points=points, labels=raw.get("labels"))
 
 
@@ -154,6 +157,11 @@ def load_pvec(report_path: str) -> tuple[list[Polynomial], dict]:
 # verify suites
 
 
+def _check_s(s: int) -> None:
+    if not 1 <= s <= MAX_S:
+        raise InstanceError(f"--s must be in 1..{MAX_S}, got {s}")
+
+
 def _suite_result(checks) -> int:
     ok = True
     for name, passed, detail in checks:
@@ -163,6 +171,7 @@ def _suite_result(checks) -> int:
 
 
 def verify_borsuk(s: int):
+    _check_s(s)
     checks = []
     zeros = eq.g_zeros(s)
     checks.append(
@@ -196,6 +205,7 @@ def verify_borsuk(s: int):
 
 
 def verify_spectrum(s: int):
+    _check_s(s)
     rng = np.random.default_rng(0)
     checks = []
     ok = True
@@ -239,6 +249,10 @@ def _random_line_poly_pair(rng, n, D):
 
 
 def bench_line_cells(D: int, trials: int):
+    if D < 1:
+        raise InstanceError(f"--D must be >= 1, got {D}")
+    if trials < 1:
+        raise InstanceError(f"--trials must be >= 1, got {trials}")
     rng = np.random.default_rng(1)
     violations = 0
     worst = 0
@@ -313,12 +327,13 @@ def verify_mollifier(delta_grid):
 
 def _check_solve_flags(args) -> None:
     """Reject out-of-range solver flags before anything is loaded or allocated."""
-    if not 1 <= args.s <= MAX_S:
-        raise InstanceError(f"--s must be in 1..{MAX_S}, got {args.s}")
+    _check_s(args.s)
     if args.restarts < 1:
         raise InstanceError(f"--restarts must be >= 1, got {args.restarts}")
     if args.iters < 0:
         raise InstanceError(f"--iters must be >= 0, got {args.iters}")
+    if args.seed < 0:
+        raise InstanceError(f"--seed must be >= 0, got {args.seed}")
 
 
 def _check_family(varieties) -> None:
@@ -335,6 +350,8 @@ def _check_family(varieties) -> None:
 
 def cmd_partition(args) -> int:
     _check_solve_flags(args)
+    if not (math.isfinite(args.radius) and args.radius > 0):
+        raise InstanceError(f"--radius must be finite and > 0, got {args.radius}")
     inst = load_instance(args.input)
     _check_family(inst.varieties)
     if not inst.varieties:

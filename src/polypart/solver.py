@@ -15,6 +15,7 @@ parts (a numerical stand-in for a ham-sandwich cut on the lifted points).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -312,42 +313,56 @@ def partition_varieties(Gamma: list[VarietySpec], cfg: SolveConfig) -> Partition
 # Point partitioning by sequential bisection.
 
 
-def _imbalances(vals, part, alive, n_parts, tau=1e-9):
-    """|#positive - #negative| per part over the live points off the boundary."""
-    live = alive & (np.abs(vals) > tau)
-    signed = np.bincount(part[live], weights=np.sign(vals[live]), minlength=n_parts)
+def _imbalances(vals, bucket, n_parts, tau=1e-9):
+    """|#positive - #negative| per part over the points off the boundary.
+
+    bucket[i] is point i's part, or n_parts for a dead point (one that lay on
+    an earlier boundary); that extra bucket is counted and dropped. The
+    weights are 0 or +-1, so the sums are exact in any order.
+    """
+    weights = np.copysign(np.abs(vals) > tau, vals)
+    signed = np.bincount(bucket, weights=weights, minlength=n_parts + 1)[:n_parts]
     return np.abs(signed).astype(np.int64)
 
 
-def _bisect_score(vals, part, alive, n_parts):
-    imb = _imbalances(vals, part, alive, n_parts)
-    return int(imb.max()), int(np.sum(imb.astype(np.int64) ** 2))
+def _bisect_score(vals, bucket, n_parts):
+    imb = _imbalances(vals, bucket, n_parts)
+    return int(imb.max()), int(imb.dot(imb))
 
 
-def _smoothed_residual(M, part, alive, c, n_parts, sigma):
-    v = M @ c
-    th = np.tanh(v / sigma)
-    F = np.bincount(part[alive], weights=th[alive], minlength=n_parts)
-    return v, th, F
+def _smoothed_residual(M, bucket, c, n_parts, sigma):
+    th = np.tanh((M @ c) / sigma)
+    # bincount adds each bucket's weights in index order, so the live sums
+    # are those of the live points alone
+    F = np.bincount(bucket, weights=th, minlength=n_parts + 1)[:n_parts]
+    return th, F
 
 
-def _smooth_descent(M, part, alive, c, n_parts, sigma_levels=9, newton_iters=12):
+def _jacobian(M, W, keys, n_parts):
+    """Row p sums W_i * M[i] over the points i of part p in index order, as
+    np.add.at would: one flat bincount on keys = (bucket * dim + column)
+    raveled, whose dead bucket n_parts is dropped."""
+    dim = M.shape[1]
+    J = np.bincount(keys, weights=(M * W[:, None]).ravel(), minlength=(n_parts + 1) * dim)
+    return J[: n_parts * dim].reshape(n_parts, dim)
+
+
+def _smooth_descent(M, bucket, c, n_parts, sigma_levels=9, newton_iters=12):
     """Drive the smoothed signed imbalances to zero by damped Newton steps,
     sharpening the tanh surrogate toward the true sign counts."""
+    alive = bucket < n_parts
+    keys = (bucket[:, None] * M.shape[1] + np.arange(M.shape[1])).ravel()
     c = c / np.linalg.norm(c)
     v0 = M @ c
     scale = float(np.median(np.abs(v0[alive]))) if np.any(alive) else 1.0
     sigma = max(scale, 1e-9)
     for _level in range(sigma_levels):
         for _ in range(newton_iters):
-            v, th, F = _smoothed_residual(M, part, alive, c, n_parts, sigma)
+            th, F = _smoothed_residual(M, bucket, c, n_parts, sigma)
             err = float(np.abs(F).max())
             if err < 0.25:
                 break
-            W = (1.0 - th**2) / sigma
-            W[~alive] = 0.0
-            J = np.zeros((n_parts, M.shape[1]))
-            np.add.at(J, part, M * W[:, None])
+            J = _jacobian(M, (1.0 - th**2) / sigma, keys, n_parts)
             try:
                 step, *_ = np.linalg.lstsq(J, -F, rcond=None)
             except np.linalg.LinAlgError:
@@ -361,7 +376,7 @@ def _smooth_descent(M, part, alive, c, n_parts, sigma_levels=9, newton_iters=12)
             for _try in range(10):
                 cand = c + t * step
                 cand /= np.linalg.norm(cand)
-                _, _, Fc = _smoothed_residual(M, part, alive, cand, n_parts, sigma)
+                _, Fc = _smoothed_residual(M, bucket, cand, n_parts, sigma)
                 if float(np.sum(Fc**2)) < base:
                     c = cand
                     improved = True
@@ -373,15 +388,20 @@ def _smooth_descent(M, part, alive, c, n_parts, sigma_levels=9, newton_iters=12)
     return c
 
 
-def _polish(M, part, alive, c, n_parts, rng, proposals=300):
-    """Hill climb directly on (max imbalance, sum of squares)."""
+def _polish(M, bucket, c, n_parts, rng, proposals=300):
+    """Hill climb directly on (max imbalance, sum of squares).
+
+    The proposal noise is drawn in one call, which gives the same stream as
+    one draw per proposal; the caller does not use rng afterwards.
+    """
     best = c
-    best_score = _bisect_score(M @ c, part, alive, n_parts)
+    best_score = _bisect_score(M @ c, bucket, n_parts)
+    noise = rng.normal(size=(proposals, len(best)))
     for k in range(proposals):
         h = 0.3 * (0.03 / 0.3) ** (k / max(proposals - 1, 1))
-        cand = best + h * rng.normal(size=len(best))
-        cand /= np.linalg.norm(cand)
-        score = _bisect_score(M @ cand, part, alive, n_parts)
+        cand = best + h * noise[k]
+        cand /= math.sqrt(cand.dot(cand))  # np.linalg.norm of a 1-D array
+        score = _bisect_score(M @ cand, bucket, n_parts)
         if score <= best_score:
             best, best_score = cand, score
     return best, best_score
@@ -394,6 +414,8 @@ def partition_points(X, s: int, cfg: SolveConfig) -> PartitionReport:
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or len(X) < 1:
         raise ValueError("need a nonempty (N, n) point array")
+    if not np.all(np.isfinite(X)):
+        raise ValueError("points must be finite")
     n = X.shape[1]
     sched = degree_schedule(n, s)
     D = sum(sched)
@@ -406,21 +428,22 @@ def partition_points(X, s: int, cfg: SolveConfig) -> PartitionReport:
         subdim = block_size(j)
         M = monomial_matrix(X, basis)[:, :subdim]
         n_parts = 2 ** (j - 1)
+        bucket = np.where(alive, part, n_parts)
         best_c, best_score = None, None
         for start in range(cfg.restarts):
             rng = np.random.default_rng((cfg.seed, 4, j, start))
             c0 = rng.normal(size=subdim)
             c0 /= np.linalg.norm(c0)
-            c1 = _smooth_descent(M, part, alive, c0, n_parts)
-            c2, score = _polish(M, part, alive, c1, n_parts, rng, proposals=cfg.iters // 2)
+            c1 = _smooth_descent(M, bucket, c0, n_parts)
+            c2, score = _polish(M, bucket, c1, n_parts, rng, proposals=cfg.iters // 2)
             if best_score is None or score < best_score:
                 best_c, best_score = c2, score
         coeffs = np.zeros(len(basis))
         coeffs[:subdim] = best_c
         pvec.append(Polynomial(basis, coeffs))
         vals = M @ best_c
-        imb = _imbalances(vals, part, alive, n_parts)
-        sizes = np.bincount(part[alive], minlength=n_parts)
+        imb = _imbalances(vals, bucket, n_parts)
+        sizes = np.bincount(bucket, minlength=n_parts + 1)
         for p in range(n_parts):
             imbalance_trace.append(
                 {"step": j, "part": p, "size": int(sizes[p]), "imbalance": int(imb[p])}

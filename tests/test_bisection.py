@@ -1,0 +1,127 @@
+"""The point solver's bisection kernels.
+
+The pinned figures below were recorded from the solver before its kernels
+were bucketed (dead points in their own bucket, one flat bincount per
+Jacobian, the polish noise drawn at once); the rewrite must reproduce every
+decision and coefficient bit for bit.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from polypart.solver import SolveConfig, _imbalances, _jacobian, partition_points
+
+PINNED = [
+    {
+        "data_seed": (30, 0),
+        "N": 1000,
+        "s": 6,
+        "cfg": {"restarts": 3, "iters": 600, "seed": 0},
+        "table": [
+            15, 15, 15, 11, 12, 18, 14, 15, 14, 16, 15, 16, 11, 8, 16, 18,
+            17, 15, 12, 13, 16, 18, 18, 17, 14, 15, 17, 19, 13, 14, 14, 12,
+            15, 14, 18, 19, 19, 12, 17, 16, 19, 15, 14, 11, 20, 23, 14, 14,
+            15, 19, 17, 19, 16, 14, 14, 15, 16, 16, 17, 17, 18, 18, 18, 18,
+        ],
+        "imbalances": [
+            0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1, 1, 1, 2, 5, 4, 2, 1, 2,
+            1, 1, 3, 0, 5, 9, 0, 1, 2, 2, 0, 1, 3, 8, 7, 6, 3, 1, 5, 1, 1,
+            5, 9, 15, 2, 4, 2, 4, 5, 6, 0, 4, 4, 2, 2, 1, 0, 2, 5, 4, 4, 6,
+        ],
+        "pvec_sha256": "d3ff6770b39f12f348cb09eaf38ccbc2c53348e07960052c1d9bc385191358f2",
+    },
+    {
+        "data_seed": 6,
+        "N": 300,
+        "s": 4,
+        "cfg": {"restarts": 2, "iters": 300, "seed": 6},
+        "table": [19, 19, 19, 19, 19, 18, 19, 18, 19, 19, 19, 19, 18, 18, 18, 19],
+        "imbalances": [0, 0, 0, 1, 1, 1, 1, 0, 0, 0, 0, 1, 0, 1, 1],
+        "pvec_sha256": "f009787ac31702a49e30321829e9764bf07667f33603d2e1b117a53aa11e88f9",
+    },
+]
+
+
+@pytest.mark.parametrize("case", PINNED, ids=lambda c: f"N{c['N']}_s{c['s']}")
+def test_partition_points_pinned_bits(case):
+    X = np.random.default_rng(case["data_seed"]).uniform(size=(case["N"], 2))
+    s = case["s"]
+    rep = partition_points(X, s, SolveConfig(s=s, n=2, **case["cfg"]))
+    assert rep.counts.table.tolist() == case["table"]
+    assert [r["imbalance"] for r in rep.trace] == case["imbalances"]
+    digest = hashlib.sha256(b"".join(p.coeffs.tobytes() for p in rep.pvec)).hexdigest()
+    assert digest == case["pvec_sha256"]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_partition_points_rejects_non_finite(bad):
+    X = np.random.default_rng(0).uniform(size=(3, 2))
+    X[1, 0] = bad
+    with pytest.raises(ValueError, match="finite"):
+        partition_points(X, 2, SolveConfig(s=2, n=2, restarts=1, iters=10))
+
+
+TAU = 1e-9
+_value = st.one_of(
+    st.sampled_from(
+        [0.0, -0.0, TAU, -TAU, np.nextafter(TAU, 1.0), np.nextafter(-TAU, -1.0), 0.5 * TAU]
+    ),
+    st.floats(-10.0, 10.0, allow_nan=False),
+)
+
+
+@settings(max_examples=200)
+@given(
+    st.integers(1, 8).flatmap(
+        lambda n_parts: st.tuples(
+            st.just(n_parts),
+            st.lists(
+                st.tuples(_value, st.integers(0, n_parts - 1), st.booleans()),
+                min_size=1,
+                max_size=40,
+            ),
+        )
+    )
+)
+def test_bucketed_imbalances_match_brute_force(drawn):
+    n_parts, points = drawn
+    vals = np.array([v for v, _, _ in points])
+    part = np.array([p for _, p, _ in points], dtype=np.int64)
+    alive = np.array([a for _, _, a in points])
+    want = np.zeros(n_parts, dtype=np.int64)
+    for p in range(n_parts):
+        pos = sum(1 for v, q, a in points if a and q == p and v > TAU)
+        neg = sum(1 for v, q, a in points if a and q == p and v < -TAU)
+        want[p] = abs(pos - neg)
+    got = _imbalances(vals, np.where(alive, part, n_parts), n_parts, TAU)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, want)
+
+
+@settings(max_examples=200)
+@given(
+    st.integers(1, 60),
+    st.integers(1, 12),
+    st.integers(1, 16),
+    st.integers(0, 2**32 - 1),
+)
+def test_flat_bincount_jacobian_equals_add_at(N, dim, n_parts, seed):
+    rng = np.random.default_rng(seed)
+    # wide magnitudes, so that a different summation order would show
+    M = rng.normal(size=(N, dim)) * 10.0 ** rng.uniform(-8, 8, size=(N, dim))
+    W = rng.normal(size=N) * 10.0 ** rng.uniform(-8, 8, size=N)
+    W[rng.random(N) < 0.1] = 0.0
+    part = rng.integers(0, n_parts, size=N)
+    alive = rng.random(N) < 0.8
+    bucket = np.where(alive, part, n_parts)
+    # the unbucketed form: dead rows weighted 0 and added into their part
+    want = np.zeros((n_parts, dim))
+    np.add.at(want, part, M * np.where(alive, W, 0.0)[:, None])
+    keys = (bucket[:, None] * dim + np.arange(dim)).ravel()
+    got = _jacobian(M, W, keys, n_parts)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from polypart.cells import CellCounts, SamplingConfig, counts, point_counts
+from polypart import cli
 from polypart.cli import Instance, InstanceError, load_instance, load_pvec, main
 
 
@@ -174,7 +175,7 @@ def test_console_script_runs():
 @pytest.mark.parametrize("command", ["partition", "partition-points"])
 @pytest.mark.parametrize(
     "flag, value",
-    [("--s", "0"), ("--s", "21"), ("--restarts", "0"), ("--iters", "-1")],
+    [("--s", "0"), ("--s", "21"), ("--restarts", "0"), ("--iters", "-1"), ("--seed", "-1")],
 )
 def test_bad_solver_flags_exit_2(tmp_path, capsys, command, flag, value):
     # checked before the instance is read, so a large --s allocates nothing
@@ -213,3 +214,49 @@ def test_unsolvable_family_exit_2(tmp_path, capsys, varieties, why):
     err = capsys.readouterr().err
     assert "varieties[1]" in err and why in err and len(err.strip().splitlines()) == 1
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+def test_bad_radius_exit_2(tmp_path, capsys, value):
+    inst = lines_instance(tmp_path)
+    rc = main(["partition", "--input", inst, "--s", "2", f"--radius={value}",
+               "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "--radius" in err and len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["verify-borsuk", "verify-spectrum"])
+@pytest.mark.parametrize("value", ["0", "21", "40"])
+def test_verify_suite_bad_s_exit_2(monkeypatch, capsys, command, value):
+    # the guard fires before either suite builds anything of size 2^s
+    def reached(*args, **kwargs):
+        raise AssertionError("suite ran past the --s guard")
+
+    monkeypatch.setattr(cli.eq, "g_zeros", reached)
+    monkeypatch.setattr(cli.np.random, "default_rng", reached)
+    assert main([command, "--s", value]) == 2
+    err = capsys.readouterr().err
+    assert "--s" in err and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("flag", ["--D", "--trials"])
+def test_bench_line_cells_bad_flag_exit_2(capsys, flag):
+    assert main(["bench-line-cells", f"{flag}=0"]) == 2
+    err = capsys.readouterr().err
+    assert flag in err and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_point_exit_2(tmp_path, capsys, bad):
+    path = tmp_path / "inst.json"
+    path.write_text('{"n": 2, "points": [[0.1, 0.2], [%s, 0.3], [0.5, 0.6]]}' % bad)
+    with pytest.raises(InstanceError, match=r"points\[1\].*finite"):
+        load_instance(str(path))
+    out = tmp_path / "o"
+    rc = main(["partition-points", "--input", str(path), "--s", "2", "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "points[1]" in err and len(err.strip().splitlines()) == 1
+    assert not out.exists()

@@ -274,9 +274,8 @@ def test_partition_points_symmetric_odd_polynomials():
     from polypart.polyalg import eval_poly_many
 
     vals = eval_poly_many(odd, X)
-    part = np.zeros(len(X), dtype=np.int64)
-    alive = np.ones(len(X), dtype=bool)
-    assert _imbalances(vals, part, alive, 1)[0] == 0
+    bucket = np.zeros(len(X), dtype=np.int64)  # every point alive, in part 0
+    assert _imbalances(vals, bucket, 1)[0] == 0
 
 
 def test_partition_points_report():
