@@ -105,37 +105,26 @@ def _sign_tols(pvec, tau):
     return np.array([DEFAULT_SIGN_TOL_SCALE * p.coeff_norm() for p in pvec])
 
 
-def sign_vector(pvec: list[Polynomial], x, tau: float | None = None):
-    """Sign vector of x, or None when x lies on the boundary of some Z(P_j)."""
-    x = np.asarray(x, dtype=np.float64)
-    idx, boundary = sign_vector_many(pvec, x[None, :], tau)
-    if boundary[0]:
-        return None
-    return index_w(int(idx[0]), len(pvec))
+def pack_signs(cols, tols) -> tuple[np.ndarray, np.ndarray]:
+    """Table index per point plus the interior mask, from s value columns.
 
-
-def pack_signs(vals: np.ndarray, tols) -> tuple[np.ndarray, np.ndarray]:
-    """Table index per row of vals (m, s) plus the interior mask.
-
-    Bit j of the index is set where vals[:, j] < 0; a row is interior when
-    every |vals[:, j]| exceeds tols[j]. Comparisons, integer and boolean
-    operations only, so the packing is exact.
+    cols[j] holds P_j at the m points. Bit j of the index is set where
+    cols[j] < 0; a point is interior when every |cols[j]| exceeds tols[j].
+    Comparisons, integer and boolean operations only, so the packing is exact.
     """
-    idx = np.zeros(len(vals), dtype=np.int64)
-    interior = np.ones(len(vals), dtype=bool)
-    for j in range(vals.shape[1]):
-        interior &= np.abs(vals[:, j]) > tols[j]
-        idx |= (vals[:, j] < 0).astype(np.int64) << j
+    idx = np.zeros(len(cols[0]), dtype=np.int64)
+    interior = np.ones(len(cols[0]), dtype=bool)
+    for j, (v, tol) in enumerate(zip(cols, tols, strict=True)):
+        interior &= np.abs(v) > tol
+        idx |= (v < 0).astype(np.int64) << j
     return idx, interior
 
 
 def sign_vector_many(pvec, X, tau=None):
     """Batch sign vectors as table indices plus a boundary mask."""
     X = np.asarray(X, dtype=np.float64)
-    vals = np.empty((len(X), len(pvec)))
-    for j, p in enumerate(pvec):
-        vals[:, j] = eval_poly_many(p, X)
-    idx, interior = pack_signs(vals, _sign_tols(pvec, tau))
+    cols = [eval_poly_many(p, X) for p in pvec]
+    idx, interior = pack_signs(cols, _sign_tols(pvec, tau))
     return idx, ~interior
 
 
@@ -148,11 +137,6 @@ def entered_cells_sampled(spec: VarietySpec, pvec, sampling: SamplingConfig) -> 
         return set()
     idx, boundary = sign_vector_many(pvec, pts)
     return {index_w(int(i), len(pvec)) for i in np.unique(idx[~boundary])}
-
-
-def indicator(spec: VarietySpec, pvec, w, sampling: SamplingConfig) -> int:
-    """1 iff some sample of the variety in B_R realizes sign vector w."""
-    return int(tuple(w) in entered_cells_sampled(spec, pvec, sampling))
 
 
 def counts(
@@ -541,15 +525,15 @@ def _gap_midpoints(restrictions, skip_mask):
 
 
 def _gap_values(restrictions, owners, ts):
-    """Each restriction at t = ts[g] on line owners[g], by Horner: (G, s)."""
-    vals = np.empty((len(owners), len(restrictions)))
-    for j, r in enumerate(restrictions):
+    """Each restriction at t = ts[g] on line owners[g], by Horner: s columns."""
+    cols = []
+    for r in restrictions:
         C = r.coeffs[owners]
         v = C[:, -1]
         for k in range(C.shape[1] - 2, -1, -1):
             v = v * ts + C[:, k]
-        vals[:, j] = v
-    return vals
+        cols.append(v)
+    return cols
 
 
 def _midpoint_indices(restrictions, owners, lo, hi):

@@ -62,8 +62,6 @@ def load_instance(path: str) -> Instance:
             raise InstanceError(f"{where}: each variety needs a 'kind'")
         kind = entry["kind"]
         params = {k: v for k, v in entry.items() if k != "kind"}
-        if kind == "implicit":
-            params.setdefault("n", n)
         try:
             spec = build(kind, params)
         except KeyError as err:
@@ -157,9 +155,9 @@ def load_pvec(report_path: str) -> tuple[list[Polynomial], dict]:
 # verify suites
 
 
-def _check_s(s: int) -> None:
-    if not 1 <= s <= MAX_S:
-        raise InstanceError(f"--s must be in 1..{MAX_S}, got {s}")
+def _check_s(s: int, limit: int = MAX_S) -> None:
+    if not 1 <= s <= limit:
+        raise InstanceError(f"--s must be in 1..{limit}, got {s}")
 
 
 def _suite_result(checks) -> int:
@@ -171,7 +169,7 @@ def _suite_result(checks) -> int:
 
 
 def verify_borsuk(s: int):
-    _check_s(s)
+    _check_s(s, eq.MAX_ZERO_S)
     checks = []
     zeros = eq.g_zeros(s)
     checks.append(
@@ -290,7 +288,6 @@ def verify_mollifier(delta_grid):
     checks.append(("schedule-monotone", mono_ok, "eps decreasing, R increasing"))
 
     from .mollifier import i_delta
-    from .polyalg import from_terms
 
     def unit_linear(cx, cy, c0):
         c = np.array([c0, cx, cy])
@@ -337,10 +334,8 @@ def _check_solve_flags(args) -> None:
 
 
 def _check_family(varieties) -> None:
-    """Reject families the variety solver cannot count, before solving."""
+    """Reject a family whose varieties differ in dimension k, before solving."""
     for i, g in enumerate(varieties):
-        if g.kind == "implicit":
-            raise InstanceError(f"varieties[{i}]: kind 'implicit' has no sampler to count it by")
         if g.k != varieties[0].k:
             raise InstanceError(
                 f"varieties[{i}]: dimension k = {g.k} differs from k = {varieties[0].k}"

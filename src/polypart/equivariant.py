@@ -16,6 +16,9 @@ import numpy as np
 
 from .sphereprod import XsPoint, block_size, flip, random_point, xs_dim
 
+# largest s whose 2^s model zeros g_zeros enumerates
+MAX_ZERO_S = 10
+
 
 class ContinuationError(RuntimeError):
     """All continuation starts failed; carries the per-start final residuals."""
@@ -39,29 +42,6 @@ def slot_of_v(v: int) -> tuple[int, int]:
     """(block j, coordinate slot) carrying x_v."""
     j = j_of_v(v)
     return j, v - 2 ** (j - 1) + 1
-
-
-@dataclass
-class CoordFrame:
-    """Naming of the 1 + 2^(j-1) coordinates in each block."""
-
-    s: int
-    slots: dict = field(init=False)
-
-    def __post_init__(self):
-        self.slots = {v: slot_of_v(v) for v in range(1, 2**self.s)}
-        # every (j, slot>=1) pair is hit exactly once
-        assert len(set(self.slots.values())) == 2**self.s - 1
-        for j in range(1, self.s + 1):
-            named = [v for v, (jj, _) in self.slots.items() if jj == j]
-            assert len(named) == block_size(j) - 1
-
-    def t(self, x: XsPoint, j: int) -> float:
-        return float(x.blocks[j - 1][0])
-
-    def x_v(self, x: XsPoint, v: int) -> float:
-        j, slot = self.slots[v]
-        return float(x.blocks[j - 1][slot])
 
 
 @dataclass
@@ -101,8 +81,8 @@ def model_map(s: int) -> EquivariantMap:
 
 def g_zeros(s: int) -> list[XsPoint]:
     """All 2^s zeros of the model map: t_j = +-1 per block, x_v = 0."""
-    if s > 10:
-        raise ValueError(f"zero enumeration supports s <= 10, got {s}")
+    if s > MAX_ZERO_S:
+        raise ValueError(f"zero enumeration supports s <= {MAX_ZERO_S}, got {s}")
     out = []
     for mask in range(2**s):
         blocks = []
@@ -185,16 +165,6 @@ def random_equivariant(s: int, lam: float, seed) -> EquivariantMap:
         return out
 
     return EquivariantMap(s, fn, kind="perturbed" if lam else "model", lam=lam)
-
-
-def hemisphere_fold(x: XsPoint, tol: float = 1e-12) -> XsPoint:
-    """The unique flip-orbit representative with every t_j > 0."""
-    blocks = []
-    for j, b in enumerate(x.blocks, start=1):
-        if abs(b[0]) < tol:
-            raise ValueError(f"block {j} lies on the hemisphere boundary (t ~ 0)")
-        blocks.append(-b if b[0] < 0 else b.copy())
-    return XsPoint(tuple(blocks))
 
 
 def flip_orbit(x: XsPoint) -> list[XsPoint]:
@@ -338,36 +308,3 @@ def continuation_zero(
             )
         failures.append(res)
     raise ContinuationError(failures)
-
-
-def zero_census(f: EquivariantMap, s: int, cfg: ContinuationConfig | None = None) -> dict:
-    """Track from every model zero and report the distinct folded orbits found.
-
-    The count of found orbits and its parity are evidence, not a certificate:
-    continuation can miss zeros, so completeness is not claimed.
-    """
-    cfg = cfg or ContinuationConfig()
-    reps = []
-    residuals = []
-    tracked = 0
-    for x0 in g_zeros(s):
-        x, res, ok = _track_from(f, x0, cfg)
-        residuals.append(res)
-        if not (ok and res < 1e-8):
-            continue
-        tracked += 1
-        try:
-            folded = hemisphere_fold(x)
-        except ValueError:
-            continue  # boundary orbits cannot be folded; skip deduplication
-        flat = np.concatenate(folded.blocks)
-        if all(np.abs(flat - r).max() > 1e-6 for r in reps):
-            reps.append(flat)
-    return {
-        "starts": 2**s,
-        "tracked": tracked,
-        "distinct_orbits": len(reps),
-        "orbit_parity": len(reps) % 2,
-        "zero_count_estimate": len(reps) * 2**s,
-        "residuals": residuals,
-    }

@@ -9,6 +9,7 @@ B at radius R(delta)+1 always satisfies B * delta < eps(delta).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -83,17 +84,17 @@ def family_clouds(Gamma: list[VarietySpec], cfg: MollConfig) -> list[WeightedClo
     ]
 
 
-def mollified_rows(vals: np.ndarray, sizes, weights, cfg: MollConfig, n: int) -> np.ndarray:
-    """Mollified rows (m, 2^s) of m tube clouds from their stacked values.
+def mollified_rows(cols, sizes, weights, cfg: MollConfig, n: int) -> np.ndarray:
+    """Mollified rows (m, 2^s) of m tube clouds from their value columns.
 
-    vals is (N, s): P_j at the cloud points stacked in cloud order, cloud c
-    owning sizes[c] consecutive rows of volume weights[c] each. A single
+    cols[j] holds P_j at the N cloud points stacked in cloud order, cloud c
+    owning sizes[c] consecutive points of volume weights[c] each. A single
     bincount keyed by c * 2^s + cell gives every cloud's tube integral.
-    Column-major vals keep the per-row minimum a pass over s columns.
     """
-    m, ncell = len(sizes), 2 ** vals.shape[1]
-    idx, interior = pack_signs(vals, np.zeros(vals.shape[1]))
-    inner = eta(cfg.eps, np.abs(vals).min(axis=1)) * np.repeat(weights, sizes)
+    m, ncell = len(sizes), 2 ** len(cols)
+    idx, interior = pack_signs(cols, np.zeros(len(cols)))
+    low = functools.reduce(np.minimum, map(np.abs, cols))
+    inner = eta(cfg.eps, low) * np.repeat(weights, sizes)
     key = np.repeat(np.arange(m) * ncell, sizes) + idx
     totals = np.bincount(key[interior], weights=inner[interior], minlength=m * ncell)
     return eta(cfg.eps, totals.reshape(m, ncell) * cfg.delta ** (-n))
@@ -131,9 +132,9 @@ def mollified_table(
     if clouds is None:
         clouds = family_clouds(Gamma, cfg)
     pts = np.concatenate([c.points for c in clouds] + [np.zeros((0, n))])  # Gamma may be []
-    vals = np.stack([eval_poly_many(p, pts) for p in pvec]).T
+    cols = [eval_poly_many(p, pts) for p in pvec]
     sizes = [len(c.points) for c in clouds]
-    return mollified_rows(vals, sizes, [c.weight for c in clouds], cfg, n).sum(axis=0)
+    return mollified_rows(cols, sizes, [c.weight for c in clouds], cfg, n).sum(axis=0)
 
 
 def f_delta_v(Gamma, pvec, v, cfg: MollConfig, clouds=None) -> float:

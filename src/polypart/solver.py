@@ -78,15 +78,6 @@ def objective_discrete(Gamma, x: XsPoint, sampling: SamplingConfig) -> float:
     return spectral_power(table)
 
 
-def objective_smooth(Gamma, x: XsPoint, cfg: moll_mod.MollConfig, clouds=None) -> float:
-    """Spectral power of the mollified count table at one smoothing level."""
-    if not Gamma:
-        return 0.0
-    n = _ambient(Gamma)
-    table = moll_mod.mollified_table(Gamma, to_polys(x, n), cfg, clouds)
-    return spectral_power(table)
-
-
 def _ambient(Gamma) -> int:
     if not Gamma:
         raise ValueError("need at least one variety")
@@ -171,7 +162,7 @@ def _discrete_evaluator(Gamma, n, s, D, sampling) -> _Evaluator:
         if lines:
             out += cells_mod.cell_table_from_roots(restrictions)
         for i in range(len(samples)):
-            idx, interior = cells_mod.pack_signs(np.column_stack([v[i] for v in vals]), tols)
+            idx, interior = cells_mod.pack_signs([v[i] for v in vals], tols)
             out[np.unique(idx[interior])] += 1
         return out
 
@@ -200,8 +191,7 @@ def _smooth_evaluator(Gamma, n, mcfg: moll_mod.MollConfig, bases) -> _Evaluator:
         return mono[:, : len(poly.coeffs)] @ poly.coeffs
 
     def table(cols):
-        vals = np.array(cols).T  # (N, s) with contiguous columns
-        return moll_mod.mollified_rows(vals, sizes, weights, mcfg, n).sum(axis=0)
+        return moll_mod.mollified_rows(cols, sizes, weights, mcfg, n).sum(axis=0)
 
     return _Evaluator(n, column, table)
 
@@ -251,30 +241,32 @@ def partition_varieties(Gamma: list[VarietySpec], cfg: SolveConfig) -> Partition
     sampling = cfg.sampling or SamplingConfig(R=4.0, seed=cfg.seed)
     bases = [monomial_basis(n, Dj) for Dj in sched]
 
-    best = None
-    for r in range(cfg.restarts):
-        rng = np.random.default_rng((cfg.seed, 2, r))
-        x = random_point(cfg.s, (cfg.seed, 1, r))
-        trace: list = []
-        offset = 0
-        for ev, iters in _levels(Gamma, n, cfg, D, sampling, bases):
-            obj = ev.set_point(x)
-            if not trace:  # the restart's starting objective
-                trace.append((-1, float(obj)))
-            x, obj = _anneal(
-                ev, x, obj, iters, cfg.step_init, cfg.step_final, rng, trace, offset
+    # each level is built once and every restart anneals through it, since no
+    # level's seeds depend on the restart; a restart keeps its own point,
+    # random stream, trace, objective and (discrete) incremental table
+    restarts = range(cfg.restarts)
+    xs = [random_point(cfg.s, (cfg.seed, 1, r)) for r in restarts]
+    rngs = [np.random.default_rng((cfg.seed, 2, r)) for r in restarts]
+    traces: list = [[] for _ in restarts]
+    objs = [0.0] * cfg.restarts
+    ev_tables = [None] * cfg.restarts
+    offset = 0
+    for ev, iters in _levels(Gamma, n, cfg, D, sampling, bases):
+        for r in restarts:
+            obj = ev.set_point(xs[r])
+            if not traces[r]:  # the restart's starting objective
+                traces[r].append((-1, float(obj)))
+            xs[r], objs[r] = _anneal(
+                ev, xs[r], obj, iters, cfg.step_init, cfg.step_final, rngs[r], traces[r], offset
             )
-            offset += iters
-            # the discrete incremental table at x, checked against cells.counts
-            ev_table = ev._table() if cfg.objective == "discrete" else None
-            del ev  # one level's caches alive at a time
-        if cfg.objective == "smooth":
-            obj = objective_discrete(Gamma, x, sampling)
-        key = (obj, r)
-        if best is None or key < best[0]:
-            best = (key, x, trace, ev_table)
-
-    _, x, trace, ev_table = best
+            if cfg.objective == "discrete":  # checked against cells.counts below
+                ev_tables[r] = ev._table()
+        offset += iters
+        del ev  # one level's caches alive at a time
+    if cfg.objective == "smooth":
+        objs = [objective_discrete(Gamma, x, sampling) for x in xs]
+    best = min(restarts, key=objs.__getitem__)  # the first on ties
+    x, trace, ev_table = xs[best], traces[best], ev_tables[best]
     pvec = to_polys(x, n)
     table = cells_mod.counts(Gamma, pvec, sampling, exact_lines=True)
     if ev_table is not None and not np.array_equal(ev_table, table.table):

@@ -80,50 +80,21 @@ def retract(raw_blocks) -> XsPoint:
     return XsPoint(tuple(blocks))
 
 
-def tangent_step(x: XsPoint, direction, h: float) -> XsPoint:
-    """Project the direction onto each tangent space, step by h, renormalize."""
-    if h == 0.0:
-        return x
-    raw = []
-    for b, d in zip(x.blocks, direction):
-        d = np.asarray(d, dtype=np.float64)
-        tangent = d - (d @ b) * b
-        raw.append(b + h * tangent)
-    return retract(raw)
-
-
-def to_polys(x: XsPoint, n: int, subspaces=None) -> list[Polynomial]:
+def to_polys(x: XsPoint, n: int) -> list[Polynomial]:
     """Embed the point as s polynomials of the schedule degrees.
 
-    By default block j fills the first 2^(j-1)+1 graded-lex coefficients of
-    the degree D_j basis; the remaining coefficients are zero, so each
-    polynomial keeps unit coefficient norm and the product degree is at most
-    sum(D_j). Passing `subspaces` (one monomial-index array per block)
-    selects different coefficient subspaces of the same dimensions.
+    Block j fills the first 2^(j-1)+1 graded-lex coefficients of the degree
+    D_j basis; the remaining coefficients are zero, so each polynomial keeps
+    unit coefficient norm and the product degree is at most sum(D_j).
     """
-    subspaces = [None] * x.s if subspaces is None else subspaces
-    return [block_poly(x, j, n, subspaces[j - 1]) for j in range(1, x.s + 1)]
+    return [block_poly(x, j, n) for j in range(1, x.s + 1)]
 
 
-def block_poly(x: XsPoint, j: int, n: int, subspace=None) -> Polynomial:
-    """Polynomial j of to_polys(x, n, subspaces) alone, given subspaces[j-1]."""
+def block_poly(x: XsPoint, j: int, n: int) -> Polynomial:
+    """Polynomial j of to_polys(x, n) alone."""
     basis = monomial_basis(n, degree_schedule(n, x.s)[j - 1])
     if len(basis) < block_size(j):
         raise ValueError(f"basis dim {len(basis)} cannot host block of size {block_size(j)}")
-    if subspace is None:
-        idx = np.arange(block_size(j))
-    else:
-        idx = np.asarray(subspace, dtype=np.int64)
-        if (
-            idx.shape != (block_size(j),)
-            or len(np.unique(idx)) != block_size(j)
-            or idx.min() < 0
-            or idx.max() >= len(basis)
-        ):
-            raise ValueError(
-                f"subspace for block {j} must be {block_size(j)} distinct "
-                f"indices below {len(basis)}"
-            )
     coeffs = np.zeros(len(basis))
-    coeffs[idx] = x.blocks[j - 1]
+    coeffs[: block_size(j)] = x.blocks[j - 1]
     return Polynomial(basis, coeffs)

@@ -2,7 +2,7 @@
 
 Supported parametric kinds are lines, circles, and affine k-planes; each
 synthesizes its own implicit defining polynomials so sampled points can be
-residual-checked. Implicit-only varieties are accepted but refuse sampling.
+residual-checked.
 """
 
 from __future__ import annotations
@@ -12,14 +12,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .polyalg import MonomialBasis, Polynomial, eval_poly_many, from_terms
+from .polyalg import Polynomial, eval_poly_many, from_terms
 
-RESIDUAL_TOL = 1e-9
 _ORTHO_TOL = 1e-9
 
 
 class UnsupportedVarietyError(ValueError):
-    """Raised when an operation needs a parametric sampler the variety lacks."""
+    """Raised when an operation needs a kind of variety it was not given."""
 
 
 # Each sampler keeps `normals`, an orthonormal basis of the complement of its
@@ -53,7 +52,7 @@ class VarietySpec:
     n: int
     k: int
     defining: list[Polynomial]
-    sampler: LineSampler | CircleSampler | PlaneSampler | None = None
+    sampler: LineSampler | CircleSampler | PlaneSampler
 
     @property
     def kind(self) -> str:
@@ -61,9 +60,7 @@ class VarietySpec:
             return "line"
         if isinstance(self.sampler, CircleSampler):
             return "circle"
-        if isinstance(self.sampler, PlaneSampler):
-            return "kplane"
-        return "implicit"
+        return "kplane"
 
 
 @dataclass
@@ -167,21 +164,6 @@ def kplane(point, frame) -> VarietySpec:
     return VarietySpec(n=n, k=k, defining=defining, sampler=PlaneSampler(a, F, normals))
 
 
-def implicit(polys: list[Polynomial], k: int | None = None) -> VarietySpec:
-    if not polys:
-        raise ValueError("implicit variety needs at least one defining polynomial")
-    n = polys[0].n
-    if any(p.n != n for p in polys):
-        raise ValueError("defining polynomials must share the ambient dimension")
-    if all(np.all(p.coeffs == 0.0) for p in polys):
-        raise ValueError("implicit variety needs a nonzero defining polynomial")
-    if k is None:
-        k = max(n - len(polys), 0)
-    if k >= n:
-        raise ValueError(f"need variety dimension k < n, got k={k}, n={n}")
-    return VarietySpec(n=n, k=k, defining=list(polys), sampler=None)
-
-
 def build(kind: str, params: dict) -> VarietySpec:
     """Dispatch constructor used by instance files."""
     if kind == "line":
@@ -190,13 +172,6 @@ def build(kind: str, params: dict) -> VarietySpec:
         return circle(params["center"], params["radius"], params.get("frame"))
     if kind == "kplane":
         return kplane(params["point"], params["frame"])
-    if kind == "implicit":
-        polys = []
-        n = int(params["n"])
-        for entry in params["polys"]:
-            terms = {tuple(e): c for e, c in zip(entry["exponents"], entry["coeffs"])}
-            polys.append(from_terms(n, terms))
-        return implicit(polys, params.get("k"))
     raise ValueError(f"unsupported variety kind {kind!r}")
 
 
@@ -256,13 +231,11 @@ def region_measure(spec: VarietySpec, R: float) -> float:
     if isinstance(s, CircleSampler):
         arc = _circle_arc(s, R)
         return 0.0 if arc is None else s.radius * (arc[1] - arc[0])
-    if isinstance(s, PlaneSampler):
-        disk = _plane_disk(s, R)
-        if disk is None:
-            return 0.0
-        k = spec.k
-        return _ball_volume(k) * disk[1] ** k
-    raise UnsupportedVarietyError("variety has no parametric sampler")
+    disk = _plane_disk(s, R)
+    if disk is None:
+        return 0.0
+    k = spec.k
+    return _ball_volume(k) * disk[1] ** k
 
 
 def _ball_volume(d: int) -> float:
@@ -284,8 +257,6 @@ def _ball_points(rng, count, d, radius):
 def _sample_params(spec: VarietySpec, R: float, count: int, rng):
     """Sample parameters and points on the variety inside B_R."""
     s = spec.sampler
-    if s is None:
-        raise UnsupportedVarietyError("variety has no parametric sampler")
     if isinstance(s, LineSampler):
         seg = _line_interval(s.point, s.direction, R)
         if seg is None:
@@ -304,17 +275,15 @@ def _sample_params(spec: VarietySpec, R: float, count: int, rng):
             + s.radius * np.sin(theta)[:, None] * v[None, :]
         )
         return theta, pts
-    if isinstance(s, PlaneSampler):
-        disk = _plane_disk(s, R)
-        if disk is None:
-            return None, np.zeros((0, spec.n))
-        z0, rho = disk
-        if spec.k == 0:
-            z = np.zeros((count, 0))
-        else:
-            z = z0[None, :] + _ball_points(rng, count, spec.k, rho)
-        return z, s.point[None, :] + z @ s.frame
-    raise UnsupportedVarietyError(f"no sampler for kind {spec.kind!r}")
+    disk = _plane_disk(s, R)
+    if disk is None:
+        return None, np.zeros((0, spec.n))
+    z0, rho = disk
+    if spec.k == 0:
+        z = np.zeros((count, 0))
+    else:
+        z = z0[None, :] + _ball_points(rng, count, spec.k, rho)
+    return z, s.point[None, :] + z @ s.frame
 
 
 def sample_in_ball(spec: VarietySpec, R: float, count: int, seed) -> np.ndarray:
@@ -331,14 +300,12 @@ def _perp_frames(spec: VarietySpec, params):
     s = spec.sampler
     if isinstance(s, (LineSampler, PlaneSampler)):
         return np.broadcast_to(s.normals, (len(params),) + s.normals.shape)
-    if isinstance(s, CircleSampler):
-        u, v = s.frame
-        radial = np.cos(params)[:, None] * u[None, :] + np.sin(params)[:, None] * v[None, :]
-        frames = np.empty((len(params), spec.n - 1, spec.n))
-        frames[:, 0, :] = radial
-        frames[:, 1:, :] = s.normals[None, :, :]
-        return frames
-    raise UnsupportedVarietyError("variety has no parametric sampler")
+    u, v = s.frame
+    radial = np.cos(params)[:, None] * u[None, :] + np.sin(params)[:, None] * v[None, :]
+    frames = np.empty((len(params), spec.n - 1, spec.n))
+    frames[:, 0, :] = radial
+    frames[:, 1:, :] = s.normals[None, :, :]
+    return frames
 
 
 def tube_sample(spec: VarietySpec, delta: float, R: float, count: int, seed) -> WeightedCloud:
@@ -368,7 +335,7 @@ def tube_sample(spec: VarietySpec, delta: float, R: float, count: int, seed) -> 
 
 
 def distance_to(spec: VarietySpec, X: np.ndarray) -> np.ndarray:
-    """Exact distance from each row of X to the variety (parametric kinds only)."""
+    """Exact distance from each row of X to the variety."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     s = spec.sampler
     if isinstance(s, LineSampler):
@@ -379,12 +346,10 @@ def distance_to(spec: VarietySpec, X: np.ndarray) -> np.ndarray:
         d = X - s.point[None, :]
         coords = d @ s.frame.T
         return np.linalg.norm(d - coords @ s.frame, axis=1)
-    if isinstance(s, CircleSampler):
-        d = X - s.center[None, :]
-        u, v = s.frame
-        pu = d @ u
-        pv = d @ v
-        inplane = np.hypot(pu, pv)
-        perp2 = np.maximum(np.linalg.norm(d, axis=1) ** 2 - inplane**2, 0.0)
-        return np.sqrt((inplane - s.radius) ** 2 + perp2)
-    raise UnsupportedVarietyError("variety has no parametric sampler")
+    d = X - s.center[None, :]
+    u, v = s.frame
+    pu = d @ u
+    pv = d @ v
+    inplane = np.hypot(pu, pv)
+    perp2 = np.maximum(np.linalg.norm(d, axis=1) ** 2 - inplane**2, 0.0)
+    return np.sqrt((inplane - s.radius) ** 2 + perp2)

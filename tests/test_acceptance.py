@@ -12,11 +12,12 @@ import pytest
 
 from polypart import equivariant as eq
 from polypart.cells import CellCounts, SamplingConfig, cells_entered_line, counts, index_w
+from polypart.cli import _random_line_poly_pair
 from polypart.mollifier import i_delta, schedule
 from polypart.polyalg import MonomialBasis, Polynomial, degree_schedule, grad_bound
 from polypart.solver import SolveConfig, partition_points, partition_varieties
 from polypart.spectrum import is_equidistributed, lemma_identity_check, wht_table
-from polypart.sphereprod import flip, random_point, to_polys
+from polypart.sphereprod import flip, random_point, retract, to_polys
 from polypart.varieties import line
 
 
@@ -42,11 +43,7 @@ def test_criterion_1_model_map_facts():
                 bm = [b.copy() for b in z.blocks]
                 bp[j - 1][slot] += h
                 bm[j - 1][slot] -= h
-                xp = eq.XsPoint.__new__(eq.XsPoint)
-                xp.blocks = tuple(bp)
-                xm = eq.XsPoint.__new__(eq.XsPoint)
-                xm.blocks = tuple(bm)
-                fd = (eq.model_g(xp) - eq.model_g(xm)) / (2 * h)
+                fd = (eq.model_g(retract(bp)) - eq.model_g(retract(bm))) / (2 * h)
                 assert np.abs(J[:, col] - fd).max() < 1e-6
         assert eq.check_equivariance(eq.model_map(s), trials=100, seed=s) < 1e-14
     dt = time.time() - t0
@@ -79,24 +76,6 @@ def test_criterion_2_spectrum_identities():
     report(2, f"involution, equidistribution, counting identity ({dt:.2f}s)")
 
 
-def _random_line_and_tuple(rng, n, D):
-    degs = []
-    left = D
-    while left > 0:
-        d = int(rng.integers(1, min(3, left) + 1))
-        degs.append(d)
-        left -= d
-    pvec = []
-    for d in degs:
-        basis = MonomialBasis(n, d)
-        c = rng.normal(size=len(basis))
-        pvec.append(Polynomial(basis, c / np.linalg.norm(c)))
-    a = rng.normal(size=n)
-    u = rng.normal(size=n)
-    u /= np.linalg.norm(u)
-    return line(a, u), pvec
-
-
 def test_criterion_3_line_cell_bound():
     t0 = time.time()
     rng = np.random.default_rng(1)
@@ -104,7 +83,7 @@ def test_criterion_3_line_cell_bound():
     for trial in range(1000):
         n = 2 if trial % 2 == 0 else 3
         D = int(rng.integers(2, 9))
-        g, pvec = _random_line_and_tuple(rng, n, D)
+        g, pvec = _random_line_poly_pair(rng, n, D)
         ws = cells_entered_line(g, pvec)
         if not 1 <= len(ws) <= D + 1:
             violations += 1

@@ -12,11 +12,9 @@ from polypart.cells import (
     counts,
     entered_cells_sampled,
     index_w,
-    indicator,
     isolate_real_roots_many,
     line_cell_sets,
     point_counts,
-    sign_vector,
     sign_vector_many,
     w_index,
 )
@@ -28,7 +26,7 @@ from polypart.polyalg import (
     restrict_to_line_batch,
 )
 from polypart.sphereprod import flip, random_point, to_polys
-from polypart.varieties import circle, implicit, line
+from polypart.varieties import circle, line
 
 X = from_terms(2, {(1, 0): 1.0})
 Y = from_terms(2, {(0, 1): 1.0})
@@ -41,10 +39,12 @@ def test_w_index_roundtrip():
 
 
 def test_sign_vector_examples():
-    assert sign_vector([X, Y], (1.0, -2.0), tau=0.0) == (0, 1)
-    assert sign_vector([X, Y], (0.0, 1.0), tau=0.0) is None
-    assert sign_vector([X], (1e-13, 0.5), tau=1e-9) is None
-    assert sign_vector([X], (1.0, 0.5), tau=0.0) == (0,)
+    idx, boundary = sign_vector_many([X, Y], [(1.0, -2.0), (0.0, 1.0)], tau=0.0)
+    assert idx[0] == w_index((0, 1)) and boundary.tolist() == [False, True]
+    _, boundary = sign_vector_many([X], [(1e-13, 0.5)], tau=1e-9)
+    assert boundary.tolist() == [True]
+    idx, boundary = sign_vector_many([X], [(1.0, 0.5)], tau=0.0)
+    assert idx.tolist() == [w_index((0,))] and boundary.tolist() == [False]
 
 
 def test_cell_counts_helpers():
@@ -56,13 +56,13 @@ def test_cell_counts_helpers():
 
 
 def test_indicator_examples():
+    # the sampled indicator of cell w is w's membership in the entered cells
     cfg = SamplingConfig(R=2.0, count=512, seed=0)
     y1 = line((0.0, 1.0), (1.0, 0.0))
-    assert indicator(y1, [X, Y], (0, 0), cfg) == 1
-    assert indicator(y1, [X, Y], (0, 1), cfg) == 0
+    entered = entered_cells_sampled(y1, [X, Y], cfg)
+    assert (0, 0) in entered and (0, 1) not in entered
     xaxis = line((0.0, 0.0), (1.0, 0.0))
-    for w in [(0, 0), (1, 0), (0, 1), (1, 1)]:
-        assert indicator(xaxis, [X, Y], w, cfg) == 0  # whole line on Z(P_2)
+    assert entered_cells_sampled(xaxis, [X, Y], cfg) == set()  # whole line on Z(P_2)
 
 
 def test_counts_quadrant_example():
@@ -399,7 +399,7 @@ def test_ambiguous_gap_reads_other_fractions_or_raises():
     near = from_terms(2, {(2, 0): 1.0, (1, 0): -2.0, (0, 0): 1.0 + 2e-11})
     r = cells.line_restriction_roots(*cells.line_frames([xaxis]), near)
     assert len(r.roots) == 0
-    assert abs(cells._gap_values([r], np.array([0]), np.array([1.0]))[0, 0]) < r.tol
+    assert abs(cells._gap_values([r], np.array([0]), np.array([1.0]))[0][0]) < r.tol
     assert cells_entered_line(xaxis, [X, near]) == {(0, 0), (1, 0)}
     # y + 5e-12 is not degenerate along the x-axis but has no sign anywhere on it
     tiny = from_terms(2, {(0, 1): 1.0, (0, 0): 5e-12})
@@ -411,13 +411,9 @@ def test_partition_property_random_points():
     rng = np.random.default_rng(9)
     pvec = [random_unit_poly(rng, 2, d) for d in (1, 2)]
     pts = rng.normal(size=(200, 2))
-    seen = {}
-    for x in pts:
-        w = sign_vector(pvec, x)
-        assert w is not None  # random points miss the zero sets
-        seen.setdefault(w, 0)
-        seen[w] = seen[w] + 1
-    assert sum(seen.values()) == 200
+    idx, boundary = sign_vector_many(pvec, pts)
+    assert not boundary.any()  # random points miss the zero sets
+    assert idx.shape == (200,) and idx.min() >= 0 and idx.max() < 4  # one cell each
 
 
 def test_exact_enumeration_rejects_non_lines():
@@ -447,11 +443,16 @@ def test_seeded_line_solve_pinned_table():
 
 
 def test_pack_signs_bits_and_interior():
-    vals = np.array([[1.0, -2.0, 3.0], [-1.0, -1.0, 0.5], [2.0, 1e-12, -4.0], [0.0, 1.0, 1.0]])
-    idx, interior = cells.pack_signs(vals, np.array([1e-9, 1e-9, 1e-9]))
+    # one column per polynomial, one entry per point
+    cols = [
+        np.array([1.0, -1.0, 2.0, 0.0]),
+        np.array([-2.0, -1.0, 1e-12, 1.0]),
+        np.array([3.0, 0.5, -4.0, 1.0]),
+    ]
+    idx, interior = cells.pack_signs(cols, np.array([1e-9, 1e-9, 1e-9]))
     assert idx.tolist() == [w_index((0, 1, 0)), w_index((1, 1, 0)), w_index((0, 0, 1)), 0]
     assert interior.tolist() == [True, True, False, False]
-    idx0, interior0 = cells.pack_signs(vals, np.zeros(3))
+    idx0, interior0 = cells.pack_signs(cols, np.zeros(3))
     assert np.array_equal(idx0, idx) and interior0.tolist() == [True, True, True, False]
-    idx, interior = cells.pack_signs(np.zeros((0, 2)), np.zeros(2))
+    idx, interior = cells.pack_signs([np.zeros(0), np.zeros(0)], np.zeros(2))
     assert idx.shape == interior.shape == (0,)

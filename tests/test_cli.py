@@ -241,6 +241,19 @@ def test_verify_suite_bad_s_exit_2(monkeypatch, capsys, command, value):
     assert "--s" in err and len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("value", ["11", "20"])
+def test_verify_borsuk_s_above_zero_limit_exit_2(monkeypatch, capsys, value):
+    # within --s's general range but above what g_zeros enumerates
+    def reached(*args, **kwargs):
+        raise AssertionError("suite ran past the --s guard")
+
+    monkeypatch.setattr(cli.eq, "g_zeros", reached)
+    assert main(["verify-borsuk", "--s", value]) == 2
+    err = capsys.readouterr().err
+    assert f"--s must be in 1..{cli.eq.MAX_ZERO_S}" in err
+    assert len(err.strip().splitlines()) == 1
+
+
 @pytest.mark.parametrize("flag", ["--D", "--trials"])
 def test_bench_line_cells_bad_flag_exit_2(capsys, flag):
     assert main(["bench-line-cells", f"{flag}=0"]) == 2

@@ -175,7 +175,7 @@ def test_mollified_rows_match_per_point_oracle():
     vals = rng.normal(size=(sum(sizes), 3))
     vals[[3, 20], [1, 0]] = 0.0  # boundary points count nowhere
     cfg = MollConfig(delta=0.25, eps=0.2, radius=3.0)
-    rows = mollified_rows(np.asfortranarray(vals), sizes, weights, cfg, n=2)
+    rows = mollified_rows(list(vals.T), sizes, weights, cfg, n=2)
     want = np.zeros((len(sizes), 8))
     start = 0
     for c, (size, w) in enumerate(zip(sizes, weights)):

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from polypart import cells as cells_mod
+from polypart import mollifier as moll_mod
 from polypart.cells import CellCounts, SamplingConfig, counts, point_counts
-from polypart.mollifier import family_clouds, schedule
+from polypart.mollifier import family_clouds, mollified_table, schedule
 from polypart.polyalg import MonomialBasis, degree_schedule, monomial_basis
 from polypart.solver import (
     SelfCheckError,
@@ -12,10 +15,10 @@ from polypart.solver import (
     _smooth_evaluator,
     _step_block,
     objective_discrete,
-    objective_smooth,
     partition_points,
     partition_varieties,
 )
+from polypart.spectrum import spectral_power
 from polypart.sphereprod import XsPoint, block_size, flip, random_point, to_polys
 from polypart.varieties import circle, kplane, line
 
@@ -48,15 +51,20 @@ def test_objective_flip_invariance():
 
 
 def test_objective_smooth_empty_and_flip():
+    # the smooth objective is the spectral power of the mollified count table
     bases = [MonomialBasis(2, D) for D in degree_schedule(2, 2)]
     mcfg = schedule(2.0**-6, bases, mc_count=1024, seed=2)
-    assert objective_smooth([], random_point(2, seed=3), mcfg) == 0.0
+
+    def objective(Gamma, x):
+        return spectral_power(mollified_table(Gamma, to_polys(x, 2), mcfg))
+
+    assert objective([], random_point(2, seed=3)) == 0.0
     Gamma = crossing_lines()
     for seed in range(3):
         x = random_point(2, seed=seed)
-        base = objective_smooth(Gamma, x, mcfg)
+        base = objective(Gamma, x)
         for j in (1, 2):
-            assert objective_smooth(Gamma, flip(x, j), mcfg) == pytest.approx(base, abs=1e-9)
+            assert objective(Gamma, flip(x, j)) == pytest.approx(base, abs=1e-9)
 
 
 def coarse_grid_min(Gamma, sampling):
@@ -192,7 +200,7 @@ def test_smooth_evaluator_matches_from_scratch():
         seen = []
 
         def check(y, got):
-            want = objective_smooth(Gamma, y, mcfg, clouds)
+            want = spectral_power(mollified_table(Gamma, to_polys(y, n), mcfg, clouds))
             assert abs(got - want) <= 1e-12 * want
             seen.append(want)
 
@@ -200,43 +208,87 @@ def test_smooth_evaluator_matches_from_scratch():
         assert np.count_nonzero(seen) > len(seen) // 2
 
 
-def test_discrete_evaluator_matches_counts():
-    rng = np.random.default_rng(11)
-    theta = rng.uniform(0.0, 2 * np.pi, size=40)
-    rho = rng.uniform(-1.0, 1.0, size=40)
-    Gamma = [
-        line((-r * np.sin(t), r * np.cos(t)), (np.cos(t), np.sin(t))) for t, r in zip(theta, rho)
-    ]
-    s, n = 3, 2
-    sampling = SamplingConfig(R=4.0, seed=0)
-    ev = _discrete_evaluator(Gamma, n, s, sum(degree_schedule(n, s)), sampling)
-
-    def check(y, _):
-        want = counts(Gamma, to_polys(y, n), sampling, exact_lines=True).table
-        assert np.array_equal(ev._table(), want)
-
-    drive_evaluator(ev, random_point(s, seed=2), rng, 30, check)
-
-
-def test_discrete_evaluator_matches_counts_on_sampled_varieties():
-    # circles and 0-planes are counted through fixed samples, lines through
-    # their restrictions; the one table must match cells.counts on all kinds
-    rng = np.random.default_rng(13)
+def mixed_family(seed, n_lines, n_circles, n_points):
+    """Lines, circles and 0-planes in R^2 around the unit disk, drawn in rounds."""
+    rng = np.random.default_rng(seed)
     Gamma = []
-    for _ in range(6):
-        t = rng.uniform(0.0, 2 * np.pi)
-        Gamma.append(line(rng.uniform(-1.0, 1.0, size=2), (np.cos(t), np.sin(t))))
-        Gamma.append(circle(rng.uniform(-1.0, 1.0, size=2), rng.uniform(0.2, 1.0)))
-        Gamma.append(kplane(rng.uniform(-1.5, 1.5, size=2), np.zeros((0, 2))))
-    s, n = 3, 2
-    sampling = SamplingConfig(R=2.0, seed=4)
+    for k in range(max(n_lines, n_circles, n_points)):
+        if k < n_lines:
+            t = rng.uniform(0.0, 2 * np.pi)
+            Gamma.append(line(rng.uniform(-1.0, 1.0, size=2), (np.cos(t), np.sin(t))))
+        if k < n_circles:
+            Gamma.append(circle(rng.uniform(-1.0, 1.0, size=2), rng.uniform(0.2, 1.0)))
+        if k < n_points:
+            Gamma.append(kplane(rng.uniform(-1.5, 1.5, size=2), np.zeros((0, 2))))
+    return Gamma, rng
+
+
+@settings(max_examples=6)
+@given(
+    seed=st.integers(0, 2**16),
+    s=st.integers(1, 3),
+    mix=st.tuples(st.integers(0, 8), st.integers(0, 4), st.integers(0, 4)).filter(any),
+)
+@example(seed=11, s=3, mix=(40, 0, 0))
+@example(seed=13, s=3, mix=(6, 6, 6))
+def test_discrete_evaluator_matches_counts(seed, s, mix):
+    # lines are counted through their restrictions, circles and 0-planes
+    # through fixed samples; the one table must match cells.counts on all kinds
+    Gamma, rng = mixed_family(seed, *mix)
+    n = 2
+    sampling = SamplingConfig(R=2.0, seed=seed)
     ev = _discrete_evaluator(Gamma, n, s, sum(degree_schedule(n, s)), sampling)
 
     def check(y, _):
         want = counts(Gamma, to_polys(y, n), sampling, exact_lines=True).table
         assert np.array_equal(ev._table(), want)
 
-    drive_evaluator(ev, random_point(s, seed=3), rng, 20, check)
+    drive_evaluator(ev, random_point(s, seed=seed + 1), rng, 20, check)
+
+
+def test_levels_built_once_per_solve(monkeypatch):
+    # every restart anneals through one build of each delta level, so the
+    # tube clouds are sampled once per (level, circle), not once per restart
+    calls = []
+    real = moll_mod.tube_sample
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(moll_mod, "tube_sample", counted)
+    Gamma = [
+        circle((0.3, 0.0), 0.5),
+        circle((-0.3, 0.1), 0.4),
+        circle((0.1, -0.4), 0.7),
+        circle((-0.2, 0.5), 0.3),
+    ]
+    cfg = SolveConfig(
+        s=2,
+        n=2,
+        restarts=3,
+        iters=60,
+        seed=2,
+        objective="smooth",
+        delta_grid=(2.0**-2, 2.0**-3, 2.0**-4),
+        mc_count=256,
+        sampling=SamplingConfig(R=2.0, count=128),
+    )
+    rep = partition_varieties(Gamma, cfg)
+    assert len(calls) == 3 * len(Gamma)  # one build per restart would make 36
+    # recorded when each restart built its own levels: the same solve
+    assert rep.counts.table.tolist() == [4, 4, 3, 3]
+    assert rep.trace == [
+        (-1, 0.0),
+        (0, 0.0),
+        (20, 11.0),
+        (25, 3.0),
+        (26, 2.7147157203925163),
+        (34, 2.683318440359875),
+        (37, 2.670217404935684),
+        (52, 0.01600189997833571),
+        (53, 0.0),
+    ]
 
 
 def test_partition_self_check_names_first_differing_cell(monkeypatch):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from polypart.polyalg import degree_schedule, eval_poly
+from polypart.solver import _step_block
 from polypart.sphereprod import (
     XsPoint,
     block_poly,
@@ -9,7 +10,6 @@ from polypart.sphereprod import (
     flip,
     random_point,
     retract,
-    tangent_step,
     to_polys,
     xs_dim,
 )
@@ -58,19 +58,24 @@ def test_retract_identity_on_units():
 
 
 def test_tangent_step_zero_is_identity():
+    # the solver's one-block tangent step: h = 0 renormalizes block j alone
     x = random_point(3, seed=2)
-    d = [np.ones_like(b) for b in x.blocks]
-    y = tangent_step(x, d, 0.0)
-    assert y is x
+    for j in (1, 2, 3):
+        y = _step_block(x, j, np.ones(block_size(j)), 0.0)
+        for i, (a, b) in enumerate(zip(x.blocks, y.blocks), start=1):
+            if i == j:
+                assert np.allclose(a, b, rtol=0.0, atol=1e-15)
+            else:
+                assert np.array_equal(a, b)
 
 
 def test_tangent_step_stays_on_spheres():
     rng = np.random.default_rng(3)
     x = random_point(3, seed=4)
-    d = [rng.normal(size=b.shape) for b in x.blocks]
-    y = tangent_step(x, d, 0.3)
-    for b in y.blocks:
-        assert abs(np.linalg.norm(b) - 1.0) < 1e-12
+    for j in (1, 2, 3):
+        y = _step_block(x, j, rng.normal(size=block_size(j)), 0.3)
+        for b in y.blocks:
+            assert abs(np.linalg.norm(b) - 1.0) < 1e-12
 
 
 def test_to_polys_s1_example():
@@ -113,18 +118,6 @@ def test_product_degree_at_most_schedule_sum():
         polys = to_polys(x, 2)
         D = sum(degree_schedule(2, 3))
         assert poly_product_degree(polys) <= D
-
-
-def test_to_polys_custom_subspace():
-    a, b = 0.6, 0.8
-    x = XsPoint((np.array([a, b]),))
-    (p,) = to_polys(x, 2, subspaces=[np.array([0, 2])])  # monomials 1 and y
-    assert eval_poly(p, (5.0, 0.0)) == pytest.approx(a)
-    assert eval_poly(p, (0.0, 1.0)) == pytest.approx(a + b)
-    with pytest.raises(ValueError):
-        to_polys(x, 2, subspaces=[np.array([0, 0])])  # repeated index
-    with pytest.raises(ValueError):
-        to_polys(x, 2, subspaces=[np.array([0, 9])])  # out of range
 
 
 def test_flip_embedding_equivariance():

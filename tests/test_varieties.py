@@ -3,13 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from polypart.polyalg import eval_poly, from_terms
+from polypart.polyalg import eval_poly
 from polypart.varieties import (
-    UnsupportedVarietyError,
     build,
     circle,
     distance_to,
-    implicit,
     kplane,
     line,
     region_measure,
@@ -73,8 +71,6 @@ def test_build_errors():
         kplane((0.0, 0.0), np.eye(2))  # k >= n
     with pytest.raises(ValueError):
         kplane((0.0, 0.0, 0.0), np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]]))
-    with pytest.raises(ValueError):
-        implicit([from_terms(2, {(0, 0): 0.0})])
 
 
 def test_point_variety_k0():
@@ -95,13 +91,10 @@ def test_point_variety_k0():
 def test_build_dispatch():
     spec = build("line", {"point": [0.0, 1.0], "dir": [1.0, 0.0]})
     assert spec.kind == "line"
-    spec = build(
-        "implicit",
-        {"n": 2, "polys": [{"exponents": [[2, 0], [0, 2], [0, 0]], "coeffs": [1.0, 1.0, -1.0]}]},
-    )
-    assert spec.kind == "implicit" and spec.k == 1
-    with pytest.raises(ValueError):
-        build("torus", {})
+    # only kinds with a sampler are built: there is no implicit-only variety
+    for kind in ("implicit", "torus"):
+        with pytest.raises(ValueError, match=f"unsupported variety kind '{kind}'"):
+            build(kind, {})
 
 
 def test_sample_line_in_ball():
@@ -151,14 +144,6 @@ def test_sample_determinism():
     assert np.array_equal(a, b)
     c = sample_in_ball(spec, 1.0, 64, seed=8)
     assert not np.array_equal(a, c)
-
-
-def test_sampling_unsupported_without_sampler():
-    spec = implicit([from_terms(2, {(2, 0): 1.0, (0, 2): 1.0, (0, 0): -1.0})])
-    with pytest.raises(UnsupportedVarietyError):
-        sample_in_ball(spec, 1.0, 10, seed=0)
-    with pytest.raises(UnsupportedVarietyError):
-        tube_sample(spec, 0.1, 1.0, 10, seed=0)
 
 
 def band_area(delta, R):
