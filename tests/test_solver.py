@@ -246,6 +246,21 @@ def test_discrete_evaluator_matches_counts(seed, s, mix):
     drive_evaluator(ev, random_point(s, seed=seed + 1), rng, 20, check)
 
 
+def test_discrete_evaluator_matches_counts_on_sampled_varieties():
+    # circles and 0-planes are counted through fixed samples, lines through
+    # their restrictions; the one table must match cells.counts on all kinds
+    Gamma, rng = mixed_family(13, 6, 6, 6)
+    s, n = 3, 2
+    sampling = SamplingConfig(R=2.0, seed=4)
+    ev = _discrete_evaluator(Gamma, n, s, sum(degree_schedule(n, s)), sampling)
+
+    def check(y, _):
+        want = counts(Gamma, to_polys(y, n), sampling, exact_lines=True).table
+        assert np.array_equal(ev._table(), want)
+
+    drive_evaluator(ev, random_point(s, seed=3), rng, 20, check)
+
+
 def test_levels_built_once_per_solve(monkeypatch):
     # every restart anneals through one build of each delta level, so the
     # tube clouds are sampled once per (level, circle), not once per restart
