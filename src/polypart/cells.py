@@ -373,11 +373,14 @@ def _sturm_chains_of_degree(P: np.ndarray):
     return pad, bad
 
 
-def _certified_roots(P: np.ndarray) -> list:
-    """Sorted real companion eigenvalues r per row of one degree d >= 1, or None
-    where Sturm counts fail to certify them: V(-M) - V(M) must equal their number
-    (M the Cauchy bound), and the brackets [r-h, r+h], h = 0.5e-12*max(1, M),
-    must be disjoint, hold one root each and not end on an exact zero."""
+def _certified_roots(P: np.ndarray):
+    """Real companion eigenvalues r of the rows of one degree d >= 1, certified
+    by Sturm counts: V(-M) - V(M) must equal their number (M the Cauchy bound),
+    and the brackets [r-h, r+h], h = 0.5e-12*max(1, M), must be disjoint, hold
+    one root each and not end on an exact zero.
+
+    Returns (bad, rows, roots): bad flags the rows that fail, and rows, roots
+    list every root of the other rows, by row and ascending within a row."""
     m, d = P.shape[0], P.shape[1] - 1
     comp = np.zeros((m, d, d))
     comp[:, 0] = -P[:, 1:] / P[:, :1]
@@ -398,11 +401,14 @@ def _certified_roots(P: np.ndarray) -> list:
     bad[at[zero]] = True
     bad[ri[v_a - v_b != 1]] = True
     bad[ri[1:][(ri[1:] == ri[:-1]) & (np.diff(t) <= 2.0 * h[1:])]] = True
-    return [None if bad[i] else cand[i, : nreal[i]] for i in range(m)]
+    ok = ~bad[ri]
+    return bad, ri[ok], t[ok]
 
 
-def isolate_real_roots_many(coeff_rows) -> list[np.ndarray]:
-    """All distinct real roots per ascending-coefficient univariate polynomial.
+def isolate_real_roots_flat(coeff_rows) -> tuple[np.ndarray, np.ndarray]:
+    """All distinct real roots of ascending-coefficient univariate polynomials,
+    as (owners, roots): each root with its row index, grouped by row in row
+    order and ascending within a row.
 
     Takes an (m, w) array or a list of rows. Rows grouped by trimmed degree
     (as _trim_desc trims) get certified companion eigenvalues, the rest
@@ -412,15 +418,28 @@ def isolate_real_roots_many(coeff_rows) -> list[np.ndarray]:
     C = _as_rows(coeff_rows)
     keep = np.abs(C) > 1e-14 * np.abs(C).max(axis=1, keepdims=True)
     deg = np.where(keep.any(axis=1), C.shape[1] - 1 - np.argmax(keep[:, ::-1], axis=1), 0)
-    roots = [np.zeros(0) for _ in range(len(C))]
+    uncertified = np.zeros(len(C), dtype=bool)
+    owners, roots = [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
     for d in np.unique(deg[deg > 0]):
         rows = np.flatnonzero(deg == d)
-        for i, r in zip(rows, _certified_roots(C[rows, d::-1])):
-            roots[i] = r
-    failed = [i for i, r in enumerate(roots) if r is None]
-    for i, r in zip(failed, _isolate_by_bisection(C[failed])):
-        roots[i] = r
-    return roots
+        bad, ri, t = _certified_roots(C[rows, d::-1])
+        uncertified[rows[bad]] = True
+        owners.append(rows[ri])
+        roots.append(t)
+    for i, r in zip(np.flatnonzero(uncertified), _isolate_by_bisection(C[uncertified])):
+        owners.append(np.full(len(r), i))
+        roots.append(r)
+    owners, roots = np.concatenate(owners), np.concatenate(roots)
+    order = np.argsort(owners, kind="stable")  # each row's roots are one run
+    return owners[order], roots[order]
+
+
+def isolate_real_roots_many(coeff_rows) -> list[np.ndarray]:
+    """isolate_real_roots_flat as one array of roots per row."""
+    C = _as_rows(coeff_rows)
+    owners, roots = isolate_real_roots_flat(C)
+    ends = np.searchsorted(owners, np.arange(len(C) + 1))
+    return [roots[a:b] for a, b in zip(ends[:-1], ends[1:])]
 
 
 def _restriction_scale(p: Polynomial, A: np.ndarray) -> np.ndarray:
@@ -459,10 +478,9 @@ def line_restriction_roots(A: np.ndarray, U: np.ndarray, p: Polynomial) -> LineR
     C = restrict_to_line_batch(p, A, U)
     degenerate = np.abs(C).max(axis=1) < _DEGENERATE_TOL * _restriction_scale(p, A)
     C[degenerate] = 0.0
-    roots = isolate_real_roots_many(C)
-    owners = np.repeat(np.arange(len(C)), [len(r) for r in roots])
+    owners, roots = isolate_real_roots_flat(C)
     tol = float(_sign_tols([p], None)[0] * 1e-2)
-    return LineRestriction(C, degenerate, owners, np.concatenate(roots), tol)
+    return LineRestriction(C, degenerate, owners, roots, tol)
 
 
 _MERGE_TOL = 1e-9

@@ -22,7 +22,9 @@ import numpy as np
 from . import equivariant as eq
 from .cells import CellCounts, SamplingConfig, cells_entered_line, index_w
 from .mollifier import schedule
-from .polyalg import MonomialBasis, Polynomial, degree_schedule, grad_bound
+from .polyalg import (
+    MAX_BASIS_DIM, MonomialBasis, Polynomial, basis_dim, degree_schedule, grad_bound
+)
 from .solver import PartitionReport, SolveConfig, partition_points, partition_varieties
 from .spectrum import MAX_S, is_equidistributed, lemma_identity_check, wht_table
 from .sphereprod import retract
@@ -333,6 +335,18 @@ def _check_solve_flags(args) -> None:
         raise InstanceError(f"--seed must be >= 0, got {args.seed}")
 
 
+def _check_basis_budget(n: int, s: int) -> None:
+    """Reject an --s whose largest block basis (the last, as the degree
+    schedule never decreases) exceeds MAX_BASIS_DIM, by arithmetic alone."""
+    D = degree_schedule(n, s)[-1]
+    dim = basis_dim(n, D)
+    if dim > MAX_BASIS_DIM:
+        raise InstanceError(
+            f"--s {s} needs a degree-{D} block with {dim} monomials in R^{n}; "
+            f"at most {MAX_BASIS_DIM} are supported"
+        )
+
+
 def _check_family(varieties) -> None:
     """Reject a family whose varieties differ in dimension k, before solving."""
     for i, g in enumerate(varieties):
@@ -348,6 +362,7 @@ def cmd_partition(args) -> int:
     if not (math.isfinite(args.radius) and args.radius > 0):
         raise InstanceError(f"--radius must be finite and > 0, got {args.radius}")
     inst = load_instance(args.input)
+    _check_basis_budget(inst.n, args.s)
     _check_family(inst.varieties)
     if not inst.varieties:
         # empty families still produce a valid all-zero report
@@ -384,6 +399,7 @@ def cmd_partition(args) -> int:
 def cmd_partition_points(args) -> int:
     _check_solve_flags(args)
     inst = load_instance(args.input)
+    _check_basis_budget(inst.n, args.s)
     if inst.points is None:
         raise InstanceError("field 'points': required for partition-points")
     cfg = SolveConfig(

@@ -15,6 +15,10 @@ import numpy as np
 
 # basis_dim results must stay usable as array sizes / int64 indices
 _DIM_LIMIT = 2**62
+# largest basis a MonomialBasis enumerates: every table built on one has a
+# column per monomial, so a degree-1023 basis in R^2 (524,800 monomials) would
+# need gigabytes on a thousand points
+MAX_BASIS_DIM = 4096
 
 
 def _grlex_exponents(n: int, D: int) -> list[tuple[int, ...]]:
@@ -40,12 +44,17 @@ class MonomialBasis:
             raise ValueError(f"need n >= 1, got {n}")
         if D < 0:
             raise ValueError(f"need D >= 0, got {D}")
+        dim = basis_dim(n, D)
+        if dim > MAX_BASIS_DIM:
+            raise ValueError(
+                f"degree {D} in R^{n} has {dim} monomials; at most {MAX_BASIS_DIM} are supported"
+            )
         self.n = n
         self.D = D
         self.monomials = _grlex_exponents(n, D)
         self.exponents = np.array(self.monomials, dtype=np.int64)
         self.exponents.flags.writeable = False  # cached instances are shared
-        assert len(self.monomials) == basis_dim(n, D)
+        assert len(self.monomials) == dim
 
     def __len__(self) -> int:
         return len(self.monomials)
@@ -162,7 +171,17 @@ def monomial_matrix(X: np.ndarray, basis: MonomialBasis) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != basis.n:
         raise ValueError(f"points have shape {X.shape}, expected (m, {basis.n})")
-    pt = X[:, :, None] ** np.arange(basis.D + 1)[None, None, :]
+    D = basis.D
+    pt = np.empty(X.shape + (D + 1,))
+    pt[:, :, 0] = 1.0
+    pt[:, :, 1:2] = X[:, :, None]  # an empty slice when D = 0
+    # np.power with a full exponent array rounds x**e as the table X ** [0..D]
+    # did; a one-entry call takes numpy's scalar path (x*x for e = 2), so a
+    # lone point runs e = 1 through it as well
+    lo = 1 if X.size == 1 else 2
+    high = pt[:, :, lo:]
+    high[...] = np.arange(lo, D + 1)
+    np.power(X[:, :, None], high, out=high)
     out = pt[:, 0, basis.exponents[:, 0]]
     for i in range(1, basis.n):
         out *= pt[:, i, basis.exponents[:, i]]  # left to right, as np.prod rounds
@@ -234,6 +253,7 @@ def restrict_to_line_batch(p: Polynomial, A: np.ndarray, U: np.ndarray) -> np.nd
     U = np.asarray(U, dtype=np.float64)
     m = A.shape[0]
     out = np.zeros((m, p.basis.D + 1))
+    facs = {}  # (i, e) -> coefficients of (A_i + U_i t)^e per line, ascending
     for expo, c in zip(p.basis.monomials, p.coeffs):
         if c == 0.0:
             continue
@@ -241,9 +261,12 @@ def restrict_to_line_batch(p: Polynomial, A: np.ndarray, U: np.ndarray) -> np.nd
         for i, e in enumerate(expo):
             if e == 0:
                 continue
-            r = np.arange(e + 1)
-            binom = np.array([math.comb(e, int(k)) for k in r], dtype=np.float64)
-            fac = binom[None, :] * A[:, i : i + 1] ** (e - r)[None, :] * U[:, i : i + 1] ** r[None, :]
+            fac = facs.get((i, e))
+            if fac is None:
+                r = np.arange(e + 1)
+                binom = np.array([math.comb(e, int(k)) for k in r], dtype=np.float64)
+                fac = binom[None, :] * A[:, i : i + 1] ** (e - r)[None, :] * U[:, i : i + 1] ** r[None, :]
+                facs[(i, e)] = fac
             new = np.zeros((m, conv.shape[1] + e))
             for k in range(conv.shape[1]):
                 new[:, k : k + e + 1] += conv[:, k : k + 1] * fac

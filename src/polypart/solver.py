@@ -68,16 +68,6 @@ class PartitionReport:
     meta: dict = field(default_factory=dict)
 
 
-def objective_discrete(Gamma, x: XsPoint, sampling: SamplingConfig) -> float:
-    """Sum of squared nonzero-frequency balance values of the discrete counts,
-    lines counted exactly."""
-    if not Gamma:
-        return 0.0
-    pvec = to_polys(x, _ambient(Gamma))
-    table = cells_mod.counts(Gamma, pvec, sampling, exact_lines=True).table
-    return spectral_power(table)
-
-
 def _ambient(Gamma) -> int:
     if not Gamma:
         raise ValueError("need at least one variety")
@@ -263,12 +253,19 @@ def partition_varieties(Gamma: list[VarietySpec], cfg: SolveConfig) -> Partition
                 ev_tables[r] = ev._table()
         offset += iters
         del ev  # one level's caches alive at a time
+    finals = None
     if cfg.objective == "smooth":
-        objs = [objective_discrete(Gamma, x, sampling) for x in xs]
+        # ranked by their discrete counts, each restart counted once; the
+        # best one's table goes into the report as it is
+        finals = [cells_mod.counts(Gamma, to_polys(x, n), sampling, exact_lines=True) for x in xs]
+        objs = [spectral_power(c.table) for c in finals]
     best = min(restarts, key=objs.__getitem__)  # the first on ties
     x, trace, ev_table = xs[best], traces[best], ev_tables[best]
     pvec = to_polys(x, n)
-    table = cells_mod.counts(Gamma, pvec, sampling, exact_lines=True)
+    if finals is None:
+        table = cells_mod.counts(Gamma, pvec, sampling, exact_lines=True)
+    else:
+        table = finals[best]
     if ev_table is not None and not np.array_equal(ev_table, table.table):
         i = int(np.flatnonzero(ev_table != table.table)[0])
         raise SelfCheckError(

@@ -161,7 +161,7 @@ def test_isolation_batched_agrees_with_bisection():
     for deg in range(1, 9):
         rows += [rng.normal(size=deg + 1) for _ in range(25)]
     # generic rows are certified, so the comparison below exercises the new path
-    assert all(cells._certified_roots(r[None, ::-1])[0] is not None for r in rows)
+    assert not any(cells._certified_roots(r[None, ::-1])[0].any() for r in rows)
     # leading near-zeros trim to a lower degree; constants have no roots
     rows += [np.r_[rng.normal(size=3), 1e-17], np.r_[rng.normal(size=2), 0.0, 0.0]]
     rows += [np.array([2.5]), np.zeros(4)]
@@ -196,8 +196,8 @@ def isolation_outcome(fn, rows):
     ],
 )
 def test_isolation_uncertified_rows_take_bisection(asc):
-    (certified,) = cells._certified_roots(asc[None, ::-1])
-    assert certified is None
+    bad, rows, roots = cells._certified_roots(asc[None, ::-1])
+    assert bad.tolist() == [True] and len(rows) == len(roots) == 0
     assert isolation_outcome(isolate_real_roots_many, [asc]) == isolation_outcome(
         cells._isolate_by_bisection, [asc]
     )
@@ -221,9 +221,11 @@ def _endpoint_on_root(h):
 )
 def test_certification_rejects_wrong_candidates(monkeypatch, cands):
     P = np.array([[1.0, 0.0, -1.0]])  # t^2 - 1, Cauchy bound 2, h = 1e-12
-    assert np.array_equal(cells._certified_roots(P)[0], [-1.0, 1.0])
+    bad, rows, roots = cells._certified_roots(P)
+    assert not bad.any() and rows.tolist() == [0, 0] and roots.tolist() == [-1.0, 1.0]
     monkeypatch.setattr(np.linalg, "eigvals", lambda comp: np.array([cands]))
-    assert cells._certified_roots(P) == [None]
+    bad, rows, roots = cells._certified_roots(P)
+    assert bad.tolist() == [True] and len(rows) == len(roots) == 0
 
 
 def test_isolation_errors_still_raise(monkeypatch):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from polypart.cells import CellCounts, SamplingConfig, counts, point_counts
-from polypart import cli
+from polypart import cli, polyalg
 from polypart.cli import Instance, InstanceError, load_instance, load_pvec, main
 
 
@@ -186,6 +186,34 @@ def test_bad_solver_flags_exit_2(tmp_path, capsys, command, flag, value):
     err = capsys.readouterr().err
     assert flag in err and len(err.strip().splitlines()) == 1
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["partition", "partition-points"])
+def test_basis_budget_exit_2(tmp_path, capsys, monkeypatch, command):
+    # --s 20 in R^2 needs a degree-1023 block with 524,800 monomials; the guard
+    # reads that from the degree schedule before any basis is enumerated
+    inst = write_instance(
+        tmp_path,
+        {
+            "n": 2,
+            "varieties": [{"kind": "line", "point": [0.0, 0.1], "dir": [1.0, 0.0]}],
+            "points": [[0.1, 0.2], [0.3, 0.4]],
+        },
+    )
+    load_instance(inst)  # the line's own degree-1 basis is built here, once
+
+    def enumerated(*args):
+        raise AssertionError("a basis was enumerated past the budget guard")
+
+    monkeypatch.setattr(polyalg, "_grlex_exponents", enumerated)
+    rc = main([command, "--input", inst, "--s", "20", "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "--s 20" in err and str(polyalg.MAX_BASIS_DIM) in err
+    assert len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "o").exists()
+    with pytest.raises(ValueError, match="524800 monomials"):
+        polyalg.MonomialBasis(2, 1023)
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 
@@ -224,18 +225,45 @@ def test_restrict_to_line_batch_matches_single():
         assert np.allclose(batch[i], single, rtol=1e-12, atol=1e-12)
 
 
+def test_restrict_to_line_batch_pinned_bits():
+    # 200 lines through the unit disk and one random polynomial per block
+    # degree of s = 4; the digest was recorded when every binomial factor was
+    # rebuilt per monomial, so reusing a factor must not move a single bit
+    rng = np.random.default_rng(21)
+    theta = rng.uniform(0.0, 2 * np.pi, size=200)
+    U = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    A = rng.uniform(-1.0, 1.0, size=(200, 1)) * np.stack([-U[:, 1], U[:, 0]], axis=1)
+    h = hashlib.sha256()
+    for D in sorted(set(degree_schedule(2, 4))):
+        basis = monomial_basis(2, D)
+        p = Polynomial(basis, rng.normal(size=len(basis)))
+        h.update(restrict_to_line_batch(p, A, U).tobytes())
+    assert h.hexdigest() == "71c09fa861b901493badf58c123758ca528241bebfca5f721c5235f0f20b88cb"
+
+
 def test_monomial_matrix_rounds_as_gather_prod():
     # reference: the (m, dim, n) gather reduced by np.prod, which the line and
     # point solvers used before; the table must match it bit for bit
     rng = np.random.default_rng(3)
+    special = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-310, np.inf, -np.inf, np.nan])
+    # values whose pow(x, 2) and x*x round apart on this platform, if any: a
+    # table that squared by x*x anywhere would differ from the reference there
+    pool = rng.normal(size=4096) * 3.0
+    split = pool[(pool[:, None] ** np.arange(3))[:, 2] != pool * pool]
     for n in range(1, 5):
-        for D in range(8):
+        for D in range(10):
             basis = monomial_basis(n, D)
-            X = rng.normal(size=(50, n)) * rng.choice([1e-3, 1.0, 30.0])
-            pt = X[:, :, None] ** np.arange(D + 1)[None, None, :]
             cols = np.broadcast_to(np.arange(n), basis.exponents.shape)
-            ref = np.prod(pt[:, cols, basis.exponents], axis=2)
-            assert np.array_equal(monomial_matrix(X, basis), ref)
+            for m in (1, 2, 17, 4099):
+                X = rng.normal(size=(m, n)) * rng.choice([1e-3, 1.0, 30.0])
+                X.flat[: len(split)] = split[: X.size]
+                if m > 2:
+                    X[:8] = rng.permuted(np.broadcast_to(special[:, None], (8, n)), axis=0)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    pt = X[:, :, None] ** np.arange(D + 1)[None, None, :]
+                    ref = np.prod(pt[:, cols, basis.exponents], axis=2)
+                    got = monomial_matrix(X, basis)
+                assert np.array_equal(got, ref, equal_nan=True)
 
 
 def test_monomial_matrix_columns_and_eval():

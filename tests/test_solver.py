@@ -14,7 +14,6 @@ from polypart.solver import (
     _discrete_evaluator,
     _smooth_evaluator,
     _step_block,
-    objective_discrete,
     partition_points,
     partition_varieties,
 )
@@ -27,16 +26,21 @@ def crossing_lines():
     return [line((0.0, 1.0), (1.0, 0.0)), line((1.0, 0.0), (0.0, 1.0))]
 
 
+def discrete_objective(Gamma, x, sampling, n=2):
+    """Spectral power of the discrete counts at x, lines counted exactly."""
+    return spectral_power(counts(Gamma, to_polys(x, n), sampling, exact_lines=True).table)
+
+
 def test_objective_discrete_quadrant_value():
     # the quadrant configuration has counts (2,1,1,0) whose spectral power is 8
     x = XsPoint((np.array([0.0, 1.0]), np.array([0.0, 0.0, 1.0])))  # P1 = x1, P2 = x2
-    val = objective_discrete(crossing_lines(), x, SamplingConfig(R=2.0, count=512, seed=0))
+    val = discrete_objective(crossing_lines(), x, SamplingConfig(R=2.0, count=512, seed=0))
     assert val == 8.0
 
 
 def test_objective_discrete_empty_family():
     x = random_point(2, seed=0)
-    assert objective_discrete([], x, SamplingConfig(R=2.0)) == 0.0
+    assert discrete_objective([], x, SamplingConfig(R=2.0)) == 0.0
 
 
 def test_objective_flip_invariance():
@@ -44,10 +48,10 @@ def test_objective_flip_invariance():
     cfg = SamplingConfig(R=3.0, count=256, seed=1)
     for seed in range(10):
         x = random_point(2, seed=seed)
-        base = objective_discrete(Gamma, x, cfg)
+        base = discrete_objective(Gamma, x, cfg)
         for j in (1, 2):
-            assert objective_discrete(Gamma, flip(x, j), cfg) == base
-        assert objective_discrete(Gamma, flip(flip(x, 1), 2), cfg) == base
+            assert discrete_objective(Gamma, flip(x, j), cfg) == base
+        assert discrete_objective(Gamma, flip(flip(x, 1), 2), cfg) == base
 
 
 def test_objective_smooth_empty_and_flip():
@@ -80,7 +84,7 @@ def coarse_grid_min(Gamma, sampling):
         b1 = np.array([np.cos(a), np.sin(a)])
         for v in sphere:
             x = XsPoint((b1, v))
-            best = min(best, objective_discrete(Gamma, x, sampling))
+            best = min(best, discrete_objective(Gamma, x, sampling))
     return best
 
 
@@ -263,7 +267,8 @@ def test_discrete_evaluator_matches_counts_on_sampled_varieties():
 
 def test_levels_built_once_per_solve(monkeypatch):
     # every restart anneals through one build of each delta level, so the
-    # tube clouds are sampled once per (level, circle), not once per restart
+    # tube clouds are sampled once per (level, circle), not once per restart;
+    # each restart's final tuple is counted once, the best one not again
     calls = []
     real = moll_mod.tube_sample
 
@@ -272,6 +277,14 @@ def test_levels_built_once_per_solve(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(moll_mod, "tube_sample", counted)
+    count_calls = []
+    real_counts = cells_mod.counts
+
+    def counted_counts(*args, **kwargs):
+        count_calls.append(args[1])
+        return real_counts(*args, **kwargs)
+
+    monkeypatch.setattr(cells_mod, "counts", counted_counts)
     Gamma = [
         circle((0.3, 0.0), 0.5),
         circle((-0.3, 0.1), 0.4),
@@ -291,6 +304,7 @@ def test_levels_built_once_per_solve(monkeypatch):
     )
     rep = partition_varieties(Gamma, cfg)
     assert len(calls) == 3 * len(Gamma)  # one build per restart would make 36
+    assert len(count_calls) == cfg.restarts  # counting the best again made 4
     # recorded when each restart built its own levels: the same solve
     assert rep.counts.table.tolist() == [4, 4, 3, 3]
     assert rep.trace == [
