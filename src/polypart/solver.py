@@ -302,20 +302,51 @@ def partition_varieties(Gamma: list[VarietySpec], cfg: SolveConfig) -> Partition
 # Point partitioning by sequential bisection.
 
 
-def _imbalances(vals, bucket, n_parts, tau=1e-9):
+TAU = 1e-9  # a point with |value| <= TAU lies on the polynomial's boundary
+_CHUNK = 16  # polish proposals scored by one matrix product
+
+
+def _signs(vals):
+    """+1 or -1 for a value off the boundary (|v| > TAU), by its sign; 0 on it.
+
+    int8, and equal to np.copysign(np.abs(vals) > TAU, vals) for every value
+    (±0 and NaN read 0), by two comparisons instead of copysign's slower loop.
+    """
+    return (vals > TAU).view(np.int8) - (vals < -TAU).view(np.int8)
+
+
+def _imbalances(vals, bucket, n_parts):
     """|#positive - #negative| per part over the points off the boundary.
 
     bucket[i] is point i's part, or n_parts for a dead point (one that lay on
     an earlier boundary); that extra bucket is counted and dropped. The
     weights are 0 or +-1, so the sums are exact in any order.
     """
-    weights = np.copysign(np.abs(vals) > tau, vals)
-    signed = np.bincount(bucket, weights=weights, minlength=n_parts + 1)[:n_parts]
+    signed = np.bincount(bucket, weights=_signs(vals), minlength=n_parts + 1)[:n_parts]
     return np.abs(signed).astype(np.int64)
 
 
-def _bisect_score(vals, bucket, n_parts):
-    imb = _imbalances(vals, bucket, n_parts)
+def _part_segments(bucket, n_parts):
+    """The live points sorted by part, as (order, starts, filled): order
+    indexes them, and the nonempty part filled[i] is the segment starting at
+    starts[i] of that order."""
+    live = np.flatnonzero(bucket < n_parts)
+    order = live[np.argsort(bucket[live], kind="stable")]
+    sizes = np.bincount(bucket[live], minlength=n_parts)
+    filled = np.flatnonzero(sizes)
+    return order, (np.cumsum(sizes) - sizes)[filled], filled
+
+
+def _imbalance_rows(vals, starts, filled, n_parts):
+    """_imbalances of every row of vals, whose columns are the live points in
+    _part_segments order; a part with no points reads 0. The sums are exact."""
+    out = np.zeros((len(vals), n_parts), dtype=np.int64)
+    if len(filled):
+        out[:, filled] = np.abs(np.add.reduceat(_signs(vals), starts, axis=1, dtype=np.int64))
+    return out
+
+
+def _bisect_score(imb):
     return int(imb.max()), int(imb.dot(imb))
 
 
@@ -382,17 +413,59 @@ def _polish(M, bucket, c, n_parts, rng, proposals=300):
 
     The proposal noise is drawn in one call, which gives the same stream as
     one draw per proposal; the caller does not use rng afterwards.
+
+    Proposals are scored _CHUNK at a time from the current best: one product
+    of the chunk's normalized rows with the live points sorted by part, and
+    one reduceat over the parts. The walk takes the first row that scores no
+    worse, rebuilt exactly as a lone proposal, and the next chunk starts after
+    it. A batched value is a row of M dotted, in another order, with the
+    proposal normalized by a norm that may round differently; with |M| <=
+    scale and u = 2^-53 it differs from the lone M @ cand by at most about
+    4 dim (dim + 1) u scale, and `margin` is at least four times that. A
+    row with a value within margin of TAU is scored again from M @ cand, so
+    every sign, and every decision, is the lone proposal's.
     """
     best = c
-    best_score = _bisect_score(M @ c, bucket, n_parts)
+    best_score = _bisect_score(_imbalances(M @ c, bucket, n_parts))
     noise = rng.normal(size=(proposals, len(best)))
-    for k in range(proposals):
-        h = 0.3 * (0.03 / 0.3) ** (k / max(proposals - 1, 1))
-        cand = best + h * noise[k]
+    steps = np.array(
+        [0.3 * (0.03 / 0.3) ** (k / max(proposals - 1, 1)) for k in range(proposals)]
+    )
+
+    def lone(k):  # proposal k from the current best, built as if scored alone
+        cand = best + steps[k] * noise[k]
         cand /= math.sqrt(cand.dot(cand))  # np.linalg.norm of a 1-D array
-        score = _bisect_score(M @ cand, bucket, n_parts)
-        if score <= best_score:
-            best, best_score = cand, score
+        return cand
+
+    order, starts, filled = _part_segments(bucket, n_parts)
+    live_t = M[order].T.copy()
+    dim = M.shape[1]
+    scale = float(np.abs(M).max(initial=0.0))
+    # |v| <= scale * dim, so below 1e300 nothing overflows; else score exactly
+    margin = 8 * (dim + 2) * dim * 2.0**-52 * scale if scale * dim < 1e300 else math.inf
+    k0 = 0
+    while k0 < proposals:
+        rows = best + steps[k0 : k0 + _CHUNK, None] * noise[k0 : k0 + _CHUNK]
+        rows /= np.sqrt(np.einsum("ij,ij->i", rows, rows))[:, None]
+        vals = rows @ live_t
+        imbs = _imbalance_rows(vals, starts, filled, n_parts)
+        # each value's distance from TAU, in place; NaN fails the comparison,
+        # so its row is scored exactly as well
+        dist = np.abs(vals)
+        dist -= TAU
+        sure = np.abs(dist, out=dist).min(axis=1, initial=math.inf) > margin
+        start, k0 = k0, k0 + len(rows)
+        for i, imb in enumerate(imbs):
+            cand = None
+            if not sure[i]:
+                cand = lone(start + i)
+                imb = _imbalances(M @ cand, bucket, n_parts)
+            score = _bisect_score(imb)
+            if score <= best_score:
+                best = lone(start + i) if cand is None else cand
+                best_score = score
+                k0 = start + i + 1
+                break
     return best, best_score
 
 
@@ -437,10 +510,9 @@ def partition_points(X, s: int, cfg: SolveConfig) -> PartitionReport:
             imbalance_trace.append(
                 {"step": j, "part": p, "size": int(sizes[p]), "imbalance": int(imb[p])}
             )
-        tau = 1e-9
-        boundary = np.abs(vals) <= tau
+        boundary = np.abs(vals) <= TAU
         alive &= ~boundary
-        part = part | ((vals < -tau).astype(np.int64) << (j - 1))
+        part = part | ((vals < -TAU).astype(np.int64) << (j - 1))
 
     table = point_counts(X, pvec)
     max_count = int(table.table.max())

@@ -3,17 +3,32 @@
 The pinned figures below were recorded from the solver before its kernels
 were bucketed (dead points in their own bucket, one flat bincount per
 Jacobian, the polish noise drawn at once); the rewrite must reproduce every
-decision and coefficient bit for bit.
+decision and coefficient bit for bit. The chunked polish is held to a copy
+of the one-proposal-at-a-time polish it replaced.
 """
 
 import hashlib
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polypart.solver import SolveConfig, _imbalances, _jacobian, partition_points
+from polypart import solver
+from polypart.polyalg import degree_schedule, monomial_basis, monomial_matrix
+from polypart.solver import (
+    TAU,
+    SolveConfig,
+    _imbalance_rows,
+    _imbalances,
+    _jacobian,
+    _part_segments,
+    _polish,
+    _signs,
+    partition_points,
+)
+from polypart.sphereprod import block_size
 
 PINNED = [
     {
@@ -65,10 +80,19 @@ def test_partition_points_rejects_non_finite(bad):
         partition_points(X, 2, SolveConfig(s=2, n=2, restarts=1, iters=10))
 
 
-TAU = 1e-9
 _value = st.one_of(
     st.sampled_from(
-        [0.0, -0.0, TAU, -TAU, np.nextafter(TAU, 1.0), np.nextafter(-TAU, -1.0), 0.5 * TAU]
+        [
+            0.0,
+            -0.0,
+            TAU,
+            -TAU,
+            np.nextafter(TAU, 1.0),
+            np.nextafter(-TAU, -1.0),
+            np.nextafter(TAU, 0.0),
+            np.nextafter(-TAU, 0.0),
+            0.5 * TAU,
+        ]
     ),
     st.floats(-10.0, 10.0, allow_nan=False),
 )
@@ -92,14 +116,26 @@ def test_bucketed_imbalances_match_brute_force(drawn):
     vals = np.array([v for v, _, _ in points])
     part = np.array([p for _, p, _ in points], dtype=np.int64)
     alive = np.array([a for _, _, a in points])
-    want = np.zeros(n_parts, dtype=np.int64)
-    for p in range(n_parts):
-        pos = sum(1 for v, q, a in points if a and q == p and v > TAU)
-        neg = sum(1 for v, q, a in points if a and q == p and v < -TAU)
-        want[p] = abs(pos - neg)
-    got = _imbalances(vals, np.where(alive, part, n_parts), n_parts, TAU)
+    assert np.array_equal(_signs(vals), np.copysign(np.abs(vals) > TAU, vals))
+
+    def brute(sign):
+        want = np.zeros(n_parts, dtype=np.int64)
+        for p in range(n_parts):
+            pos = sum(1 for (v, q, a) in points if a and q == p and sign * v > TAU)
+            neg = sum(1 for (v, q, a) in points if a and q == p and sign * v < -TAU)
+            want[p] = abs(pos - neg)
+        return want
+
+    bucket = np.where(alive, part, n_parts)
+    got = _imbalances(vals, bucket, n_parts)
     assert got.dtype == np.int64
-    assert np.array_equal(got, want)
+    assert np.array_equal(got, brute(1.0))
+    # the polish's batched kernel, row by row: the live points sorted by part
+    order, starts, filled = _part_segments(bucket, n_parts)
+    rows = _imbalance_rows(np.stack([vals, -vals])[:, order], starts, filled, n_parts)
+    assert rows.dtype == np.int64
+    assert np.array_equal(rows[0], brute(1.0))
+    assert np.array_equal(rows[1], brute(-1.0))
 
 
 @settings(max_examples=200)
@@ -125,3 +161,104 @@ def test_flat_bincount_jacobian_equals_add_at(N, dim, n_parts, seed):
     got = _jacobian(M, W, keys, n_parts)
     assert got.shape == want.shape
     assert got.tobytes() == want.tobytes()
+
+
+def _polish_reference(M, bucket, c, n_parts, rng, proposals=300):
+    """The polish as it was before chunked scoring: one matrix-vector product
+    and one bincount per proposal."""
+
+    def score(vals):
+        weights = np.copysign(np.abs(vals) > 1e-9, vals)
+        signed = np.bincount(bucket, weights=weights, minlength=n_parts + 1)[:n_parts]
+        imb = np.abs(signed).astype(np.int64)
+        return int(imb.max()), int(imb.dot(imb))
+
+    best = c
+    best_score = score(M @ c)
+    noise = rng.normal(size=(proposals, len(best)))
+    for k in range(proposals):
+        h = 0.3 * (0.03 / 0.3) ** (k / max(proposals - 1, 1))
+        cand = best + h * noise[k]
+        cand /= math.sqrt(cand.dot(cand))
+        s = score(M @ cand)
+        if s <= best_score:
+            best, best_score = cand, s
+    return best, best_score
+
+
+@settings(max_examples=120)
+@given(
+    j=st.integers(1, 6),
+    N=st.integers(1, 300),
+    dead=st.sampled_from([0.0, 0.2, 1.0]),
+    empty=st.sampled_from(["none", "middle", "last"]),
+    proposals=st.sampled_from([0, 1, 15, 16, 17, 300]),
+    descend=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_chunked_polish_equals_one_at_a_time(j, N, dead, empty, proposals, descend, seed):
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(size=(N, 2))
+    M = monomial_matrix(X, monomial_basis(2, degree_schedule(2, 6)[j - 1]))[:, : block_size(j)]
+    n_parts = 2 ** (j - 1)
+    part = rng.integers(0, n_parts, size=N)
+    if empty == "middle" and n_parts >= 3:
+        part[part == n_parts // 2] = 0
+    if empty == "last" and n_parts >= 2:
+        part[part == n_parts - 1] = 0
+    bucket = np.where(rng.random(N) < dead, n_parts, part)
+    c = rng.normal(size=M.shape[1])
+    c /= np.linalg.norm(c)
+    if descend:  # the solver's starts: few proposals are accepted after descent
+        c = solver._smooth_descent(M, bucket, c, n_parts)
+    want = _polish_reference(M, bucket, c, n_parts, np.random.default_rng(seed), proposals)
+    got = _polish(M, bucket, c, n_parts, np.random.default_rng(seed), proposals)
+    assert got[0].tobytes() == want[0].tobytes()
+    assert got[1] == want[1]
+
+
+def test_polish_guard_rescores_values_at_tau(monkeypatch):
+    # one point whose row is TAU times proposal 0, so that proposal's value
+    # is TAU to the last bits: exactly TAU here, which is on the boundary, so
+    # proposal 0 is accepted. The chunk's batched product puts the value on
+    # the other side of TAU; only the guard's exact re-score keeps the
+    # decision.
+    dim, seed, proposals = 12, 0, 16
+    c = np.random.default_rng((seed, dim)).normal(size=dim)
+    c /= math.sqrt(c.dot(c))
+    noise = np.random.default_rng(seed).normal(size=(proposals, dim))
+    cand = c + 0.3 * noise[0]
+    cand /= math.sqrt(cand.dot(cand))
+    M = (TAU * cand)[None, :]
+    bucket = np.zeros(1, dtype=np.int64)
+    assert abs((M @ cand)[0] - TAU) < 1e-16
+    exact = []
+    imbalances = solver._imbalances
+
+    def counted(*args):
+        exact.append(args)
+        return imbalances(*args)
+
+    monkeypatch.setattr(solver, "_imbalances", counted)
+    got = _polish(M, bucket, c, 1, np.random.default_rng(seed), proposals)
+    want = _polish_reference(M, bucket, c, 1, np.random.default_rng(seed), proposals)
+    assert got[0].tobytes() == want[0].tobytes()
+    assert got[1] == want[1]
+    assert len(exact) >= 2  # the start, and at least one guarded proposal
+
+
+def test_bisect_score_once_per_proposal(monkeypatch):
+    # the count the benchmark's proposals_per_s rests on: every polish
+    # proposal and every start goes through _bisect_score, none past it
+    calls = []
+    score = solver._bisect_score
+
+    def counted(imb):
+        calls.append(1)
+        return score(imb)
+
+    monkeypatch.setattr(solver, "_bisect_score", counted)
+    X = np.random.default_rng(6).uniform(size=(300, 2))
+    s, restarts, iters = 4, 2, 300
+    partition_points(X, s, SolveConfig(s=s, n=2, restarts=restarts, iters=iters, seed=6))
+    assert len(calls) == s * restarts * (iters // 2 + 1)

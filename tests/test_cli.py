@@ -269,16 +269,17 @@ def test_verify_suite_bad_s_exit_2(monkeypatch, capsys, command, value):
     assert "--s" in err and len(err.strip().splitlines()) == 1
 
 
-@pytest.mark.parametrize("value", ["11", "20"])
+@pytest.mark.parametrize("value", ["9", "10", "11", "20"])
 def test_verify_borsuk_s_above_zero_limit_exit_2(monkeypatch, capsys, value):
-    # within --s's general range but above what g_zeros enumerates
+    # within --s's general range but above the suite's practical limit (9, 10)
+    # or what g_zeros enumerates (11, 20)
     def reached(*args, **kwargs):
         raise AssertionError("suite ran past the --s guard")
 
     monkeypatch.setattr(cli.eq, "g_zeros", reached)
     assert main(["verify-borsuk", "--s", value]) == 2
     err = capsys.readouterr().err
-    assert f"--s must be in 1..{cli.eq.MAX_ZERO_S}" in err
+    assert f"--s must be in 1..{cli.MAX_BORSUK_S}" in err
     assert len(err.strip().splitlines()) == 1
 
 
