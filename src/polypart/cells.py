@@ -128,6 +128,15 @@ def sign_vector_many(pvec, X, tau=None):
     return idx, ~interior
 
 
+def _distinct(keys: np.ndarray) -> np.ndarray:
+    """The distinct entries of an integer array, ascending: np.unique by one
+    sort and an adjacent-difference mask."""
+    keys = np.sort(keys)
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    return keys[first]
+
+
 def entered_cells_sampled(spec: VarietySpec, pvec, sampling: SamplingConfig) -> set:
     """Sign vectors realized by samples of the variety inside B_R (one-sided)."""
     D = sum(p.degree() for p in pvec)
@@ -136,7 +145,7 @@ def entered_cells_sampled(spec: VarietySpec, pvec, sampling: SamplingConfig) -> 
     if len(pts) == 0:
         return set()
     idx, boundary = sign_vector_many(pvec, pts)
-    return {index_w(int(i), len(pvec)) for i in np.unique(idx[~boundary])}
+    return {index_w(int(i), len(pvec)) for i in _distinct(idx[~boundary])}
 
 
 def counts(
@@ -158,10 +167,9 @@ def counts(
         i for i, g in enumerate(Gamma) if exact_lines and isinstance(g.sampler, LineSampler)
     ]
     if line_ids:
-        sets = line_cell_sets([Gamma[i] for i in line_ids], pvec)
-        for ws in sets:
-            for w in ws:
-                table[w_index(w)] += 1
+        # fresh restrictions: no factor cache is shared with a solver's evaluator
+        A, U = line_frames([Gamma[i] for i in line_ids])
+        table += cell_table_from_roots([line_restriction_roots(A, U, p) for p in pvec])
     for i, spec in enumerate(Gamma):
         if i in line_ids:
             continue
@@ -434,14 +442,6 @@ def isolate_real_roots_flat(coeff_rows) -> tuple[np.ndarray, np.ndarray]:
     return owners[order], roots[order]
 
 
-def isolate_real_roots_many(coeff_rows) -> list[np.ndarray]:
-    """isolate_real_roots_flat as one array of roots per row."""
-    C = _as_rows(coeff_rows)
-    owners, roots = isolate_real_roots_flat(C)
-    ends = np.searchsorted(owners, np.arange(len(C) + 1))
-    return [roots[a:b] for a, b in zip(ends[:-1], ends[1:])]
-
-
 def _restriction_scale(p: Polynomial, A: np.ndarray) -> np.ndarray:
     reach = 1.0 + np.abs(A).max(axis=1)
     return max(1.0, p.coeff_norm()) * np.maximum(1.0, reach) ** p.basis.D
@@ -473,9 +473,12 @@ class LineRestriction(NamedTuple):
     tol: float
 
 
-def line_restriction_roots(A: np.ndarray, U: np.ndarray, p: Polynomial) -> LineRestriction:
-    """Restrict p to the lines of the stacked frame (A, U) and isolate the roots."""
-    C = restrict_to_line_batch(p, A, U)
+def line_restriction_roots(
+    A: np.ndarray, U: np.ndarray, p: Polynomial, facs: dict | None = None
+) -> LineRestriction:
+    """Restrict p to the lines of the stacked frame (A, U) and isolate the roots;
+    facs is restrict_to_line_batch's factor cache for this frame."""
+    C = restrict_to_line_batch(p, A, U, facs)
     degenerate = np.abs(C).max(axis=1) < _DEGENERATE_TOL * _restriction_scale(p, A)
     C[degenerate] = 0.0
     owners, roots = isolate_real_roots_flat(C)
@@ -487,6 +490,16 @@ _MERGE_TOL = 1e-9
 _GAP_FRACTIONS = (0.5, 0.25, 0.75, 0.4, 0.6)
 
 
+def _owner_value_order(owners, vals):
+    """np.lexsort((vals, owners)) by one integer argsort: the stable rank of
+    each value keeps ties in input order, so the keys owners * N + rank are
+    distinct and any sort kind returns lexsort's permutation."""
+    N = len(vals)
+    rank = np.empty(N, dtype=np.int64)
+    rank[np.argsort(vals, kind="stable")] = np.arange(N)
+    return np.argsort(owners * N + rank)
+
+
 def _gap_midpoints(restrictions, skip_mask):
     """One evaluation gap per realized sign interval, across all lines.
 
@@ -496,15 +509,13 @@ def _gap_midpoints(restrictions, skip_mask):
     m = len(skip_mask)
     owner_raw = np.concatenate([r.owners for r in restrictions])
     val_raw = np.concatenate([r.roots for r in restrictions])
-    order = np.lexsort((val_raw, owner_raw))
+    order = _owner_value_order(owner_raw, val_raw)
     o, v = owner_raw[order], val_raw[order]
-    if len(o):
-        keep = np.ones(len(o), dtype=bool)
-        tol = _MERGE_TOL * np.maximum(1.0, np.abs(v))
-        same = o[1:] == o[:-1]
-        keep[1:] = ~same | (np.diff(v) > tol[1:])
-        # clusters collapse onto their first member
-        o, v = o[keep], v[keep]
+    keep = np.ones(len(o), dtype=bool)
+    tol = _MERGE_TOL * np.maximum(1.0, np.abs(v))
+    keep[1:] = (o[1:] != o[:-1]) | (np.diff(v) > tol[1:])
+    # clusters collapse onto their first member
+    o, v = o[keep], v[keep]
     rooted = np.zeros(m, dtype=bool)
     rooted[o] = True
 
@@ -512,13 +523,13 @@ def _gap_midpoints(restrictions, skip_mask):
     lo_out = []
     hi_out = []
     if len(o):
-        first = np.r_[True, o[1:] != o[:-1]]
-        firsts = np.flatnonzero(first)
-        lasts = np.r_[firsts[1:] - 1, len(o) - 1]
+        inner = o[1:] == o[:-1]
+        ends = np.flatnonzero(~inner)
+        firsts = np.concatenate(([0], ends + 1))
+        lasts = np.concatenate((ends, [len(o) - 1]))
         line_of = o[firsts]
         span = np.maximum(1.0, v[lasts] - v[firsts])
         # interior gaps between consecutive roots of the same line
-        inner = o[1:] == o[:-1]
         owners_out.append(o[1:][inner])
         lo_out.append(v[:-1][inner])
         hi_out.append(v[1:][inner])
@@ -598,8 +609,8 @@ def cell_table_from_roots(restrictions: list[LineRestriction]) -> np.ndarray:
     """Count of lines entering each cell, straight to the 2^s table."""
     s = len(restrictions)
     owners, idx = _line_cells(restrictions)
-    keys = np.unique(owners * (2**s) + idx)
-    return np.bincount(keys % (2**s), minlength=2**s).astype(np.int64)
+    entered = _distinct((owners << s) | idx) & (2**s - 1)
+    return np.bincount(entered, minlength=2**s).astype(np.int64)
 
 
 def line_cell_sets(lines: list[VarietySpec], pvec) -> list[set]:

@@ -247,13 +247,20 @@ def restrict_to_line(p: Polynomial, point, direction) -> np.ndarray:
     return out
 
 
-def restrict_to_line_batch(p: Polynomial, A: np.ndarray, U: np.ndarray) -> np.ndarray:
-    """Batched restrict_to_line: rows of A, U give m lines -> (m, D+1) coefficients."""
+def restrict_to_line_batch(
+    p: Polynomial, A: np.ndarray, U: np.ndarray, facs: dict | None = None
+) -> np.ndarray:
+    """Batched restrict_to_line: rows of A, U give m lines -> (m, D+1) coefficients.
+
+    facs caches the ascending coefficients of (A_i + U_i t)^e per line under
+    (i, e) and gains what it lacks; only calls on the same A, U may share one.
+    """
     A = np.asarray(A, dtype=np.float64)
     U = np.asarray(U, dtype=np.float64)
     m = A.shape[0]
     out = np.zeros((m, p.basis.D + 1))
-    facs = {}  # (i, e) -> coefficients of (A_i + U_i t)^e per line, ascending
+    if facs is None:
+        facs = {}
     for expo, c in zip(p.basis.monomials, p.coeffs):
         if c == 0.0:
             continue

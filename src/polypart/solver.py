@@ -132,6 +132,7 @@ def _discrete_evaluator(Gamma, n, s, D, sampling) -> _Evaluator:
     values on them and its sign tolerance."""
     lines = [g for g in Gamma if isinstance(g.sampler, LineSampler)]
     frame = cells_mod.line_frames(lines) if lines else None
+    facs: dict = {}  # the frame's binomial factors, shared by every restriction
     samples = [
         cells_mod.sample_in_ball(
             g, sampling.R, sampling.count or cells_mod._auto_count(g, sampling.R, D),
@@ -142,7 +143,7 @@ def _discrete_evaluator(Gamma, n, s, D, sampling) -> _Evaluator:
     ]
 
     def column(poly):
-        restriction = cells_mod.line_restriction_roots(*frame, poly) if lines else None
+        restriction = cells_mod.line_restriction_roots(*frame, poly, facs) if lines else None
         vals = [eval_poly_many(poly, pts) if len(pts) else np.zeros(0) for pts in samples]
         return restriction, vals, cells_mod._sign_tols([poly], None)[0]
 
@@ -153,7 +154,7 @@ def _discrete_evaluator(Gamma, n, s, D, sampling) -> _Evaluator:
             out += cells_mod.cell_table_from_roots(restrictions)
         for i in range(len(samples)):
             idx, interior = cells_mod.pack_signs([v[i] for v in vals], tols)
-            out[np.unique(idx[interior])] += 1
+            out[cells_mod._distinct(idx[interior])] += 1
         return out
 
     return _Evaluator(n, column, table)

@@ -6,9 +6,15 @@ reproducible, and no example database. Decorators set only `max_examples`.
 Hypothesis also caches constants it reads from the source; that cache goes
 to a temporary directory removed at exit, so a test run leaves no
 `.hypothesis/` directory behind.
+
+pyproject's `pythonpath` puts `src/` on this process's import path; the
+same directory is prepended to PYTHONPATH so that the subprocesses a test
+starts (`python -m polypart.cli ...`) import this checkout as well.
 """
 
+import os
 import tempfile
+from pathlib import Path
 
 from hypothesis import configuration, settings
 
@@ -17,3 +23,6 @@ settings.load_profile("polypart")
 
 _storage = tempfile.TemporaryDirectory(prefix="polypart-hypothesis-")
 configuration.set_hypothesis_home_dir(_storage.name)
+
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polypart import cells
@@ -12,7 +12,7 @@ from polypart.cells import (
     counts,
     entered_cells_sampled,
     index_w,
-    isolate_real_roots_many,
+    isolate_real_roots_flat,
     line_cell_sets,
     point_counts,
     sign_vector_many,
@@ -131,11 +131,18 @@ def roots_oracle(asc, tol=1e-7):
     return np.array(out)
 
 
+def isolate_rows(coeff_rows):
+    """isolate_real_roots_flat split into one array of roots per row."""
+    owners, roots = isolate_real_roots_flat(coeff_rows)
+    ends = np.searchsorted(owners, np.arange(len(coeff_rows) + 1))
+    return [roots[a:b] for a, b in zip(ends[:-1], ends[1:])]
+
+
 def test_isolation_matches_companion_oracle():
     rng = np.random.default_rng(4)
     for deg in range(1, 9):
         rows = [rng.normal(size=deg + 1) for _ in range(30)]
-        got = isolate_real_roots_many(rows)
+        got = isolate_rows(rows)
         for asc, mine in zip(rows, got):
             expected = roots_oracle(asc)
             assert len(mine) == len(expected)
@@ -146,7 +153,7 @@ def test_isolation_matches_companion_oracle():
 def test_isolation_multiple_roots():
     # (t-1)^2 (t+2): distinct roots {-2, 1}, one with even multiplicity
     asc = np.array([2.0, -3.0, 0.0, 1.0])
-    (roots,) = isolate_real_roots_many([asc])
+    (roots,) = isolate_rows([asc])
     assert np.allclose(roots, [-2.0, 1.0], atol=1e-9)
 
 
@@ -171,8 +178,8 @@ def test_isolation_batched_agrees_with_bisection():
     for i, r in enumerate(rows):
         padded[i, : len(r)] = r
     expected = cells._isolate_by_bisection(rows)
-    got_list = isolate_real_roots_many(rows)
-    got_array = isolate_real_roots_many(padded)
+    got_list = isolate_rows(rows)
+    got_array = isolate_rows(padded)
     for asc, want, a, b in zip(rows, expected, got_list, got_array):
         assert np.array_equal(a, b)
         assert len(a) == len(want)
@@ -198,7 +205,7 @@ def isolation_outcome(fn, rows):
 def test_isolation_uncertified_rows_take_bisection(asc):
     bad, rows, roots = cells._certified_roots(asc[None, ::-1])
     assert bad.tolist() == [True] and len(rows) == len(roots) == 0
-    assert isolation_outcome(isolate_real_roots_many, [asc]) == isolation_outcome(
+    assert isolation_outcome(isolate_rows, [asc]) == isolation_outcome(
         cells._isolate_by_bisection, [asc]
     )
 
@@ -234,7 +241,7 @@ def test_isolation_errors_still_raise(monkeypatch):
     with pytest.raises(RootIsolationError):
         cells._isolate_by_bisection([asc])
     with pytest.raises(RootIsolationError):
-        isolate_real_roots_many([np.array([1.0, -1.0]), asc])
+        isolate_rows([np.array([1.0, -1.0]), asc])
 
 
 _coeff = st.one_of(
@@ -248,12 +255,12 @@ _coeff = st.one_of(
 def test_isolation_batching_invariance(rows):
     rows = [np.array(r) for r in rows]
     try:
-        singles = [isolate_real_roots_many([r])[0] for r in rows]
+        singles = [isolate_rows([r])[0] for r in rows]
     except RootIsolationError:
         with pytest.raises(RootIsolationError):
-            isolate_real_roots_many(rows)
+            isolate_rows(rows)
         return
-    for a, b in zip(isolate_real_roots_many(rows), singles):
+    for a, b in zip(isolate_rows(rows), singles):
         assert np.array_equal(a, b)
 
 
@@ -387,7 +394,7 @@ def test_line_restriction_rows_match_restrict_to_line_batch():
         C = restrict_to_line_batch(p, A, U)
         C[r.degenerate] = 0.0
         assert np.array_equal(r.coeffs, C)
-        roots = isolate_real_roots_many(C)
+        roots = isolate_rows(C)
         assert np.array_equal(r.roots, np.concatenate(roots))
         assert r.owners.tolist() == [i for i, ri in enumerate(roots) for _ in ri]
     # the y-axis lies inside Z(x)
@@ -458,3 +465,77 @@ def test_pack_signs_bits_and_interior():
     assert np.array_equal(idx0, idx) and interior0.tolist() == [True, True, True, False]
     idx, interior = cells.pack_signs([np.zeros(0), np.zeros(0)], np.zeros(2))
     assert idx.shape == interior.shape == (0,)
+
+
+_tied_root = st.one_of(
+    st.sampled_from([-1.5, -0.0, 0.0, 0.5, 2.0]),
+    st.floats(-10.0, 10.0, allow_nan=False),
+)
+
+
+@settings(max_examples=100)
+@given(st.lists(st.lists(st.tuples(st.integers(0, 5), _tied_root), max_size=12), max_size=5))
+@example([])
+@example([[], []])
+@example([[(0, 0.0), (1, -0.0)], [(0, -0.0), (1, 0.0)], [(0, 0.0)]])
+def test_owner_value_order_is_lexsort(blocks):
+    # each block as isolate_real_roots_flat returns its roots: grouped by
+    # line and ascending within a line; values tie exactly across blocks
+    runs = [sorted(b) for b in blocks]
+    owners = np.array([o for run in runs for o, _ in run], dtype=np.int64)
+    vals = np.array([v for run in runs for _, v in run], dtype=np.float64)
+    got = cells._owner_value_order(owners, vals)
+    assert np.array_equal(got, np.lexsort((vals, owners)))
+
+
+@settings(max_examples=100)
+@given(st.lists(st.integers(0, 2**20), max_size=60))
+def test_distinct_is_unique(keys):
+    keys = np.array(keys, dtype=np.int64)
+    got = cells._distinct(keys)
+    assert got.dtype == np.int64 and np.array_equal(got, np.unique(keys))
+
+
+def cell_table_or_error(fn, restrictions):
+    try:
+        return fn(restrictions)
+    except RootIsolationError:
+        return "RootIsolationError"
+
+
+@settings(max_examples=40)
+@given(
+    seed=st.integers(0, 2**16),
+    s=st.integers(1, 6),
+    inside=st.booleans(),
+    rootless=st.booleans(),
+)
+@example(seed=0, s=2, inside=True, rootless=True)
+def test_cell_table_matches_cell_sets(seed, s, inside, rootless):
+    rng = np.random.default_rng(seed)
+    # the last two lines are x = 0, inside Z(x), and x = 2, where x has no root
+    lines = [random_line(rng, 2) for _ in range(25)]
+    lines += [line((0.0, 0.3), (0.0, 1.0)), line((2.0, 0.0), (0.0, 1.0))]
+    pvec = [random_unit_poly(rng, 2, int(d)) for d in rng.integers(1, 4, size=s)]
+    if inside:
+        pvec[0] = X
+    if rootless:  # 1 + x^2 + y^2 has no root on any line
+        pvec[-1] = from_terms(2, {(0, 0): 1.0, (2, 0): 1.0, (0, 2): 1.0})
+    A, U = cells.line_frames(lines)
+    rs = [cells.line_restriction_roots(A, U, p) for p in pvec]
+    if pvec[0] is X:
+        assert rs[0].degenerate[-2]
+
+    def table_from_sets(restrictions):
+        table = np.zeros(2**s, dtype=np.int64)
+        for ws in cells.cell_sets_from_roots(restrictions):
+            for w in ws:
+                table[w_index(w)] += 1
+        return table
+
+    want = cell_table_or_error(table_from_sets, rs)
+    got = cell_table_or_error(cells.cell_table_from_roots, rs)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert got.dtype == np.int64 and np.array_equal(got, want)

@@ -241,6 +241,28 @@ def test_restrict_to_line_batch_pinned_bits():
     assert h.hexdigest() == "71c09fa861b901493badf58c123758ca528241bebfca5f721c5235f0f20b88cb"
 
 
+def test_restrict_to_line_batch_shared_factors_pinned_bits():
+    # the pinned digest above again, with one factor cache shared by every
+    # block degree, filled in ascending and in descending degree order: a
+    # factor built for one polynomial must serve the next bit for bit
+    rng = np.random.default_rng(21)
+    theta = rng.uniform(0.0, 2 * np.pi, size=200)
+    U = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    A = rng.uniform(-1.0, 1.0, size=(200, 1)) * np.stack([-U[:, 1], U[:, 0]], axis=1)
+    polys = []
+    for D in sorted(set(degree_schedule(2, 4))):
+        basis = monomial_basis(2, D)
+        polys.append(Polynomial(basis, rng.normal(size=len(basis))))
+    for fill in (polys, polys[::-1]):
+        facs = {}
+        rows = {id(p): restrict_to_line_batch(p, A, U, facs) for p in fill}
+        assert sorted(facs) == [(i, e) for i in range(2) for e in range(1, 4)]
+        h = hashlib.sha256()
+        for p in polys:
+            h.update(rows[id(p)].tobytes())
+        assert h.hexdigest() == "71c09fa861b901493badf58c123758ca528241bebfca5f721c5235f0f20b88cb"
+
+
 def test_monomial_matrix_rounds_as_gather_prod():
     # reference: the (m, dim, n) gather reduced by np.prod, which the line and
     # point solvers used before; the table must match it bit for bit

@@ -320,6 +320,41 @@ def test_levels_built_once_per_solve(monkeypatch):
     ]
 
 
+def test_line_restrictions_per_solve(monkeypatch):
+    # every line restriction goes through the cells.restrict_to_line_batch
+    # binding, which the benchmark's tracer wraps: s per restart's starting
+    # point, one per proposal and s for the final recount. The evaluator's
+    # calls share one factor cache; the recount passes none and rebuilds them
+    from polypart import solver as solver_mod
+
+    caches = []
+    real = cells_mod.restrict_to_line_batch
+
+    def counted(p, A, U, facs=None):
+        caches.append(facs)
+        return real(p, A, U, facs)
+
+    monkeypatch.setattr(cells_mod, "restrict_to_line_batch", counted)
+    steps = []
+    real_step = solver_mod._step_block
+
+    def counted_step(*args):
+        steps.append(args[1])
+        return real_step(*args)
+
+    monkeypatch.setattr(solver_mod, "_step_block", counted_step)
+    rng = np.random.default_rng(8)
+    theta = rng.uniform(0.0, 2 * np.pi, size=40)
+    Gamma = [line(rng.uniform(-1.0, 1.0, size=2), (np.cos(t), np.sin(t))) for t in theta]
+    cfg = SolveConfig(s=3, n=2, restarts=2, iters=25, seed=5)
+    partition_varieties(Gamma, cfg)
+    assert len(steps) > 0
+    assert len(caches) == cfg.restarts * cfg.s + len(steps) + cfg.s
+    shared = caches[: -cfg.s]
+    assert isinstance(shared[0], dict) and all(f is shared[0] for f in shared)
+    assert caches[-cfg.s :] == [None] * cfg.s
+
+
 def test_partition_self_check_names_first_differing_cell(monkeypatch):
     scratch_counts = cells_mod.counts
 
