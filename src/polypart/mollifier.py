@@ -18,7 +18,7 @@ import numpy as np
 from .cells import pack_signs, w_index
 from .polyalg import MonomialBasis, Polynomial, eval_poly_many, grad_bound
 from .spectrum import wht_table
-from .varieties import VarietySpec, WeightedCloud, tube_sample
+from .varieties import VarietySpec, WeightedCloud, tube_sample, tube_sample_many
 
 # eps(delta) = EPS_FACTOR * B * delta keeps the certificate strict for all
 # delta in (0, 1) while still letting eps decay to 0 with delta
@@ -77,11 +77,10 @@ def tube_cloud(spec: VarietySpec, cfg: MollConfig) -> WeightedCloud:
 
 
 def family_clouds(Gamma: list[VarietySpec], cfg: MollConfig) -> list[WeightedCloud]:
-    """One tube cloud per variety, on seed substream (cfg.seed, i)."""
-    return [
-        tube_cloud(g, MollConfig(cfg.delta, cfg.eps, cfg.radius, cfg.mc_count, (cfg.seed, i)))
-        for i, g in enumerate(Gamma)
-    ]
+    """One tube cloud per variety, on seed substream (cfg.seed, i), sampled
+    in one pass over the family."""
+    seeds = [(cfg.seed, i) for i in range(len(Gamma))]
+    return tube_sample_many(Gamma, cfg.delta, cfg.radius, cfg.mc_count, seeds)
 
 
 def mollified_rows(cols, sizes, weights, cfg: MollConfig, n: int) -> np.ndarray:

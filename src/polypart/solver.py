@@ -52,8 +52,14 @@ class SolveConfig:
             raise ValueError("need restarts >= 1")
         if self.objective not in ("discrete", "smooth"):
             raise ValueError(f"unknown objective kind {self.objective!r}")
+        if not self.delta_grid:
+            raise ValueError("need a nonempty delta grid")
         if list(self.delta_grid) != sorted(self.delta_grid, reverse=True):
             raise ValueError("delta grid must decrease")
+        if not all(0.0 < d < 1.0 for d in self.delta_grid):
+            raise ValueError("delta grid entries must lie in (0, 1)")
+        if self.mc_count < 1:
+            raise ValueError(f"need mc_count >= 1, got {self.mc_count}")
 
 
 @dataclass
@@ -163,10 +169,11 @@ def _discrete_evaluator(Gamma, n, s, D, sampling) -> _Evaluator:
 def _smooth_evaluator(Gamma, n, mcfg: moll_mod.MollConfig, bases) -> _Evaluator:
     """Mollified counts over fixed tube clouds at one delta level.
 
-    The level's clouds are stacked into one point array, and the monomials of
-    the largest schedule basis are tabulated on it once; a smaller graded-lex
-    basis is a prefix of its columns. A block's column is then one
-    matrix-vector product, and the table one pass of mollifier.mollified_rows.
+    The level's clouds (sampled in one pass) are stacked into one point
+    array, and the monomials of the largest schedule basis are tabulated on
+    it once; a smaller graded-lex basis is a prefix of its columns. A
+    block's column is then one matrix-vector product, and the table one pass
+    of mollifier.mollified_rows.
     """
     clouds = moll_mod.family_clouds(Gamma, mcfg)
     sizes = [len(c.points) for c in clouds]
@@ -187,16 +194,40 @@ def _smooth_evaluator(Gamma, n, mcfg: moll_mod.MollConfig, bases) -> _Evaluator:
     return _Evaluator(n, column, table)
 
 
+def _certified_zero(mcfg: moll_mod.MollConfig, bases) -> bool:
+    """True when the level scores every unit tuple exactly 0.
+
+    Block j holds unit coefficients on the first block_size(j) monomials of
+    bases[j-1], so by Cauchy-Schwarz |P_j| <= sqrt(sum R^(2|e|)) over them on
+    B_R, where every cloud point lies. When one block's bound is below eps
+    (with a margin for rounding), eta zeroes every point's minimum |P_j| and
+    every mollified entry is 0.
+    """
+    R = mcfg.radius
+    bound = min(
+        math.sqrt(float(np.sum(R ** (2 * b.exponents[: block_size(j)].sum(axis=1)))))
+        for j, b in enumerate(bases, start=1)
+    )
+    return bound * (1.0 + 1e-9) < mcfg.eps
+
+
 def _levels(Gamma, n, cfg: SolveConfig, D, sampling, bases):
-    """(evaluator, iterations) per annealing level: one discrete level, or
-    one smooth level per delta, each built only when the previous is done."""
+    """(evaluator, iterations, skipped) per annealing level: one discrete
+    level, or one smooth level per delta, each built only when the previous
+    is done. A smooth level certified to score 0 is skipped: no clouds are
+    sampled, and its evaluator scores every tuple 0.0 as the built one
+    would, so the annealing draws and accepts exactly as before."""
     if cfg.objective == "discrete":
-        yield _discrete_evaluator(Gamma, n, cfg.s, D, sampling), cfg.iters
+        yield _discrete_evaluator(Gamma, n, cfg.s, D, sampling), cfg.iters, False
         return
     per_level = max(cfg.iters // len(cfg.delta_grid), 20)
     for level, delta in enumerate(cfg.delta_grid):
         mcfg = moll_mod.schedule(delta, bases, cfg.mc_count, (cfg.seed, 3, level))
-        yield _smooth_evaluator(Gamma, n, mcfg, bases), per_level
+        if _certified_zero(mcfg, bases):
+            zero = np.zeros(2**cfg.s)
+            yield _Evaluator(n, lambda p: None, lambda cols: zero), per_level, True
+        else:
+            yield _smooth_evaluator(Gamma, n, mcfg, bases), per_level, False
 
 
 def _anneal(evaluator, x, obj, iters, step_init, step_final, rng, trace, it_offset):
@@ -242,7 +273,10 @@ def partition_varieties(Gamma: list[VarietySpec], cfg: SolveConfig) -> Partition
     objs = [0.0] * cfg.restarts
     ev_tables = [None] * cfg.restarts
     offset = 0
-    for ev, iters in _levels(Gamma, n, cfg, D, sampling, bases):
+    skipped = []
+    for level, (ev, iters, skip) in enumerate(_levels(Gamma, n, cfg, D, sampling, bases)):
+        if skip:
+            skipped.append(cfg.delta_grid[level])
         for r in restarts:
             obj = ev.set_point(xs[r])
             if not traces[r]:  # the restart's starting objective
@@ -275,7 +309,7 @@ def partition_varieties(Gamma: list[VarietySpec], cfg: SolveConfig) -> Partition
         )
     max_count = int(table.table.max())
     bound_ratio = max_count / (len(Gamma) * float(D) ** (k - n))
-    return PartitionReport(
+    report = PartitionReport(
         pvec=pvec,
         counts=table,
         spectrum=wht(table),
@@ -297,6 +331,9 @@ def partition_varieties(Gamma: list[VarietySpec], cfg: SolveConfig) -> Partition
             "exact_lines": True,
         },
     )
+    if cfg.objective == "smooth":
+        report.meta["levels_skipped"] = skipped  # the deltas certified to score 0
+    return report
 
 
 # ---------------------------------------------------------------------------

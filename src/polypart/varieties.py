@@ -222,90 +222,172 @@ def _plane_disk(sampler: PlaneSampler, R):
     return (-b, math.sqrt(rho2))
 
 
-def region_measure(spec: VarietySpec, R: float) -> float:
-    """k-volume of the sampled portion of the variety inside B_R (closed form)."""
+def _span(spec: VarietySpec, R: float):
+    """The parameters of the variety's part inside B_R: an interval (lo, hi)
+    of a line's t or a circle's angle, or a k-plane's disk (center, radius);
+    None when the variety misses B_R."""
     s = spec.sampler
     if isinstance(s, LineSampler):
-        seg = _line_interval(s.point, s.direction, R)
-        return 0.0 if seg is None else seg[1] - seg[0]
+        return _line_interval(s.point, s.direction, R)
     if isinstance(s, CircleSampler):
-        arc = _circle_arc(s, R)
-        return 0.0 if arc is None else s.radius * (arc[1] - arc[0])
-    disk = _plane_disk(s, R)
-    if disk is None:
-        return 0.0
-    k = spec.k
-    return _ball_volume(k) * disk[1] ** k
+        return _circle_arc(s, R)
+    return _plane_disk(s, R)
+
+
+def _span_measure(spec: VarietySpec, span) -> float:
+    s = spec.sampler
+    if isinstance(s, LineSampler):
+        return span[1] - span[0]
+    if isinstance(s, CircleSampler):
+        return s.radius * (span[1] - span[0])
+    return _ball_volume(spec.k) * span[1] ** spec.k
+
+
+def region_measure(spec: VarietySpec, R: float) -> float:
+    """k-volume of the sampled portion of the variety inside B_R (closed form)."""
+    span = _span(spec, R)
+    return 0.0 if span is None else _span_measure(spec, span)
 
 
 def _ball_volume(d: int) -> float:
     return math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0)
 
 
-def _stratified(rng, lo, hi, count):
-    h = (hi - lo) / count
-    return lo + (np.arange(count) + rng.uniform(size=count)) * h
+def _in_ball(g, u, radius):
+    """Points uniform in the radius-ball of R^d from draws g ~ normal (..., d)
+    and u ~ uniform (..., 1)."""
+    g = g / np.maximum(np.linalg.norm(g, axis=-1, keepdims=True), 1e-300)
+    return g * (radius * u ** (1.0 / g.shape[-1]))
 
 
-def _ball_points(rng, count, d, radius):
-    g = rng.normal(size=(count, d))
-    g /= np.maximum(np.linalg.norm(g, axis=1, keepdims=True), 1e-300)
-    r = radius * rng.uniform(size=(count, 1)) ** (1.0 / d)
-    return g * r
+def _stratified(group, count):
+    """(rows, samplers, parameters) of a group of curves whose entries
+    (row, sampler, lo, h, u) give the parameters lo + (i + u_i) h, i < count."""
+    rows, samplers, lo, h, u = zip(*group)
+    t = np.array(lo)[:, None] + (np.arange(count) + np.array(u)) * np.array(h)[:, None]
+    return list(rows), samplers, t
 
 
-def _sample_params(spec: VarietySpec, R: float, count: int, rng):
-    """Sample parameters and points on the variety inside B_R."""
-    s = spec.sampler
-    if isinstance(s, LineSampler):
-        seg = _line_interval(s.point, s.direction, R)
-        if seg is None:
-            return None, np.zeros((0, spec.n))
-        t = _stratified(rng, seg[0], seg[1], count)
-        return t, s.point[None, :] + t[:, None] * s.direction[None, :]
-    if isinstance(s, CircleSampler):
-        arc = _circle_arc(s, R)
-        if arc is None:
-            return None, np.zeros((0, spec.n))
-        theta = _stratified(rng, arc[0], arc[1], count)
-        u, v = s.frame
-        pts = (
-            s.center[None, :]
-            + s.radius * np.cos(theta)[:, None] * u[None, :]
-            + s.radius * np.sin(theta)[:, None] * v[None, :]
-        )
-        return theta, pts
-    disk = _plane_disk(s, R)
-    if disk is None:
-        return None, np.zeros((0, spec.n))
-    z0, rho = disk
-    if spec.k == 0:
-        z = np.zeros((count, 0))
-    else:
-        z = z0[None, :] + _ball_points(rng, count, spec.k, rho)
-    return z, s.point[None, :] + z @ s.frame
+def _base_points(specs, R, count, rngs):
+    """Points on each variety inside B_R, each drawn from its own rng.
+
+    Returns (live, measure, base, radial): live lists the varieties that
+    meet B_R, measure the region_measure of each, base (len(live), count, n)
+    their points, and radial maps each row of base on a circle to the unit
+    radial direction at its points. Each variety's span is found once.
+    Lines and circles draw one stratified parameter per point over their
+    span, k-planes their disk coordinates; the arithmetic on the lines' and
+    the circles' draws runs on the whole stack, one coordinate at a time so
+    that numpy's inner loops run along the points.
+    """
+    if len({g.n for g in specs}) > 1:
+        raise ValueError("varieties must share the ambient dimension")
+    live, measure, lines, arcs, planes = [], [], [], [], {}
+    for i, (spec, rng) in enumerate(zip(specs, rngs)):
+        span = _span(spec, R)
+        if span is None:
+            continue
+        s = spec.sampler
+        if isinstance(s, PlaneSampler):
+            z0, rho = span
+            z = np.zeros((count, 0))
+            if spec.k > 0:
+                g, u = rng.normal(size=(count, spec.k)), rng.uniform(size=(count, 1))
+                z = z0[None, :] + _in_ball(g, u, rho)
+            planes[len(live)] = s.point[None, :] + z @ s.frame
+        else:
+            lo, hi = span
+            group = lines if isinstance(s, LineSampler) else arcs
+            group.append((len(live), s, lo, (hi - lo) / count, rng.uniform(size=count)))
+        live.append(i)
+        measure.append(_span_measure(spec, span))
+    base = np.empty((len(live), count, specs[0].n))
+    for row, pts in planes.items():
+        base[row] = pts
+    if lines:
+        rows, ss, t = _stratified(lines, count)
+        a = np.array([s.point for s in ss])
+        u = np.array([s.direction for s in ss])
+        for k in range(base.shape[2]):
+            base[rows, :, k] = a[:, k, None] + t * u[:, k, None]
+    radial = {}
+    if arcs:
+        rows, ss, theta = _stratified(arcs, count)
+        cos, sin = np.cos(theta), np.sin(theta)
+        r = np.array([s.radius for s in ss])[:, None]
+        rcos, rsin = r * cos, r * sin
+        c = np.array([s.center for s in ss])
+        u = np.array([s.frame[0] for s in ss])
+        v = np.array([s.frame[1] for s in ss])
+        for k in range(base.shape[2]):
+            base[rows, :, k] = c[:, k, None] + rcos * u[:, k, None] + rsin * v[:, k, None]
+        out = np.empty((len(rows), count, base.shape[2]))
+        for k in range(base.shape[2]):
+            out[:, :, k] = cos * u[:, k, None] + sin * v[:, k, None]
+        radial = dict(zip(rows, out))
+    return live, measure, base, radial
 
 
 def sample_in_ball(spec: VarietySpec, R: float, count: int, seed) -> np.ndarray:
     """Deterministic points on the variety inside B_R; empty when they miss it."""
     if count < 1:
         raise ValueError(f"need count >= 1, got {count}")
-    rng = np.random.default_rng(seed)
-    _, pts = _sample_params(spec, R, count, rng)
-    return pts
+    live, _, base, _ = _base_points([spec], R, count, [np.random.default_rng(seed)])
+    return base[0] if live else np.zeros((0, spec.n))
 
 
-def _perp_frames(spec: VarietySpec, params):
-    """Orthonormal (n-k) perpendicular frame at each sampled parameter."""
-    s = spec.sampler
-    if isinstance(s, (LineSampler, PlaneSampler)):
-        return np.broadcast_to(s.normals, (len(params),) + s.normals.shape)
-    u, v = s.frame
-    radial = np.cos(params)[:, None] * u[None, :] + np.sin(params)[:, None] * v[None, :]
-    frames = np.empty((len(params), spec.n - 1, spec.n))
-    frames[:, 0, :] = radial
-    frames[:, 1:, :] = s.normals[None, :, :]
-    return frames
+def tube_sample_many(
+    specs: list[VarietySpec], delta: float, R: float, count: int, seeds
+) -> list[WeightedCloud]:
+    """tube_sample of every variety, variety i on seeds[i], in one pass.
+
+    Each variety draws from its own stream in tube_sample's order (base
+    parameters, then perpendicular jitter), so each cloud equals its
+    one-variety call bit for bit. The geometry runs on the whole stack: base
+    points, perpendicular frames, jitter (one batch per perpendicular
+    dimension) and the clip to B_R. The clouds' points are consecutive
+    slices of one array.
+    """
+    if delta <= 0:
+        raise ValueError(f"need delta > 0, got {delta}")
+    if count < 1:
+        raise ValueError(f"need count >= 1, got {count}")
+    if len(seeds) != len(specs):
+        raise ValueError(f"need one seed per variety, got {len(seeds)} for {len(specs)}")
+    if not specs:
+        return []
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    live, measure, pts, radial = _base_points(specs, R + delta, count, rngs)
+    n = pts.shape[2]
+    d_perp = [specs[i].n - specs[i].k for i in live]
+    for d in sorted(set(d_perp)):
+        rows = [row for row, dr in enumerate(d_perp) if dr == d]
+        # orthonormal perpendicular frame at each point: a circle's radial
+        # direction, then the normals of the variety's span
+        frames = np.empty((len(rows), count, d, n))
+        for k, row in enumerate(rows):
+            normals = specs[live[row]].sampler.normals
+            frames[k, :, d - len(normals) :] = normals
+            if row in radial:
+                frames[k, :, 0] = radial.pop(row)  # freed once copied
+        g = np.stack([rngs[live[row]].normal(size=(count, d)) for row in rows])
+        u = np.stack([rngs[live[row]].uniform(size=(count, 1)) for row in rows])
+        z = _in_ball(g, u, delta).reshape(-1, d)
+        offset = np.einsum("mp,mpn->mn", z, frames.reshape(-1, d, n))
+        pts[rows] += offset.reshape(len(rows), count, n)
+    # |x| summed as np.linalg.norm sums it, a coordinate at a time, so that
+    # numpy's inner loops run along the points
+    sq = pts[:, :, 0] * pts[:, :, 0]
+    for k in range(1, n):
+        sq += pts[:, :, k] * pts[:, :, k]
+    keep = np.sqrt(sq) <= R
+    sizes = keep.sum(axis=1)
+    kept, ends = pts[keep], np.cumsum(sizes)
+    clouds = [WeightedCloud(np.zeros((0, n)), 0.0) for _ in specs]
+    for row, i in enumerate(live):
+        weight = measure[row] * _ball_volume(d_perp[row]) * delta ** d_perp[row] / count
+        clouds[i] = WeightedCloud(kept[ends[row] - sizes[row] : ends[row]], weight)
+    return clouds
 
 
 def tube_sample(spec: VarietySpec, delta: float, R: float, count: int, seed) -> WeightedCloud:
@@ -316,22 +398,9 @@ def tube_sample(spec: VarietySpec, delta: float, R: float, count: int, seed) -> 
     (exactly for flats, up to O(delta * curvature) density bias for circles).
     Each kept point represents weight = (k-volume of base region) *
     (perpendicular ball volume) / count, so total weight estimates
-    vol(N_delta gamma intersect B_R).
+    vol(N_delta gamma intersect B_R). The one-variety call of tube_sample_many.
     """
-    if delta <= 0:
-        raise ValueError(f"need delta > 0, got {delta}")
-    rng = np.random.default_rng(seed)
-    params, base = _sample_params(spec, R + delta, count, rng)
-    if len(base) == 0:
-        return WeightedCloud(np.zeros((0, spec.n)), 0.0)
-    d_perp = spec.n - spec.k
-    frames = _perp_frames(spec, params)
-    z = _ball_points(rng, count, d_perp, delta)
-    pts = base + np.einsum("mp,mpn->mn", z, frames)
-    keep = np.linalg.norm(pts, axis=1) <= R
-    L = region_measure(spec, R + delta)
-    weight = L * _ball_volume(d_perp) * delta**d_perp / count
-    return WeightedCloud(pts[keep], weight)
+    return tube_sample_many([spec], delta, R, count, [seed])[0]
 
 
 def distance_to(spec: VarietySpec, X: np.ndarray) -> np.ndarray:

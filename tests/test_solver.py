@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -11,6 +13,7 @@ from polypart.polyalg import MonomialBasis, degree_schedule, monomial_basis
 from polypart.solver import (
     SelfCheckError,
     SolveConfig,
+    _certified_zero,
     _discrete_evaluator,
     _smooth_evaluator,
     _step_block,
@@ -164,6 +167,24 @@ def test_partition_varieties_validation():
         SolveConfig(s=2, n=2, delta_grid=(0.25, 0.5))
 
 
+def test_solve_config_rejects_an_empty_delta_grid():
+    with pytest.raises(ValueError, match="nonempty delta grid"):
+        SolveConfig(s=2, n=2, delta_grid=())
+
+
+@pytest.mark.parametrize("mc_count", [0, -4])
+def test_solve_config_rejects_mc_count_below_one(mc_count):
+    with pytest.raises(ValueError, match="mc_count"):
+        SolveConfig(s=2, n=2, mc_count=mc_count)
+
+
+@pytest.mark.parametrize("grid", [(1.0, 0.5), (0.5, 0.0), (0.25, -0.5), (2.0,)])
+def test_solve_config_rejects_deltas_outside_the_unit_interval(grid):
+    # a bad last level used to surface only once the levels before it had run
+    with pytest.raises(ValueError, match=r"\(0, 1\)"):
+        SolveConfig(s=2, n=2, delta_grid=grid)
+
+
 def drive_evaluator(ev, x, rng, steps, check):
     """Seeded try/reject sequence; check(point, value) after every step, for
     the candidate right after try_block and for the kept point after. A kept
@@ -267,16 +288,17 @@ def test_discrete_evaluator_matches_counts_on_sampled_varieties():
 
 def test_levels_built_once_per_solve(monkeypatch):
     # every restart anneals through one build of each delta level, so the
-    # tube clouds are sampled once per (level, circle), not once per restart;
-    # each restart's final tuple is counted once, the best one not again
+    # tube clouds are sampled by one pass per level over all circles, not
+    # once per restart; each restart's final tuple is counted once, the best
+    # one not again
     calls = []
-    real = moll_mod.tube_sample
+    real = moll_mod.tube_sample_many
 
     def counted(*args, **kwargs):
         calls.append(args[0])
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(moll_mod, "tube_sample", counted)
+    monkeypatch.setattr(moll_mod, "tube_sample_many", counted)
     count_calls = []
     real_counts = cells_mod.counts
 
@@ -303,7 +325,7 @@ def test_levels_built_once_per_solve(monkeypatch):
         sampling=SamplingConfig(R=2.0, count=128),
     )
     rep = partition_varieties(Gamma, cfg)
-    assert len(calls) == 3 * len(Gamma)  # one build per restart would make 36
+    assert calls == [Gamma] * 3  # one build per restart would make 9
     assert len(count_calls) == cfg.restarts  # counting the best again made 4
     # recorded when each restart built its own levels: the same solve
     assert rep.counts.table.tolist() == [4, 4, 3, 3]
@@ -318,6 +340,90 @@ def test_levels_built_once_per_solve(monkeypatch):
         (52, 0.01600189997833571),
         (53, 0.0),
     ]
+
+
+def random_family(rng, n, size):
+    """Lines, circles and points through the unit ball of R^n."""
+    out = []
+    for kind in rng.integers(0, 3, size=size):
+        p = rng.uniform(-1.0, 1.0, size=n)
+        if kind == 0:
+            d = rng.normal(size=n)
+            out.append(line(p, d / np.linalg.norm(d)))
+        elif kind == 1:
+            frame = np.linalg.qr(rng.normal(size=(n, 2)))[0].T if n > 2 else None
+            out.append(circle(p, rng.uniform(0.2, 1.0), frame))
+        else:
+            out.append(kplane(p, np.zeros((0, n))))
+    return out
+
+
+@settings(max_examples=30)
+@given(
+    n=st.sampled_from([2, 3]),
+    s=st.integers(1, 4),
+    size=st.integers(1, 5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_certified_levels_score_exactly_zero(n, s, size, seed):
+    # at a level the certificate marks, every unit tuple's mollified table is
+    # all zero, so the evaluator the skip replaces scores every step 0.0
+    rng = np.random.default_rng(seed)
+    Gamma = random_family(rng, n, size)
+    bases = [monomial_basis(n, D) for D in degree_schedule(n, s)]
+    for level, delta in enumerate(SolveConfig(s=s, n=n).delta_grid):
+        mcfg = schedule(delta, bases, mc_count=64, seed=(seed, level))
+        if not _certified_zero(mcfg, bases):
+            continue
+        ev = _smooth_evaluator(Gamma, n, mcfg, bases)
+        x = random_point(s, (seed, level))
+        assert ev.set_point(x) == 0.0 and not ev._table().any()
+        for j in range(1, s + 1):
+            for h in (0.5, 2.0):
+                cand = _step_block(x, j, rng.normal(size=block_size(j)), h)
+                obj, handle = ev.try_block(j, cand)
+                assert obj == 0.0 and not ev._table().any()
+                ev.reject(handle)
+
+
+def test_default_grid_skips_the_certified_levels(monkeypatch):
+    # at s = 3 the certificate marks the first 3 of the 12 default levels, so
+    # 9 are sampled; the table and trace were recorded when all 12 were
+    calls = []
+    real = moll_mod.tube_sample_many
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(moll_mod, "tube_sample_many", counted)
+    Gamma = [
+        circle((0.3, 0.0), 0.5),
+        circle((-0.3, 0.1), 0.4),
+        circle((0.1, -0.4), 0.7),
+        circle((-0.2, 0.5), 0.3),
+        circle((0.5, 0.4), 0.6),
+    ]
+    cfg = SolveConfig(
+        s=3,
+        n=2,
+        restarts=2,
+        iters=240,
+        seed=4,
+        objective="smooth",
+        mc_count=256,
+        sampling=SamplingConfig(R=2.0, count=128),
+    )
+    rep = partition_varieties(Gamma, cfg)
+    assert calls == list(cfg.delta_grid[3:])
+    assert rep.meta["levels_skipped"] == [0.5, 0.25, 0.125]
+    assert rep.counts.table.tolist() == [3, 2, 4, 0, 2, 3, 5, 3]
+    assert rep.trace[:5] == [(-1, 0.0), (0, 0.0), (20, 0.0), (40, 0.0), (60, 0.0)]
+    assert len(rep.trace) == 67
+    digest = hashlib.sha256(repr(rep.trace).encode()).hexdigest()
+    assert digest == "4ec92dc7ed03097578981e00f6197a87bd265790df19f2b7d5649f71fb56193d"
+    discrete = SolveConfig(s=2, n=2, restarts=1, iters=10, seed=0)
+    assert "levels_skipped" not in partition_varieties(crossing_lines(), discrete).meta
 
 
 def test_line_restrictions_per_solve(monkeypatch):

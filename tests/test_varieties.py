@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ from polypart.varieties import (
     residuals,
     sample_in_ball,
     tube_sample,
+    tube_sample_many,
 )
 
 
@@ -222,3 +224,96 @@ def test_region_measure_closed_forms():
     disk = kplane((0.0, 0.0, 0.0), np.eye(3)[:2])
     assert region_measure(disk, 1.0) == pytest.approx(math.pi)
     assert region_measure(line((0.0, 5.0), (1.0, 0.0)), 1.0) == 0.0
+
+
+# (delta, R, count) and varieties of two families whose tube clouds were
+# pinned from the one-variety sampler that the batched pass replaced. In R^2:
+# a line, a circle on a partial arc, one wholly inside B_R, one that misses
+# it and a line that misses it. In R^3: two circles, 0-planes inside and
+# outside B_(R+delta), a 1-plane, a 2-plane and a line, so the perpendicular
+# dimensions 1, 2 and 3 all occur.
+TUBE_FAMILIES = {
+    "r2": (
+        (0.1, 1.0, 64),
+        [
+            line((0.1, -0.2), (0.6, 0.8)),
+            circle((0.7, 0.3), 0.6),
+            circle((0.1, -0.1), 0.4),
+            circle((3.0, 0.0), 0.5),
+            line((0.0, 5.0), (1.0, 0.0)),
+        ],
+    ),
+    "r3": (
+        (0.05, 1.5, 48),
+        [
+            circle((0.2, 0.1, 0.0), 0.7, np.eye(3)[:2]),
+            circle((0.9, -0.3, 0.4), 0.8, [[0.6, 0.8, 0.0], [0.0, 0.0, 1.0]]),
+            kplane((0.3, -0.2, 0.1), np.zeros((0, 3))),
+            kplane((1.2, 0.9, -0.4), np.zeros((0, 3))),
+            kplane((0.1, 0.4, -0.2), [[0.0, 0.6, 0.8]]),
+            kplane((0.0, 0.0, 0.1), np.eye(3)[:2]),
+            line((0.1, -0.2, 0.3), (0.6, 0.8, 0.0)),
+        ],
+    ),
+}
+# per variety i on seed (17, i): kept points, sha256 prefix of their bytes,
+# weight as float.hex
+PINNED_TUBES = {
+    "r2": [
+        (58, "130852eba09a6d16", "0x1.bb0cd605d7512p-8"),
+        (54, "5c19eca8e23a6267", "0x1.cbbf02d6e785cp-8"),
+        (64, "553a7e27c69f31c9", "0x1.015bf92172719p-7"),
+        (0, "e3b0c44298fc1c14", "0x0.0p+0"),
+        (0, "e3b0c44298fc1c14", "0x0.0p+0"),
+    ],
+    "r3": [
+        (48, "ffc62d358cc84d3e", "0x1.794ef312fc57bp-11"),
+        (45, "24d2ce6f8340dd3d", "0x1.6abc651029a51p-11"),
+        (48, "3acf15f92ab8793a", "0x1.6e05a695f8191p-17"),
+        (0, "e3b0c44298fc1c14", "0x0.0p+0"),
+        (46, "fd98c406cb10366c", "0x1.fcd70df948241p-12"),
+        (45, "35d86afb85b7bfc0", "0x1.008e15f3be161p-6"),
+        (46, "b780a06ca3fd87d8", "0x1.02a492d5cf2ebp-11"),
+    ],
+}
+
+
+def _pin(cloud):
+    digest = hashlib.sha256(cloud.points.tobytes()).hexdigest()[:16]
+    return len(cloud.points), digest, float(cloud.weight).hex()
+
+
+@pytest.mark.parametrize("family", sorted(TUBE_FAMILIES))
+def test_tube_clouds_pinned_bits(family):
+    (delta, R, count), specs = TUBE_FAMILIES[family]
+    got = [_pin(tube_sample(g, delta, R, count, (17, i))) for i, g in enumerate(specs)]
+    assert got == PINNED_TUBES[family]
+
+
+@pytest.mark.parametrize("family", sorted(TUBE_FAMILIES))
+def test_batched_tube_pass_equals_one_variety_calls(family):
+    (delta, R, count), specs = TUBE_FAMILIES[family]
+    seeds = [(17, i) for i in range(len(specs))]
+    batched = tube_sample_many(specs, delta, R, count, seeds)
+    assert len(batched) == len(specs)
+    for g, seed, cloud in zip(specs, seeds, batched):
+        alone = tube_sample(g, delta, R, count, seed)
+        assert cloud.points.shape == alone.points.shape
+        assert np.array_equal(cloud.points, alone.points)
+        assert cloud.weight == alone.weight
+    # reversed order: each variety keeps its own stream
+    back = tube_sample_many(specs[::-1], delta, R, count, seeds[::-1])
+    for cloud, want in zip(back, batched[::-1]):
+        assert np.array_equal(cloud.points, want.points) and cloud.weight == want.weight
+    assert tube_sample_many([], delta, R, count, []) == []
+    with pytest.raises(ValueError, match="one seed per variety"):
+        tube_sample_many(specs, delta, R, count, seeds[1:])
+
+
+@pytest.mark.parametrize("count", [0, -3])
+def test_tube_sampling_rejects_empty_count(count):
+    spec = circle((0.0, 0.0), 0.5)
+    with pytest.raises(ValueError, match="count"):
+        tube_sample(spec, 0.1, 1.0, count, seed=0)
+    with pytest.raises(ValueError, match="count"):
+        tube_sample_many([spec, spec], 0.1, 1.0, count, [0, 1])
