@@ -171,9 +171,10 @@ def _suite_result(checks) -> int:
 
 
 # verify_borsuk checks 2^s dense Jacobians of size 2^s - 1, each column by a
-# central difference, about 7.5x the time per step of s; on a 2-core host
-# s = 8 takes 86 s and s = 9 about 10 minutes. g_zeros itself enumerates up
-# to eq.MAX_ZERO_S, which continuation_zero also relies on.
+# central difference, about 3x the time per step of s; on a 2-core host
+# s = 8 takes about 9 s and s = 9 about 26 s. g_zeros itself enumerates up
+# to eq.MAX_ZERO_S, which continuation_zero also relies on; the cap stays
+# below it until s = 10 has a time bound.
 MAX_BORSUK_S = 8
 
 

@@ -10,11 +10,12 @@ the model zeros, with Newton correction in per-block charts.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .sphereprod import XsPoint, block_size, flip, random_point, xs_dim
+from .sphereprod import XsPoint, block_size, flip, random_point
 
 # largest s whose 2^s model zeros g_zeros enumerates
 MAX_ZERO_S = 10
@@ -57,22 +58,20 @@ class EquivariantMap:
         return self.fn(x)
 
 
-def _lower_t_product(x: XsPoint, v: int) -> float:
-    j_top = j_of_v(v)
-    prod = 1.0
-    for j in range(1, j_top):
-        if (v >> (j - 1)) & 1:
-            prod *= x.blocks[j - 1][0]
-    return prod
+def _lower_t(x: XsPoint) -> np.ndarray:
+    """Entry v - 1: the product of t_j over the lower set bits of v, taken in
+    ascending j (each doubling appends the last table times t_j)."""
+    prod = np.array([1.0])
+    parts = [prod]
+    for b in x.blocks[:-1]:
+        prod = np.concatenate((prod, prod * b[0]))
+        parts.append(prod)
+    return np.concatenate(parts)
 
 
 def model_g(x: XsPoint) -> np.ndarray:
     """The model map: x_v times the t_j of the lower set bits of v."""
-    out = np.empty(xs_dim(x.s))
-    for v in range(1, 2**x.s):
-        j, slot = slot_of_v(v)
-        out[v - 1] = x.blocks[j - 1][slot] * _lower_t_product(x, v)
-    return out
+    return np.concatenate([b[1:] for b in x.blocks]) * _lower_t(x)
 
 
 def model_map(s: int) -> EquivariantMap:
@@ -103,11 +102,7 @@ def jacobian_g(x: XsPoint) -> np.ndarray:
     for j, b in enumerate(x.blocks, start=1):
         if abs(abs(b[0]) - 1.0) > 1e-9 or np.abs(b[1:]).max(initial=0.0) > 1e-9:
             raise ValueError(f"block {j} is not at a model zero")
-    N = xs_dim(x.s)
-    J = np.zeros((N, N))
-    for v in range(1, 2**x.s):
-        J[v - 1, v - 1] = _lower_t_product(x, v)
-    return J
+    return np.diag(_lower_t(x))
 
 
 def check_equivariance(f: EquivariantMap, trials: int = 100, seed=0) -> float:
@@ -133,35 +128,38 @@ def random_equivariant(s: int, lam: float, seed) -> EquivariantMap:
     linear functional of that block, times an even smooth function of the
     t-coordinates, so the sign rule holds by construction.
     """
+    if s < 1:
+        raise ValueError(f"need s >= 1, got {s}")
     rng = np.random.default_rng(seed)
     n_terms = 3
-    vectors = {}
-    alphas = {}
-    betas = {}
+    vecs = [[] for _ in range(s)]  # block j's unit vectors, in term order
+    alphas, betas = [], []
     for v in range(1, 2**s):
-        support = [j for j in range(1, s + 1) if (v >> (j - 1)) & 1]
-        vecs = []
-        for _ in range(n_terms):
-            per_j = {}
-            for j in support:
-                a = rng.normal(size=block_size(j))
-                per_j[j] = a / np.linalg.norm(a)
-            vecs.append(per_j)
-        vectors[v] = vecs
-        alphas[v] = rng.normal(size=n_terms) / np.sqrt(n_terms)
-        betas[v] = rng.normal(size=(n_terms, s)) * (0.5 / s)
+        for r in range(n_terms):
+            for j in range(1, s + 1):
+                if (v >> (j - 1)) & 1:
+                    a = rng.normal(size=block_size(j))
+                    vecs[j - 1].append(a / np.linalg.norm(a))
+        alphas.append(rng.normal(size=n_terms) / np.sqrt(n_terms))
+        betas.append(rng.normal(size=(n_terms, s)) * (0.5 / s))
+    # term (v, r) is row (v - 1) * n_terms + r. Rows are stacked as (K, 1, len)
+    # so that each row's dot is its own matmul and rounds as a 1-D a @ b does.
+    alpha = np.concatenate(alphas)
+    beta = np.concatenate(betas)[:, None, :]
+    v_of_term = np.arange(1, 2**s).repeat(n_terms)
+    factors = [
+        (np.flatnonzero((v_of_term >> j) & 1), np.stack(vj)[:, None, :])
+        for j, vj in enumerate(vecs)
+    ]
 
     def fn(x: XsPoint) -> np.ndarray:
         out = model_g(x)
-        t2 = np.array([b[0] ** 2 for b in x.blocks])
-        for v in range(1, 2**s):
-            acc = 0.0
-            for r in range(n_terms):
-                term = alphas[v][r] * (1.0 + betas[v][r] @ t2)
-                for j, a in vectors[v][r].items():
-                    term *= float(a @ x.blocks[j - 1])
-                acc += term
-            out[v - 1] += lam * acc
+        t2 = np.array([b[0] ** 2 for b in x.blocks])  # np.square rounds some t apart
+        terms = alpha * (1.0 + (beta @ t2[:, None])[:, 0, 0])
+        for b, (ks, a) in zip(x.blocks, factors):
+            terms[ks] *= (a @ b[:, None])[:, 0, 0]
+        # sum() adds the r columns in order, starting from 0
+        out += lam * sum(terms.reshape(-1, n_terms).T)
         return out
 
     return EquivariantMap(s, fn, kind="perturbed" if lam else "model", lam=lam)
@@ -186,6 +184,17 @@ class ContinuationConfig:
     min_step: float = 1.0 / 1024.0
     fd_step: float = 1e-6
 
+    def __post_init__(self):
+        for name, ok, want in (
+            ("t_steps", self.t_steps >= 1, ">= 1"),
+            ("newton_max", self.newton_max >= 1, ">= 1"),
+            ("newton_tol", self.newton_tol > 0.0, "> 0"),
+            ("fd_step", self.fd_step > 0.0, "> 0"),
+            ("min_step", 0.0 < self.min_step <= 1.0, "in (0, 1]"),
+        ):
+            if not ok:
+                raise ValueError(f"need {name} {want}, got {getattr(self, name)}")
+
 
 @dataclass
 class ContinuationResult:
@@ -199,48 +208,55 @@ class ContinuationResult:
 def _chart(x: XsPoint):
     drops = [int(np.argmax(np.abs(b))) for b in x.blocks]
     signs = [1.0 if b[d] >= 0 else -1.0 for b, d in zip(x.blocks, drops)]
-    y = np.concatenate([np.delete(b, d) for b, d in zip(x.blocks, drops)])
+    y = np.concatenate([p for b, d in zip(x.blocks, drops) for p in (b[:d], b[d + 1 :])])
     return y, drops, signs
 
 
-def _lift(y: np.ndarray, s: int, drops, signs) -> XsPoint | None:
-    blocks = []
-    pos = 0
-    for j in range(1, s + 1):
-        m = block_size(j) - 1
-        part = y[pos : pos + m]
-        pos += m
-        rest = 1.0 - float(part @ part)
-        if rest <= 1e-12:
-            return None  # left the chart's valid patch
-        b = np.empty(m + 1)
-        d = drops[j - 1]
-        b[:d] = part[:d]
-        b[d] = signs[j - 1] * np.sqrt(rest)
-        b[d + 1 :] = part[d:]
-        blocks.append(b)
-    return XsPoint(tuple(blocks))
+def _lift_block(part: np.ndarray, d: int, sign: float) -> np.ndarray | None:
+    rest = 1.0 - float(part @ part)
+    if rest <= 1e-12:
+        return None  # left the chart's valid patch
+    b = np.empty(len(part) + 1)
+    b[:d] = part[:d]
+    b[d] = sign * math.sqrt(rest)
+    b[d + 1 :] = part[d:]
+    return b
+
+
+def _lift(y: np.ndarray, drops, signs) -> XsPoint | None:
+    # block j + 1 (0-based j) holds chart coordinates 2^j - 1 .. 2^(j+1) - 2
+    blocks = tuple(
+        _lift_block(y[2**j - 1 : 2 ** (j + 1) - 1], d, sign)
+        for j, (d, sign) in enumerate(zip(drops, signs))
+    )
+    return None if any(b is None for b in blocks) else XsPoint(blocks)
 
 
 def _newton_in_chart(fun, x: XsPoint, cfg: ContinuationConfig):
-    """Newton-correct x toward fun = 0; returns (point, residual, ok)."""
+    """Newton-correct x toward fun = 0; returns (point, residual, ok).
+
+    A Jacobian column re-lifts only the block of its chart coordinate and keeps
+    the other blocks of the lift of y (cur's can differ from those by an ulp).
+    """
     y, drops, signs = _chart(x)
-    s = x.s
-    cur = _lift(y, s, drops, signs)
+    cur = _lift(y, drops, signs)
     fx = fun(cur)
     res = float(np.abs(fx).max())
+    N = len(y)
     for _ in range(cfg.newton_max):
         if res < cfg.newton_tol:
             return cur, res, True
-        N = len(y)
+        base = _lift(y, drops, signs).blocks
         J = np.empty((N, N))
         for i in range(N):
             e = np.zeros(N)
             e[i] = cfg.fd_step
-            xp = _lift(y + e, s, drops, signs)
-            xm = _lift(y - e, s, drops, signs)
-            if xp is None or xm is None:
+            j = (i + 1).bit_length() - 1  # 0-based block holding coordinate i
+            lo, hi = 2**j - 1, 2 ** (j + 1) - 1
+            moved = [_lift_block(z[lo:hi], drops[j], signs[j]) for z in (y + e, y - e)]
+            if moved[0] is None or moved[1] is None:
                 return cur, res, False
+            xp, xm = (XsPoint(base[:j] + (b,) + base[j + 1 :]) for b in moved)
             J[:, i] = (fun(xp) - fun(xm)) / (2.0 * cfg.fd_step)
         try:
             step = np.linalg.solve(J, -fx)
@@ -249,7 +265,7 @@ def _newton_in_chart(fun, x: XsPoint, cfg: ContinuationConfig):
         if not np.all(np.isfinite(step)):
             return cur, res, False
         y = y + step
-        nxt = _lift(y, s, drops, signs)
+        nxt = _lift(y, drops, signs)
         if nxt is None:
             return cur, res, False
         cur = nxt
@@ -291,8 +307,11 @@ def continuation_zero(
 
     Every interpolant is equivariant (the sign rule is linear in the map), so
     the tracked zero stays a genuine equivariant zero. Raises
-    ContinuationError when all 2^s starts fail.
+    ContinuationError when all 2^s starts fail, and ValueError when s is not
+    the map's s.
     """
+    if s != f.s:
+        raise ValueError(f"s = {s} does not match the map's s = {f.s}")
     cfg = cfg or ContinuationConfig()
     failures = []
     for start_index, x0 in enumerate(g_zeros(s)):

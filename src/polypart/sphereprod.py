@@ -7,6 +7,7 @@ degree-schedule basis, so the whole point is a tuple of s polynomials.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,8 +37,9 @@ class XsPoint:
             b = np.asarray(b, dtype=np.float64)
             if b.shape != (block_size(j),):
                 raise ValueError(f"block {j} must have length {block_size(j)}, got {b.shape}")
-            if abs(np.linalg.norm(b) - 1.0) > _NORM_TOL:
-                raise ValueError(f"block {j} must be unit norm, |b| = {np.linalg.norm(b)}")
+            norm = math.sqrt(b.dot(b))  # what np.linalg.norm computes for 1-D b
+            if abs(norm - 1.0) > _NORM_TOL:
+                raise ValueError(f"block {j} must be unit norm, |b| = {norm}")
             blocks.append(b)
         self.blocks = tuple(blocks)
 

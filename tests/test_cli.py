@@ -255,6 +255,16 @@ def test_bad_radius_exit_2(tmp_path, capsys, value):
     assert not (tmp_path / "o").exists()
 
 
+def test_verify_borsuk_s6_passes_every_row():
+    # 64 zeros with 63 finite-difference columns each, so every entry of the
+    # model map's s = 6 product table is checked, in about a second
+    rows = cli.verify_borsuk(6)
+    assert [name for name, _, _ in rows] == [
+        "zero-count", "zero-residual", "jacobian-diagonal", "jacobian-fd", "equivariance"
+    ]
+    assert all(passed for _, passed, _ in rows), rows
+
+
 @pytest.mark.parametrize("command", ["verify-borsuk", "verify-spectrum"])
 @pytest.mark.parametrize("value", ["0", "21", "40"])
 def test_verify_suite_bad_s_exit_2(monkeypatch, capsys, command, value):

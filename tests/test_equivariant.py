@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -185,3 +187,176 @@ def test_model_zero_structure_from_newton():
                 assert abs(b[0]) > 0.9
                 assert np.abs(b[1:]).max() < 1e-10
     assert found >= 5
+
+
+# ---------------------------------------------------------------------------
+# bit-for-bit oracles: the per-v and per-term loops that the array kernels
+# replaced, kept here as the definition of every output bit
+
+
+def _loop_lower_t(x, v):
+    prod = 1.0
+    for j in range(1, j_of_v(v)):
+        if (v >> (j - 1)) & 1:
+            prod *= x.blocks[j - 1][0]
+    return prod
+
+
+def _loop_model_g(x):
+    out = np.empty(2**x.s - 1)
+    for v in range(1, 2**x.s):
+        j, slot = slot_of_v(v)
+        out[v - 1] = x.blocks[j - 1][slot] * _loop_lower_t(x, v)
+    return out
+
+
+def _loop_random_equivariant(s, lam, seed):
+    rng = np.random.default_rng(seed)
+    n_terms = 3
+    vectors, alphas, betas = {}, {}, {}
+    for v in range(1, 2**s):
+        support = [j for j in range(1, s + 1) if (v >> (j - 1)) & 1]
+        vecs = []
+        for _ in range(n_terms):
+            per_j = {}
+            for j in support:
+                a = rng.normal(size=block_size(j))
+                per_j[j] = a / np.linalg.norm(a)
+            vecs.append(per_j)
+        vectors[v] = vecs
+        alphas[v] = rng.normal(size=n_terms) / np.sqrt(n_terms)
+        betas[v] = rng.normal(size=(n_terms, s)) * (0.5 / s)
+
+    def fn(x):
+        out = _loop_model_g(x)
+        t2 = np.array([b[0] ** 2 for b in x.blocks])
+        for v in range(1, 2**s):
+            acc = 0.0
+            for r in range(n_terms):
+                term = alphas[v][r] * (1.0 + betas[v][r] @ t2)
+                for j, a in vectors[v][r].items():
+                    term *= float(a @ x.blocks[j - 1])
+                acc += term
+            out[v - 1] += lam * acc
+        return out
+
+    return fn
+
+
+def _near_zero(z, seed):
+    # a point within 1e-10 of model zero z, so that the t_j are not exactly +-1
+    rng = np.random.default_rng(seed)
+    return retract([b + 1e-10 * rng.normal(size=b.shape) for b in z.blocks])
+
+
+@pytest.mark.parametrize("s", range(1, 9))
+def test_model_g_and_jacobian_match_loop_bits(s):
+    points = [random_point(s, seed=1000 * s + k) for k in range(4)]
+    zeros = g_zeros(s)[:: max(1, 2**s // 8)]
+    points += [_near_zero(z, k) for k, z in enumerate(zeros)]
+    for x in points:
+        assert model_g(x).tobytes() == _loop_model_g(x).tobytes()
+    for k, z in enumerate(zeros):
+        x = _near_zero(z, k)
+        want = np.zeros((2**s - 1, 2**s - 1))
+        for v in range(1, 2**s):
+            want[v - 1, v - 1] = _loop_lower_t(x, v)
+        assert jacobian_g(x).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("s", range(1, 5))
+def test_random_equivariant_matches_loop_bits(s):
+    for seed in range(4):
+        f = random_equivariant(s, 0.3, seed)
+        loop = _loop_random_equivariant(s, 0.3, seed)
+        for k in range(25):
+            x = random_point(s, seed=100 * seed + k)
+            assert f(x).tobytes() == loop(x).tobytes()
+
+
+def test_random_equivariant_matches_loop_on_continuation_path():
+    # tracked points sit near the model zeros, where t_j^2 rounds differently
+    # under np.square than under the scalar power the loop uses
+    for seed in range(2):
+        f = random_equivariant(2, 0.3, seed)
+        loop = _loop_random_equivariant(2, 0.3, seed)
+        fast, seen = f.fn, []
+
+        def both(x):
+            out = fast(x)
+            seen.append(out.tobytes() == loop(x).tobytes())
+            return out
+
+        f.fn = both
+        continuation_zero(f, 2)
+        assert len(seen) > 100 and all(seen)
+
+
+# sha256 over the result blocks, residual and start index, recorded with the
+# per-v and per-term loops above before the array kernels replaced them
+PINNED_CONTINUATION_S2 = [
+    "8ab54324e40327df49ce70fe3f92ef9097e0923986a9c0813254fa48aff74e38",
+    "dc403246f997f24c48808923114b0fd6b2dd15384fac99aff65a1f600f04a8f9",
+    "2eddf6e803141a15d6cb58fe85517bec221c54e34a65d6c6f09bf5148df26ca8",
+    "153e61d55dd70da2419a292332ba2940bdaa758336d7ae0942c671326d6fc7ca",
+]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_continuation_zero_pinned_bits(seed):
+    res = continuation_zero(random_equivariant(2, 0.3, seed), 2)
+    h = hashlib.sha256()
+    for b in res.point.blocks:
+        h.update(b.tobytes())
+    h.update(np.float64(res.residual).tobytes())
+    h.update(np.int64(res.start_index).tobytes())
+    assert h.hexdigest() == PINNED_CONTINUATION_S2[seed]
+
+
+def test_newton_in_chart_pinned_bits():
+    # from this start Newton moves block 2's dropped coordinate back and forth,
+    # and twice the lift of the new chart differs in the last bit from the
+    # point it was charted from; the Jacobian columns must perturb that lift
+    from polypart.equivariant import _newton_in_chart
+
+    f = random_equivariant(2, 0.5, 6)
+    pt, res, ok = _newton_in_chart(f, random_point(2, seed=5286), ContinuationConfig())
+    h = hashlib.sha256()
+    for b in pt.blocks:
+        h.update(b.tobytes())
+    h.update(np.float64(res).tobytes())
+    assert ok and h.hexdigest() == (
+        "28004b95331a1b88077e2be3910a729242432621e1c65a2cba1a82531d871c68"
+    )
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("t_steps", 0),
+        ("newton_max", 0),
+        ("newton_tol", 0.0),
+        ("newton_tol", -1e-10),
+        ("fd_step", 0.0),
+        ("fd_step", float("nan")),
+        ("min_step", 0.0),
+        ("min_step", 1.5),
+    ],
+)
+def test_continuation_config_rejects(field, value):
+    with pytest.raises(ValueError, match=field):
+        ContinuationConfig(**{field: value})
+
+
+def test_continuation_config_accepts_bounds():
+    ContinuationConfig(t_steps=1, newton_max=1, min_step=1.0)
+
+
+def test_continuation_zero_rejects_mismatched_s():
+    with pytest.raises(ValueError, match=r"s = 3 .* s = 2"):
+        continuation_zero(random_equivariant(2, 0.3, 0), 3)
+
+
+def test_random_equivariant_rejects_s_below_1():
+    with pytest.raises(ValueError, match="s >= 1"):
+        random_equivariant(0, 0.3, 0)
