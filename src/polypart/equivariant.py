@@ -51,8 +51,6 @@ class EquivariantMap:
 
     s: int
     fn: object
-    kind: str = "model"
-    lam: float = 0.0
 
     def __call__(self, x: XsPoint) -> np.ndarray:
         return self.fn(x)
@@ -75,7 +73,7 @@ def model_g(x: XsPoint) -> np.ndarray:
 
 
 def model_map(s: int) -> EquivariantMap:
-    return EquivariantMap(s, model_g, kind="model", lam=0.0)
+    return EquivariantMap(s, model_g)
 
 
 def g_zeros(s: int) -> list[XsPoint]:
@@ -162,7 +160,7 @@ def random_equivariant(s: int, lam: float, seed) -> EquivariantMap:
         out += lam * sum(terms.reshape(-1, n_terms).T)
         return out
 
-    return EquivariantMap(s, fn, kind="perturbed" if lam else "model", lam=lam)
+    return EquivariantMap(s, fn)
 
 
 def flip_orbit(x: XsPoint) -> list[XsPoint]:

@@ -28,6 +28,11 @@ from .spectrum import Spectrum, spectral_power, wht
 from .sphereprod import XsPoint, block_poly, block_size, random_point, to_polys
 from .varieties import LineSampler, VarietySpec
 
+# the annealing step length decays geometrically from STEP_INIT to STEP_FINAL
+# over each level's iterations
+STEP_INIT = 0.8
+STEP_FINAL = 0.02
+
 
 class SelfCheckError(RuntimeError):
     """The incremental evaluator's count table disagrees with cells.counts."""
@@ -41,8 +46,6 @@ class SolveConfig:
     iters: int = 600
     seed: int = 0
     objective: str = "discrete"  # or "smooth"
-    step_init: float = 0.8
-    step_final: float = 0.02
     delta_grid: tuple = tuple(2.0**-e for e in range(1, 13))
     mc_count: int = 4096
     sampling: SamplingConfig | None = None
@@ -230,11 +233,11 @@ def _levels(Gamma, n, cfg: SolveConfig, D, sampling, bases):
             yield _smooth_evaluator(Gamma, n, mcfg, bases), per_level, False
 
 
-def _anneal(evaluator, x, obj, iters, step_init, step_final, rng, trace, it_offset):
+def _anneal(evaluator, x, obj, iters, rng, trace, it_offset):
     s = x.s
     for k in range(iters):
         frac = k / max(iters - 1, 1)
-        h = step_init * (step_final / step_init) ** frac
+        h = STEP_INIT * (STEP_FINAL / STEP_INIT) ** frac
         j = int(rng.integers(1, s + 1))
         direction = rng.normal(size=block_size(j))
         x_cand = _step_block(x, j, direction, h)
@@ -281,9 +284,7 @@ def partition_varieties(Gamma: list[VarietySpec], cfg: SolveConfig) -> Partition
             obj = ev.set_point(xs[r])
             if not traces[r]:  # the restart's starting objective
                 traces[r].append((-1, float(obj)))
-            xs[r], objs[r] = _anneal(
-                ev, xs[r], obj, iters, cfg.step_init, cfg.step_final, rngs[r], traces[r], offset
-            )
+            xs[r], objs[r] = _anneal(ev, xs[r], obj, iters, rngs[r], traces[r], offset)
             if cfg.objective == "discrete":  # checked against cells.counts below
                 ev_tables[r] = ev._table()
         offset += iters

@@ -1,8 +1,5 @@
-"""Variety specifications: implicit equations plus parametric samplers.
-
-Supported parametric kinds are lines, circles, and affine k-planes; each
-synthesizes its own implicit defining polynomials so sampled points can be
-residual-checked.
+"""Variety specifications: parametric samplers for lines, circles and affine
+k-planes, with exact region measures, tube sampling and distances.
 """
 
 from __future__ import annotations
@@ -12,7 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .polyalg import Polynomial, eval_poly_many, from_terms
+# unused here, but perfbench's tracer requires this module to bind it
+from .polyalg import eval_poly_many  # noqa: F401
 
 _ORTHO_TOL = 1e-9
 
@@ -51,7 +49,6 @@ class PlaneSampler:
 class VarietySpec:
     n: int
     k: int
-    defining: list[Polynomial]
     sampler: LineSampler | CircleSampler | PlaneSampler
 
     @property
@@ -95,24 +92,6 @@ def _complement(rows: np.ndarray, n: int) -> np.ndarray:
     return vt[rows.shape[0] :]
 
 
-def _linear_poly(n: int, normal: np.ndarray, offset: float) -> Polynomial:
-    terms = {tuple(np.eye(n, dtype=int)[i]): float(normal[i]) for i in range(n)}
-    terms[(0,) * n] = float(offset)
-    return from_terms(n, terms, D=1)
-
-
-def _sphere_poly(n: int, center: np.ndarray, radius: float) -> Polynomial:
-    terms: dict[tuple[int, ...], float] = {(0,) * n: float(center @ center - radius**2)}
-    for i in range(n):
-        e2 = [0] * n
-        e2[i] = 2
-        terms[tuple(e2)] = 1.0
-        e1 = [0] * n
-        e1[i] = 1
-        terms[tuple(e1)] = float(-2.0 * center[i])
-    return from_terms(n, terms, D=2)
-
-
 def line(point, direction) -> VarietySpec:
     a = np.asarray(point, dtype=np.float64)
     n = a.shape[0]
@@ -122,8 +101,7 @@ def line(point, direction) -> VarietySpec:
     if u.shape != (n,):
         raise ValueError("line point/direction dimension mismatch")
     normals = _complement(u[None, :], n)
-    defining = [_linear_poly(n, w, -float(w @ a)) for w in normals]
-    return VarietySpec(n=n, k=1, defining=defining, sampler=LineSampler(a, u, normals))
+    return VarietySpec(n=n, k=1, sampler=LineSampler(a, u, normals))
 
 
 def circle(center, radius, frame=None) -> VarietySpec:
@@ -141,11 +119,8 @@ def circle(center, radius, frame=None) -> VarietySpec:
     if F.shape[0] != 2:
         raise ValueError("circle frame must have exactly 2 rows")
     normals = _complement(F, n)
-    defining = [_sphere_poly(n, c, float(radius))]
-    for w in normals:
-        defining.append(_linear_poly(n, w, -float(w @ c)))
     sampler = CircleSampler(c, float(radius), F, normals)
-    return VarietySpec(n=n, k=1, defining=defining, sampler=sampler)
+    return VarietySpec(n=n, k=1, sampler=sampler)
 
 
 def kplane(point, frame) -> VarietySpec:
@@ -160,8 +135,7 @@ def kplane(point, frame) -> VarietySpec:
     if k >= n:
         raise ValueError(f"need variety dimension k < n, got k={k}, n={n}")
     normals = _complement(F, n)
-    defining = [_linear_poly(n, w, -float(w @ a)) for w in normals]
-    return VarietySpec(n=n, k=k, defining=defining, sampler=PlaneSampler(a, F, normals))
+    return VarietySpec(n=n, k=k, sampler=PlaneSampler(a, F, normals))
 
 
 def build(kind: str, params: dict) -> VarietySpec:
@@ -173,13 +147,6 @@ def build(kind: str, params: dict) -> VarietySpec:
     if kind == "kplane":
         return kplane(params["point"], params["frame"])
     raise ValueError(f"unsupported variety kind {kind!r}")
-
-
-def residuals(spec: VarietySpec, X: np.ndarray) -> np.ndarray:
-    """max_j |p_j(x)| per row of X."""
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    vals = np.stack([np.abs(eval_poly_many(p, X)) for p in spec.defining], axis=1)
-    return vals.max(axis=1)
 
 
 def _line_interval(a, u, R):
@@ -420,5 +387,7 @@ def distance_to(spec: VarietySpec, X: np.ndarray) -> np.ndarray:
     pu = d @ u
     pv = d @ v
     inplane = np.hypot(pu, pv)
-    perp2 = np.maximum(np.linalg.norm(d, axis=1) ** 2 - inplane**2, 0.0)
-    return np.sqrt((inplane - s.radius) ** 2 + perp2)
+    # the out-of-plane part taken directly: |d|^2 - inplane^2 cancels to
+    # rounding noise whose square root reaches 1e-8 on the circle itself
+    perp = np.linalg.norm(d - pu[:, None] * u - pv[:, None] * v, axis=1)
+    return np.hypot(inplane - s.radius, perp)

@@ -200,7 +200,6 @@ def test_basis_budget_exit_2(tmp_path, capsys, monkeypatch, command):
             "points": [[0.1, 0.2], [0.3, 0.4]],
         },
     )
-    load_instance(inst)  # the line's own degree-1 basis is built here, once
 
     def enumerated(*args):
         raise AssertionError("a basis was enumerated past the budget guard")
@@ -263,6 +262,46 @@ def test_verify_borsuk_s6_passes_every_row():
         "zero-count", "zero-residual", "jacobian-diagonal", "jacobian-fd", "equivariance"
     ]
     assert all(passed for _, passed, _ in rows), rows
+
+
+_jacobian_g, _wht_table = cli.eq.jacobian_g, cli.wht_table
+
+
+def _one_sign_flipped(z):
+    J = _jacobian_g(z)
+    J[0, 0] = -J[0, 0]
+    return J
+
+
+def _cells_past_bound(g, pvec):
+    return [None] * (sum(p.basis.D for p in pvec) + 2)
+
+
+# each suite with one property broken: (argv, owner, name, replacement, rows that must fail)
+BROKEN_SUITES = {
+    "borsuk": (["verify-borsuk", "--s", "2"], cli.eq, "jacobian_g", _one_sign_flipped,
+               ["jacobian-fd"]),
+    "spectrum": (["verify-spectrum", "--s", "4"], cli, "wht_table",
+                 lambda table: _wht_table(table) + 1, ["wht-involution"]),
+    "line-cells-above": (["bench-line-cells", "--D", "4", "--trials", "10"], cli,
+                         "cells_entered_line", _cells_past_bound, ["line-cell-bound"]),
+    "line-cells-none": (["bench-line-cells", "--D", "4", "--trials", "10"], cli,
+                        "cells_entered_line", lambda g, pvec: [], ["line-cell-bound"]),
+    "mollifier": (["verify-mollifier", "--delta-grid", "0.25,0.125,0.0625"], cli, "i_delta",
+                  lambda *args: 0.5, ["separated-cell-zero", "witness-one"]),
+}
+
+
+@pytest.mark.parametrize("suite", sorted(BROKEN_SUITES))
+def test_verify_suite_fails_on_a_broken_property(monkeypatch, capsys, suite):
+    # the acceptance criteria only read these rows, so a broken property
+    # must turn its row to FAIL and the command's exit code to 1
+    argv, owner, name, broken, rows = BROKEN_SUITES[suite]
+    monkeypatch.setattr(owner, name, broken)
+    assert main(argv) == 1
+    out = capsys.readouterr().out
+    for row in rows:
+        assert f"FAIL {row}:" in out
 
 
 @pytest.mark.parametrize("command", ["verify-borsuk", "verify-spectrum"])

@@ -112,7 +112,7 @@ def test_check_equivariance_broken_map():
         out[0] = 1.0  # constants are not odd
         return out
 
-    f = EquivariantMap(2, broken, kind="broken")
+    f = EquivariantMap(2, broken)
     assert check_equivariance(f, trials=200, seed=2) >= 1.0
 
 
@@ -159,7 +159,7 @@ def test_continuation_failure_reports():
     def hopeless(x):
         return model_g(x) + 5.0  # no zero anywhere near; breaks equivariance too
 
-    f = EquivariantMap(1, hopeless, kind="broken")
+    f = EquivariantMap(1, hopeless)
     with pytest.raises(ContinuationError) as err:
         continuation_zero(f, 1, ContinuationConfig(t_steps=4, min_step=0.25))
     assert len(err.value.residuals) == 2

@@ -4,7 +4,6 @@ import math
 import numpy as np
 import pytest
 
-from polypart.polyalg import eval_poly
 from polypart.varieties import (
     build,
     circle,
@@ -12,7 +11,6 @@ from polypart.varieties import (
     kplane,
     line,
     region_measure,
-    residuals,
     sample_in_ball,
     tube_sample,
     tube_sample_many,
@@ -22,46 +20,27 @@ from polypart.varieties import (
 def test_build_line_r2():
     spec = line((0.0, 0.0), (1.0, 0.0))
     assert spec.k == 1 and spec.n == 2
-    assert len(spec.defining) == 1
-    p = spec.defining[0]
-    # defining equation is y = 0 up to sign
-    assert eval_poly(p, (5.0, 0.0)) == pytest.approx(0.0, abs=1e-12)
-    assert abs(eval_poly(p, (0.0, 1.0))) == pytest.approx(1.0)
-
-
-def test_build_line_r3_two_equations():
-    spec = line((1.0, 2.0, 3.0), (0.0, 0.0, 1.0))
-    assert len(spec.defining) == 2
-    for t in (-2.0, 0.0, 1.5):
-        pt = (1.0, 2.0, 3.0 + t)
-        for p in spec.defining:
-            assert eval_poly(p, pt) == pytest.approx(0.0, abs=1e-12)
+    assert distance_to(spec, [(5.0, 0.0), (0.0, 1.0)]) == pytest.approx([0.0, 1.0], abs=1e-12)
 
 
 def test_build_circle_r2():
     spec = circle((0.0, 0.0), 1.0)
-    assert spec.k == 1 and len(spec.defining) == 1
-    p = spec.defining[0]
-    # x^2 + y^2 - 1
-    assert eval_poly(p, (1.0, 0.0)) == pytest.approx(0.0, abs=1e-12)
-    assert eval_poly(p, (0.0, 0.0)) == pytest.approx(-1.0)
+    assert spec.k == 1
+    assert distance_to(spec, [(1.0, 0.0), (0.0, 0.0)]) == pytest.approx([0.0, 1.0], abs=1e-12)
 
 
 def test_build_circle_r3_sphere_plus_plane():
     frame = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
     spec = circle((0.0, 0.0, 1.0), 2.0, frame)
-    assert len(spec.defining) == 2
-    degs = sorted(p.degree() for p in spec.defining)
-    assert degs == [1, 2]
+    assert spec.k == 1 and spec.n == 3
     pts = sample_in_ball(spec, 5.0, 50, seed=0)
-    assert residuals(spec, pts).max() < 1e-9
+    assert distance_to(spec, pts).max() < 1e-9
 
 
 def test_build_plane_z0():
     spec = kplane((0.0, 0.0, 0.0), np.eye(3)[:2])
     assert spec.k == 2
-    assert len(spec.defining) == 1
-    assert abs(eval_poly(spec.defining[0], (0.0, 0.0, 2.0))) == pytest.approx(2.0)
+    assert distance_to(spec, (0.0, 0.0, 2.0)) == pytest.approx(2.0)
 
 
 def test_build_errors():
@@ -76,13 +55,13 @@ def test_build_errors():
 
 
 def test_point_variety_k0():
-    # an empty frame gives a single-point variety: k = 0, n linear equations
+    # an empty frame gives a single-point variety: k = 0
     spec = kplane((0.3, -0.4), np.zeros((0, 2)))
-    assert spec.k == 0 and len(spec.defining) == 2
+    assert spec.k == 0
     pts = sample_in_ball(spec, 1.0, 5, seed=0)
     assert pts.shape == (5, 2)
     assert np.allclose(pts, [0.3, -0.4])
-    assert residuals(spec, pts).max() < 1e-12
+    assert distance_to(spec, pts).max() < 1e-12
     # outside the ball: nothing to sample
     assert sample_in_ball(spec, 0.25, 5, seed=0).shape == (0, 2)
     cloud = tube_sample(spec, 0.1, 1.0, 4000, seed=1)
@@ -117,7 +96,7 @@ def test_sample_circle_residuals():
     spec = circle((0.2, -0.1), 0.8)
     pts = sample_in_ball(spec, 1.0, 100, seed=3)
     assert len(pts) == 100
-    assert residuals(spec, pts).max() < 1e-9
+    assert distance_to(spec, pts).max() < 1e-9
     assert np.all(np.linalg.norm(pts, axis=1) <= 1.0 + 1e-12)
 
 
@@ -127,13 +106,13 @@ def test_sample_circle_partial_arc():
     pts = sample_in_ball(spec, 1.0, 200, seed=4)
     assert len(pts) == 200
     assert np.all(np.linalg.norm(pts, axis=1) <= 1.0 + 1e-9)
-    assert residuals(spec, pts).max() < 1e-9
+    assert distance_to(spec, pts).max() < 1e-9
 
 
 def test_sample_plane_in_ball():
     spec = kplane((0.0, 0.0, 0.5), np.eye(3)[:2])
     pts = sample_in_ball(spec, 1.0, 300, seed=5)
-    assert residuals(spec, pts).max() < 1e-9
+    assert distance_to(spec, pts).max() < 1e-9
     assert np.all(np.linalg.norm(pts, axis=1) <= 1.0 + 1e-12)
     far = kplane((0.0, 0.0, 2.0), np.eye(3)[:2])
     assert sample_in_ball(far, 1.0, 10, seed=5).shape == (0, 3)
