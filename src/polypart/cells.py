@@ -99,10 +99,8 @@ def _auto_count(spec: VarietySpec, R: float, product_degree: int) -> int:
     return base
 
 
-def _sign_tols(pvec, tau):
-    if tau is not None:
-        return np.full(len(pvec), float(tau))
-    return np.array([DEFAULT_SIGN_TOL_SCALE * p.coeff_norm() for p in pvec])
+def _sign_tol(p: Polynomial) -> float:
+    return DEFAULT_SIGN_TOL_SCALE * p.coeff_norm()
 
 
 def pack_signs(cols, tols) -> tuple[np.ndarray, np.ndarray]:
@@ -124,7 +122,7 @@ def sign_vector_many(pvec, X, tau=None):
     """Batch sign vectors as table indices plus a boundary mask."""
     X = np.asarray(X, dtype=np.float64)
     cols = [eval_poly_many(p, X) for p in pvec]
-    idx, interior = pack_signs(cols, _sign_tols(pvec, tau))
+    idx, interior = pack_signs(cols, [_sign_tol(p) if tau is None else float(tau) for p in pvec])
     return idx, ~interior
 
 
@@ -137,15 +135,52 @@ def _distinct(keys: np.ndarray) -> np.ndarray:
     return keys[first]
 
 
-def entered_cells_sampled(spec: VarietySpec, pvec, sampling: SamplingConfig) -> set:
-    """Sign vectors realized by samples of the variety inside B_R (one-sided)."""
-    D = sum(p.degree() for p in pvec)
-    count = sampling.count or _auto_count(spec, sampling.R, D)
-    pts = sample_in_ball(spec, sampling.R, count, sampling.seed)
-    if len(pts) == 0:
-        return set()
-    idx, boundary = sign_vector_many(pvec, pts)
-    return {index_w(int(i), len(pvec)) for i in _distinct(idx[~boundary])}
+def _entry_table(owners: np.ndarray, idx: np.ndarray, s: int) -> np.ndarray:
+    """Count of owners entering each of the 2^s cells, from every (owner,
+    table index) sighting: each distinct pair counts once."""
+    entered = _distinct((owners << s) | idx) & (2**s - 1)
+    return np.bincount(entered, minlength=2**s).astype(np.int64)
+
+
+class CountFrame:
+    """A family's count table minus the polynomials: with exact_lines its
+    lines as one stacked frame (with cache_factors, its restrictions share one
+    binomial-factor cache), and a fixed sample in B_R of every other variety
+    i, on seed (sampling.seed, i), of sampling.count points or the density
+    default at product degree D. column(p) is one polynomial's part of the
+    table, and table(cols) the 2^s table."""
+
+    def __init__(self, Gamma, sampling, D, exact_lines=False, cache_factors=False):
+        exact = [exact_lines and isinstance(g.sampler, LineSampler) for g in Gamma]
+        lines = [g for g, e in zip(Gamma, exact) if e]
+        self.lines = line_frames(lines) if lines else None
+        self.facs = {} if cache_factors else None
+        R, count = sampling.R, sampling.count
+        samples = [
+            sample_in_ball(g, R, count or _auto_count(g, R, D), (sampling.seed, i))
+            for i, g in enumerate(Gamma)
+            if not exact[i]
+        ]
+        # empty samples are dropped: a family without any does no sampled work
+        self.samples = [pts for pts in samples if len(pts)]
+        self.owners = np.repeat(np.arange(len(self.samples)), [len(x) for x in self.samples])
+
+    def column(self, p: Polynomial):
+        """p's restriction to the lines, its values at the samples (one
+        variety at a time, so each rounds as alone) and its sign tolerance."""
+        restriction = line_restriction_roots(*self.lines, p, self.facs) if self.lines else None
+        vals = [eval_poly_many(p, x) for x in self.samples]
+        return restriction, np.concatenate(vals) if vals else None, _sign_tol(p)
+
+    def table(self, cols) -> np.ndarray:
+        restrictions, vals, tols = zip(*cols)
+        out = np.zeros(2 ** len(cols), dtype=np.int64)
+        if self.lines:
+            out += cell_table_from_roots(restrictions)
+        if self.samples:
+            idx, interior = pack_signs(vals, tols)
+            out += _entry_table(self.owners[interior], idx[interior], len(cols))
+        return out
 
 
 def counts(
@@ -162,21 +197,9 @@ def counts(
     s = len(pvec)
     if s > 20:
         raise ValueError(f"cell tables support at most 20 polynomials, got {s}")
-    table = np.zeros(2**s, dtype=np.int64)
-    line_ids = [
-        i for i, g in enumerate(Gamma) if exact_lines and isinstance(g.sampler, LineSampler)
-    ]
-    if line_ids:
-        # fresh restrictions: no factor cache is shared with a solver's evaluator
-        A, U = line_frames([Gamma[i] for i in line_ids])
-        table += cell_table_from_roots([line_restriction_roots(A, U, p) for p in pvec])
-    for i, spec in enumerate(Gamma):
-        if i in line_ids:
-            continue
-        cfg = SamplingConfig(sampling.R, sampling.count, (sampling.seed, i))
-        for w in entered_cells_sampled(spec, pvec, cfg):
-            table[w_index(w)] += 1
-    return CellCounts(s, table)
+    # no factor cache: a solver's self-check shares nothing with its evaluator
+    frame = CountFrame(Gamma, sampling, sum(p.degree() for p in pvec), exact_lines)
+    return CellCounts(s, frame.table([frame.column(p) for p in pvec]))
 
 
 def point_counts(points, pvec, tau: float | None = None) -> CellCounts:
@@ -482,7 +505,7 @@ def line_restriction_roots(
     degenerate = np.abs(C).max(axis=1) < _DEGENERATE_TOL * _restriction_scale(p, A)
     C[degenerate] = 0.0
     owners, roots = isolate_real_roots_flat(C)
-    tol = float(_sign_tols([p], None)[0] * 1e-2)
+    tol = _sign_tol(p) * 1e-2
     return LineRestriction(C, degenerate, owners, roots, tol)
 
 
@@ -607,10 +630,7 @@ def cell_sets_from_roots(restrictions: list[LineRestriction]) -> list[set]:
 
 def cell_table_from_roots(restrictions: list[LineRestriction]) -> np.ndarray:
     """Count of lines entering each cell, straight to the 2^s table."""
-    s = len(restrictions)
-    owners, idx = _line_cells(restrictions)
-    entered = _distinct((owners << s) | idx) & (2**s - 1)
-    return np.bincount(entered, minlength=2**s).astype(np.int64)
+    return _entry_table(*_line_cells(restrictions), len(restrictions))
 
 
 def line_cell_sets(lines: list[VarietySpec], pvec) -> list[set]:

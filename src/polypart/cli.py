@@ -452,6 +452,8 @@ def _parse_grid(text: str):
         raise InstanceError(f"--delta-grid must be comma-separated floats, got {text!r}")
     if not grid or any(not 0.0 < d < 1.0 for d in grid):
         raise InstanceError("--delta-grid entries must lie in (0, 1)")
+    if any(b >= a for a, b in zip(grid, grid[1:])):
+        raise InstanceError(f"--delta-grid must be strictly decreasing, got {text!r}")
     return grid
 
 

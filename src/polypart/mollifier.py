@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cells import pack_signs, w_index
-from .polyalg import MonomialBasis, Polynomial, eval_poly_many, grad_bound
+# eval_poly_many is unused here, but perfbench's tracer requires this binding
+from .polyalg import MonomialBasis, Polynomial, eval_poly_many, grad_bound, monomial_matrix
 from .spectrum import wht_table
 from .varieties import VarietySpec, WeightedCloud, tube_sample, tube_sample_many
 
@@ -116,6 +117,29 @@ def i_delta(spec: VarietySpec, pvec, w, cfg: MollConfig, cloud=None) -> float:
     return float(mollified_row(spec, pvec, cfg, cloud)[w_index(w)])
 
 
+class LevelFrame:
+    """One level's stacked tube clouds with the monomials of `basis` on them,
+    tabulated cloud by cloud to keep the gather temporary cloud-sized. A
+    smaller graded-lex basis is a prefix of its columns, so column(p) is one
+    matrix-vector product, and table(cols) one pass of mollified_rows."""
+
+    def __init__(self, Gamma, cfg: MollConfig, basis: MonomialBasis, clouds=None):
+        if clouds is None:
+            clouds = family_clouds(Gamma, cfg)
+        self.cfg, self.n = cfg, basis.n
+        self.sizes = [len(c.points) for c in clouds]
+        self.weights = [c.weight for c in clouds]
+        self.mono = np.empty((sum(self.sizes), len(basis)))
+        for c, stop in zip(clouds, np.cumsum(self.sizes)):
+            self.mono[stop - len(c.points) : stop] = monomial_matrix(c.points, basis)
+
+    def column(self, p: Polynomial) -> np.ndarray:
+        return self.mono[:, : len(p.coeffs)] @ p.coeffs
+
+    def table(self, cols) -> np.ndarray:
+        return mollified_rows(cols, self.sizes, self.weights, self.cfg, self.n).sum(axis=0)
+
+
 def mollified_table(
     Gamma: list[VarietySpec],
     pvec,
@@ -127,13 +151,8 @@ def mollified_table(
     Without explicit clouds each variety gets its own seed substream so the
     estimate is deterministic in (Gamma order, cfg.seed).
     """
-    n = pvec[0].basis.n
-    if clouds is None:
-        clouds = family_clouds(Gamma, cfg)
-    pts = np.concatenate([c.points for c in clouds] + [np.zeros((0, n))])  # Gamma may be []
-    cols = [eval_poly_many(p, pts) for p in pvec]
-    sizes = [len(c.points) for c in clouds]
-    return mollified_rows(cols, sizes, [c.weight for c in clouds], cfg, n).sum(axis=0)
+    frame = LevelFrame(Gamma, cfg, max((p.basis for p in pvec), key=len), clouds)
+    return frame.table([frame.column(p) for p in pvec])
 
 
 def f_delta_v(Gamma, pvec, v, cfg: MollConfig, clouds=None) -> float:

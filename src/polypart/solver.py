@@ -6,9 +6,10 @@ increase, so accepted traces are non-increasing by construction. The discrete
 objective is the spectral power of the cell-count table (zero exactly at
 equidistribution); the smoothed objective swaps in mollified counts over a
 shrinking delta grid. Both score proposals through one incremental evaluator
-that caches one column per block (restrictions and sample values for the
-discrete table, tube-cloud values for the mollified one) and recomputes only
-the moved block's column. The point solver instead bisects sequentially, one
+that caches one column per block and recomputes only the moved block's
+column. The tables are built elsewhere: a cells.CountFrame gives the discrete
+columns and table, and a mollifier.LevelFrame the mollified ones, so the
+solver only anneals. The point solver instead bisects sequentially, one
 polynomial per step, minimizing the worst signed imbalance over the current
 parts (a numerical stand-in for a ham-sandwich cut on the lifted points).
 """
@@ -22,11 +23,13 @@ import numpy as np
 
 from . import cells as cells_mod
 from . import mollifier as moll_mod
+# sign_vector_many and eval_poly_many are unused here, but perfbench's tracer
+# requires these bindings
 from .cells import CellCounts, SamplingConfig, point_counts, sign_vector_many
 from .polyalg import Polynomial, degree_schedule, eval_poly_many, monomial_basis, monomial_matrix
 from .spectrum import Spectrum, spectral_power, wht
 from .sphereprod import XsPoint, block_poly, block_size, random_point, to_polys
-from .varieties import LineSampler, VarietySpec
+from .varieties import VarietySpec
 
 # the annealing step length decays geometrically from STEP_INIT to STEP_FINAL
 # over each level's iterations
@@ -135,66 +138,16 @@ class _Evaluator:
         self.cols[j - 1] = old
 
 
-def _discrete_evaluator(Gamma, n, s, D, sampling) -> _Evaluator:
-    """Discrete counts: lines exactly, from each block's cached restriction
-    to every line; other varieties through fixed samples, from each block's
-    values on them and its sign tolerance."""
-    lines = [g for g in Gamma if isinstance(g.sampler, LineSampler)]
-    frame = cells_mod.line_frames(lines) if lines else None
-    facs: dict = {}  # the frame's binomial factors, shared by every restriction
-    samples = [
-        cells_mod.sample_in_ball(
-            g, sampling.R, sampling.count or cells_mod._auto_count(g, sampling.R, D),
-            (sampling.seed, i),
-        )
-        for i, g in enumerate(Gamma)
-        if not isinstance(g.sampler, LineSampler)
-    ]
-
-    def column(poly):
-        restriction = cells_mod.line_restriction_roots(*frame, poly, facs) if lines else None
-        vals = [eval_poly_many(poly, pts) if len(pts) else np.zeros(0) for pts in samples]
-        return restriction, vals, cells_mod._sign_tols([poly], None)[0]
-
-    def table(cols):
-        restrictions, vals, tols = zip(*cols)
-        out = np.zeros(2**s, dtype=np.int64)
-        if lines:
-            out += cells_mod.cell_table_from_roots(restrictions)
-        for i in range(len(samples)):
-            idx, interior = cells_mod.pack_signs([v[i] for v in vals], tols)
-            out[cells_mod._distinct(idx[interior])] += 1
-        return out
-
-    return _Evaluator(n, column, table)
+def _discrete_evaluator(Gamma, n, D, sampling) -> _Evaluator:
+    """Discrete counts; all line restrictions share one factor cache."""
+    frame = cells_mod.CountFrame(Gamma, sampling, D, exact_lines=True, cache_factors=True)
+    return _Evaluator(n, frame.column, frame.table)
 
 
 def _smooth_evaluator(Gamma, n, mcfg: moll_mod.MollConfig, bases) -> _Evaluator:
-    """Mollified counts over fixed tube clouds at one delta level.
-
-    The level's clouds (sampled in one pass) are stacked into one point
-    array, and the monomials of the largest schedule basis are tabulated on
-    it once; a smaller graded-lex basis is a prefix of its columns. A
-    block's column is then one matrix-vector product, and the table one pass
-    of mollifier.mollified_rows.
-    """
-    clouds = moll_mod.family_clouds(Gamma, mcfg)
-    sizes = [len(c.points) for c in clouds]
-    weights = [c.weight for c in clouds]
-    ends = np.cumsum(sizes)
-    basis = max(bases, key=len)
-    mono = np.empty((ends[-1], len(basis)))
-    for c, stop in zip(clouds, ends):
-        # cloud by cloud, so the gather temporary stays cloud-sized
-        mono[stop - len(c.points) : stop] = monomial_matrix(c.points, basis)
-
-    def column(poly):
-        return mono[:, : len(poly.coeffs)] @ poly.coeffs
-
-    def table(cols):
-        return moll_mod.mollified_rows(cols, sizes, weights, mcfg, n).sum(axis=0)
-
-    return _Evaluator(n, column, table)
+    """Mollified counts at one level, on the largest schedule basis."""
+    frame = moll_mod.LevelFrame(Gamma, mcfg, max(bases, key=len))
+    return _Evaluator(n, frame.column, frame.table)
 
 
 def _certified_zero(mcfg: moll_mod.MollConfig, bases) -> bool:
@@ -221,7 +174,7 @@ def _levels(Gamma, n, cfg: SolveConfig, D, sampling, bases):
     sampled, and its evaluator scores every tuple 0.0 as the built one
     would, so the annealing draws and accepts exactly as before."""
     if cfg.objective == "discrete":
-        yield _discrete_evaluator(Gamma, n, cfg.s, D, sampling), cfg.iters, False
+        yield _discrete_evaluator(Gamma, n, D, sampling), cfg.iters, False
         return
     per_level = max(cfg.iters // len(cfg.delta_grid), 20)
     for level, delta in enumerate(cfg.delta_grid):
@@ -518,6 +471,10 @@ def partition_points(X, s: int, cfg: SolveConfig) -> PartitionReport:
     if not np.all(np.isfinite(X)):
         raise ValueError("points must be finite")
     n = X.shape[1]
+    if s != cfg.s:
+        raise ValueError(f"s = {s} does not match the config's s = {cfg.s}")
+    if n != cfg.n:
+        raise ValueError(f"config n = {cfg.n} but points live in R^{n}")
     sched = degree_schedule(n, s)
     D = sum(sched)
     part = np.zeros(len(X), dtype=np.int64)

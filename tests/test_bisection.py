@@ -80,6 +80,23 @@ def test_partition_points_rejects_non_finite(bad):
         partition_points(X, 2, SolveConfig(s=2, n=2, restarts=1, iters=10))
 
 
+
+@pytest.mark.parametrize(
+    "s, cfg_s, cfg_n, match",
+    [(3, 5, 2, r"s = 3 .* s = 5"), (3, 3, 3, r"n = 3 .* R\^2"), (3, 5, 3, r"s = 3 .* s = 5")],
+)
+def test_partition_points_rejects_config_mismatch(monkeypatch, s, cfg_s, cfg_n, match):
+    # planar points: the call's s and the points' dimension must be the
+    # config's, checked before any basis is built
+    def reached(*args, **kwargs):
+        raise AssertionError("solve ran past the s and n checks")
+
+    monkeypatch.setattr(solver, "monomial_basis", reached)
+    X = np.random.default_rng(0).uniform(size=(20, 2))
+    with pytest.raises(ValueError, match=match):
+        partition_points(X, s, SolveConfig(s=cfg_s, n=cfg_n, restarts=1, iters=10))
+
+
 _value = st.one_of(
     st.sampled_from(
         [

@@ -10,7 +10,6 @@ from polypart.cells import (
     SamplingConfig,
     cells_entered_line,
     counts,
-    entered_cells_sampled,
     index_w,
     isolate_real_roots_flat,
     line_cell_sets,
@@ -26,7 +25,7 @@ from polypart.polyalg import (
     restrict_to_line_batch,
 )
 from polypart.sphereprod import flip, random_point, to_polys
-from polypart.varieties import circle, line
+from polypart.varieties import circle, kplane, line
 
 X = from_terms(2, {(1, 0): 1.0})
 Y = from_terms(2, {(0, 1): 1.0})
@@ -56,13 +55,13 @@ def test_cell_counts_helpers():
 
 
 def test_indicator_examples():
-    # the sampled indicator of cell w is w's membership in the entered cells
+    # the sampled indicator of cell w is the count of w for a one-variety family
     cfg = SamplingConfig(R=2.0, count=512, seed=0)
     y1 = line((0.0, 1.0), (1.0, 0.0))
-    entered = entered_cells_sampled(y1, [X, Y], cfg)
-    assert (0, 0) in entered and (0, 1) not in entered
+    entered = counts([y1], [X, Y], cfg)
+    assert entered[(0, 0)] == 1 and entered[(0, 1)] == 0
     xaxis = line((0.0, 0.0), (1.0, 0.0))
-    assert entered_cells_sampled(xaxis, [X, Y], cfg) == set()  # whole line on Z(P_2)
+    assert counts([xaxis], [X, Y], cfg) == CellCounts.zeros(2)  # whole line on Z(P_2)
 
 
 def test_counts_quadrant_example():
@@ -311,8 +310,9 @@ def test_sampled_subset_of_exact():
         pvec = [random_unit_poly(rng, 2, int(d)) for d in rng.integers(1, 4, size=2)]
         g = random_line(rng, 2)
         exact = cells_entered_line(g, pvec)
-        sampled = entered_cells_sampled(g, pvec, cfg)
-        assert sampled <= exact
+        table = counts([g], pvec, cfg).table
+        assert table.max() <= 1
+        assert {index_w(i, len(pvec)) for i in np.flatnonzero(table)} <= exact
 
 
 def test_line_cell_sets_batched_consistent():
@@ -449,6 +449,38 @@ def test_seeded_line_solve_pinned_table():
     # recorded with the Sturm-bisection isolator before certified eigenvalue roots
     pinned = [77, 15, 117, 78, 100, 94, 128, 37, 15, 51, 72, 143, 85, 76, 141, 84]
     assert rep.counts.table.tolist() == pinned
+
+
+def test_sampled_counts_pinned_tables():
+    # recorded from the per-variety sampled counts that the count frame
+    # replaced: a mixed R^2 family (lines, circles, 0-planes) with lines
+    # counted exactly and sampled, and 2-planes in R^3; at density-default
+    # sample sizes, and at 4 points per variety, where every table depends
+    # on each variety's own seed substream
+    rng = np.random.default_rng(31)
+    Gamma = []
+    for _ in range(6):
+        t = rng.uniform(0.0, 2 * np.pi)
+        Gamma.append(line(rng.uniform(-1.0, 1.0, size=2), (np.cos(t), np.sin(t))))
+        Gamma.append(circle(rng.uniform(-1.0, 1.0, size=2), rng.uniform(0.2, 1.0)))
+        Gamma.append(kplane(rng.uniform(-1.5, 1.5, size=2), np.zeros((0, 2))))
+    pvec = to_polys(random_point(3, seed=43), 2)
+    rng = np.random.default_rng(34)
+    planes = [
+        kplane(rng.uniform(-1.0, 1.0, size=3), np.linalg.qr(rng.normal(size=(3, 2)))[0].T)
+        for _ in range(5)
+    ]
+    pvec3 = to_polys(random_point(3, seed=39), 3)
+    pinned = {
+        None: ([7, 6, 13, 6, 3, 3, 1, 6], [7, 5, 13, 6, 1, 3, 1, 6], [3, 5, 5, 5, 3, 4, 3, 1]),
+        4: ([6, 6, 13, 4, 3, 2, 1, 6], [6, 5, 12, 4, 1, 0, 1, 6], [0, 2, 5, 2, 1, 2, 0, 0]),
+    }
+    for count, (exact, sampled, in_r3) in pinned.items():
+        sampling = SamplingConfig(R=2.0, count=count, seed=33)
+        assert counts(Gamma, pvec, sampling, exact_lines=True).table.tolist() == exact
+        assert counts(Gamma, pvec, sampling, exact_lines=False).table.tolist() == sampled
+        sampling = SamplingConfig(R=2.0, count=count, seed=36)
+        assert counts(planes, pvec3, sampling).table.tolist() == in_r3
 
 
 def test_pack_signs_bits_and_interior():

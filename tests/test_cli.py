@@ -351,3 +351,18 @@ def test_non_finite_point_exit_2(tmp_path, capsys, bad):
     err = capsys.readouterr().err
     assert "points[1]" in err and len(err.strip().splitlines()) == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("grid", ["0.0625,0.125,0.0625", "0.25,0.25"])
+def test_verify_mollifier_non_decreasing_grid_exit_2(monkeypatch, capsys, grid):
+    # rejected before any check runs: a repeated or rising level is an input
+    # error, not a failed schedule property
+    def reached(*args, **kwargs):
+        raise AssertionError("suite ran past the --delta-grid guard")
+
+    monkeypatch.setattr(cli, "schedule", reached)
+    assert main(["verify-mollifier", "--delta-grid", grid]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--delta-grid" in captured.err and "decreasing" in captured.err
+    assert len(captured.err.strip().splitlines()) == 1

@@ -8,6 +8,7 @@ from polypart.mollifier import (
     MollConfig,
     eta,
     f_delta_v,
+    family_clouds,
     i_delta,
     mollified_row,
     mollified_rows,
@@ -15,9 +16,15 @@ from polypart.mollifier import (
     schedule,
     tube_cloud,
 )
-from polypart.polyalg import MonomialBasis, Polynomial, degree_schedule, grad_bound
+from polypart.polyalg import (
+    MonomialBasis,
+    Polynomial,
+    degree_schedule,
+    eval_poly_many,
+    grad_bound,
+)
 from polypart.sphereprod import flip, random_point, to_polys
-from polypart.varieties import line
+from polypart.varieties import circle, line
 
 
 def unit_linear(cx, cy, c0):
@@ -187,3 +194,28 @@ def test_mollified_rows_match_per_point_oracle():
     want = eta(cfg.eps, want * cfg.delta**-2)
     assert 0.0 < want.max() and np.any((want > 0.0) & (want < 1.0))
     assert np.allclose(rows, want, rtol=1e-12, atol=0.0)
+
+
+def test_mollified_table_mixed_degrees():
+    # degrees 2, 3, 1: every column is read off one monomial table on the
+    # largest basis, wherever it sits in pvec, and agrees with values from
+    # eval_poly_many up to rounding; coefficients of norm 100 keep the table
+    # off zero at these levels
+    rng = np.random.default_rng(4)
+    Gamma = [circle((0.2, -0.1), 0.6), line((0.0, 0.3), (0.6, 0.8)), circle((-0.3, 0.4), 0.9)]
+    pvec = []
+    for D in (2, 3, 1):
+        c = rng.normal(size=len(MonomialBasis(2, D)))
+        pvec.append(Polynomial(MonomialBasis(2, D), 100.0 * c / np.linalg.norm(c)))
+    nonzero = 0
+    for delta in (2.0**-4, 2.0**-6):
+        cfg = schedule(delta, [p.basis for p in pvec], mc_count=1024, seed=7)
+        clouds = family_clouds(Gamma, cfg)
+        got = mollified_table(Gamma, pvec, cfg, clouds)
+        pts = np.concatenate([c.points for c in clouds])
+        cols = [eval_poly_many(p, pts) for p in pvec]
+        sizes = [len(c.points) for c in clouds]
+        want = mollified_rows(cols, sizes, [c.weight for c in clouds], cfg, n=2).sum(axis=0)
+        assert np.allclose(got, want, rtol=0.0, atol=1e-12)
+        nonzero += np.count_nonzero(want)
+    assert nonzero >= 4
