@@ -144,17 +144,17 @@ def _entry_table(owners: np.ndarray, idx: np.ndarray, s: int) -> np.ndarray:
 
 class CountFrame:
     """A family's count table minus the polynomials: with exact_lines its
-    lines as one stacked frame (with cache_factors, its restrictions share one
-    binomial-factor cache), and a fixed sample in B_R of every other variety
+    lines as one stacked frame, whose restrictions share the frame's own
+    binomial-factor cache, and a fixed sample in B_R of every other variety
     i, on seed (sampling.seed, i), of sampling.count points or the density
     default at product degree D. column(p) is one polynomial's part of the
     table, and table(cols) the 2^s table."""
 
-    def __init__(self, Gamma, sampling, D, exact_lines=False, cache_factors=False):
+    def __init__(self, Gamma, sampling, D, exact_lines=False):
         exact = [exact_lines and isinstance(g.sampler, LineSampler) for g in Gamma]
         lines = [g for g, e in zip(Gamma, exact) if e]
         self.lines = line_frames(lines) if lines else None
-        self.facs = {} if cache_factors else None
+        self.facs = {}
         R, count = sampling.R, sampling.count
         samples = [
             sample_in_ball(g, R, count or _auto_count(g, R, D), (sampling.seed, i))
@@ -197,7 +197,7 @@ def counts(
     s = len(pvec)
     if s > 20:
         raise ValueError(f"cell tables support at most 20 polynomials, got {s}")
-    # no factor cache: a solver's self-check shares nothing with its evaluator
+    # a frame of its own: a solver's self-check shares no cache with its evaluator
     frame = CountFrame(Gamma, sampling, sum(p.degree() for p in pvec), exact_lines)
     return CellCounts(s, frame.table([frame.column(p) for p in pvec]))
 

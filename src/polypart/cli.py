@@ -21,7 +21,7 @@ import numpy as np
 
 from . import equivariant as eq
 from .cells import CellCounts, SamplingConfig, cells_entered_line, index_w
-from .mollifier import i_delta, schedule
+from .mollifier import check_delta_grid, i_delta, schedule
 from .polyalg import (
     MAX_BASIS_DIM, MonomialBasis, Polynomial, basis_dim, degree_schedule, grad_bound
 )
@@ -55,8 +55,10 @@ def load_instance(path: str) -> Instance:
     if "n" not in raw:
         raise InstanceError("missing field 'n'")
     n = raw["n"]
-    if not isinstance(n, int) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise InstanceError(f"field 'n' must be a positive integer, got {n!r}")
+    if not isinstance(raw.get("varieties", []), list):
+        raise InstanceError("field 'varieties' must be an array")
     varieties = []
     for i, entry in enumerate(raw.get("varieties", [])):
         where = f"varieties[{i}]"
@@ -68,7 +70,7 @@ def load_instance(path: str) -> Instance:
             spec = build(kind, params)
         except KeyError as err:
             raise InstanceError(f"{where}.{err.args[0]}: required parameter missing")
-        except ValueError as err:
+        except (TypeError, ValueError) as err:
             raise InstanceError(f"{where}: {err}")
         if spec.n != n:
             raise InstanceError(f"{where}: ambient dimension {spec.n} does not match n = {n}")
@@ -401,19 +403,8 @@ def cmd_partition(args) -> int:
     _check_family(inst.varieties)
     if not inst.varieties:
         # empty families still produce a valid all-zero report
-        table = CellCounts.zeros(args.s)
-        from .spectrum import wht
-
-        rep = PartitionReport(
-            pvec=[],
-            counts=table,
-            spectrum=wht(table),
-            max_count=0,
-            bound_ratio=0.0,
-            objective=0.0,
-            trace=[],
-            meta={"s": args.s, "n": inst.n, "num_varieties": 0, "seed": args.seed},
-        )
+        meta = {"s": args.s, "n": inst.n, "num_varieties": 0, "seed": args.seed}
+        rep = PartitionReport.from_counts([], CellCounts.zeros(args.s), 0.0, [], meta)
         write_report(args.out, rep, "partition", {"input": args.input})
         return 0
     sampling = SamplingConfig(R=args.radius, seed=args.seed)
@@ -450,10 +441,10 @@ def _parse_grid(text: str):
         grid = tuple(float(tok) for tok in text.split(",") if tok.strip())
     except ValueError:
         raise InstanceError(f"--delta-grid must be comma-separated floats, got {text!r}")
-    if not grid or any(not 0.0 < d < 1.0 for d in grid):
-        raise InstanceError("--delta-grid entries must lie in (0, 1)")
-    if any(b >= a for a, b in zip(grid, grid[1:])):
-        raise InstanceError(f"--delta-grid must be strictly decreasing, got {text!r}")
+    try:
+        check_delta_grid(grid)
+    except ValueError as err:
+        raise InstanceError(f"--delta-grid: {err}, got {text!r}")
     return grid
 
 

@@ -31,6 +31,17 @@ class ScheduleError(RuntimeError):
     """Raised when a threshold schedule cannot certify its gradient condition."""
 
 
+def check_delta_grid(grid) -> None:
+    """Raise ValueError unless the smoothing levels are nonempty, each in
+    (0, 1), and strictly decreasing."""
+    if not len(grid):
+        raise ValueError("need a nonempty delta grid")
+    if not all(0.0 < d < 1.0 for d in grid):
+        raise ValueError("delta grid entries must lie in (0, 1)")
+    if any(b >= a for a, b in zip(grid, grid[1:])):
+        raise ValueError("delta grid must be strictly decreasing")
+
+
 @dataclass
 class MollConfig:
     delta: float
@@ -73,10 +84,6 @@ def schedule(
     return MollConfig(delta=delta, eps=eps, radius=R, mc_count=mc_count, seed=seed)
 
 
-def tube_cloud(spec: VarietySpec, cfg: MollConfig) -> WeightedCloud:
-    return tube_sample(spec, cfg.delta, cfg.radius, cfg.mc_count, cfg.seed)
-
-
 def family_clouds(Gamma: list[VarietySpec], cfg: MollConfig) -> list[WeightedCloud]:
     """One tube cloud per variety, on seed substream (cfg.seed, i), sampled
     in one pass over the family."""
@@ -100,21 +107,12 @@ def mollified_rows(cols, sizes, weights, cfg: MollConfig, n: int) -> np.ndarray:
     return eta(cfg.eps, totals.reshape(m, ncell) * cfg.delta ** (-n))
 
 
-def mollified_row(
-    spec: VarietySpec,
-    pvec: list[Polynomial],
-    cfg: MollConfig,
-    cloud: WeightedCloud | None = None,
-) -> np.ndarray:
-    """Mollified indicator of one variety against all 2^s sign cells."""
-    if cloud is None:
-        cloud = tube_cloud(spec, cfg)
-    return mollified_table([spec], pvec, cfg, [cloud])
-
-
 def i_delta(spec: VarietySpec, pvec, w, cfg: MollConfig, cloud=None) -> float:
-    """Mollified cell-entry indicator in [0, 1] for one cell."""
-    return float(mollified_row(spec, pvec, cfg, cloud)[w_index(w)])
+    """Mollified cell-entry indicator in [0, 1] for one cell; without a
+    cloud, the variety's tube is sampled on cfg.seed."""
+    if cloud is None:
+        cloud = tube_sample(spec, cfg.delta, cfg.radius, cfg.mc_count, cfg.seed)
+    return float(mollified_table([spec], pvec, cfg, [cloud])[w_index(w)])
 
 
 class LevelFrame:

@@ -9,9 +9,13 @@ shrinking delta grid. Both score proposals through one incremental evaluator
 that caches one column per block and recomputes only the moved block's
 column. The tables are built elsewhere: a cells.CountFrame gives the discrete
 columns and table, and a mollifier.LevelFrame the mollified ones, so the
-solver only anneals. The point solver instead bisects sequentially, one
+solver only anneals. Every solve ends the same way: each restart's tuple is
+recounted from scratch by cells.counts, a discrete restart's incremental
+table must equal its recount, and the restarts are ranked by the spectral
+power of their recounts. The point solver instead bisects sequentially, one
 polynomial per step, minimizing the worst signed imbalance over the current
 parts (a numerical stand-in for a ham-sandwich cut on the lifted points).
+Both solvers build their report through PartitionReport.from_counts.
 """
 
 from __future__ import annotations
@@ -54,16 +58,12 @@ class SolveConfig:
     sampling: SamplingConfig | None = None
 
     def __post_init__(self):
-        if self.restarts < 1:
-            raise ValueError("need restarts >= 1")
+        for name, low in (("s", 1), ("n", 1), ("restarts", 1), ("iters", 0), ("seed", 0)):
+            if getattr(self, name) < low:
+                raise ValueError(f"need {name} >= {low}, got {getattr(self, name)}")
         if self.objective not in ("discrete", "smooth"):
             raise ValueError(f"unknown objective kind {self.objective!r}")
-        if not self.delta_grid:
-            raise ValueError("need a nonempty delta grid")
-        if list(self.delta_grid) != sorted(self.delta_grid, reverse=True):
-            raise ValueError("delta grid must decrease")
-        if not all(0.0 < d < 1.0 for d in self.delta_grid):
-            raise ValueError("delta grid entries must lie in (0, 1)")
+        moll_mod.check_delta_grid(self.delta_grid)
         if self.mc_count < 1:
             raise ValueError(f"need mc_count >= 1, got {self.mc_count}")
 
@@ -78,6 +78,23 @@ class PartitionReport:
     objective: float
     trace: list = field(default_factory=list)
     meta: dict = field(default_factory=dict)
+
+    @classmethod
+    def from_counts(cls, pvec, counts: CellCounts, scale: float, trace, meta) -> "PartitionReport":
+        """The report of a tuple and its count table. scale is |Gamma| D^(k-n),
+        the right-hand side of Guth's bound up to its constant; 0 stands for
+        an empty family, whose bound ratio is 0.0."""
+        max_count = int(counts.table.max())
+        return cls(
+            pvec=pvec,
+            counts=counts,
+            spectrum=wht(counts),
+            max_count=max_count,
+            bound_ratio=max_count / scale if scale else 0.0,
+            objective=spectral_power(counts.table),
+            trace=trace,
+            meta=meta,
+        )
 
 
 def _ambient(Gamma) -> int:
@@ -140,7 +157,7 @@ class _Evaluator:
 
 def _discrete_evaluator(Gamma, n, D, sampling) -> _Evaluator:
     """Discrete counts; all line restrictions share one factor cache."""
-    frame = cells_mod.CountFrame(Gamma, sampling, D, exact_lines=True, cache_factors=True)
+    frame = cells_mod.CountFrame(Gamma, sampling, D, exact_lines=True)
     return _Evaluator(n, frame.column, frame.table)
 
 
@@ -202,7 +219,7 @@ def _anneal(evaluator, x, obj, iters, rng, trace, it_offset):
             evaluator.reject(handle)
         if obj == 0.0:
             break
-    return x, obj
+    return x
 
 
 def partition_varieties(Gamma: list[VarietySpec], cfg: SolveConfig) -> PartitionReport:
@@ -221,12 +238,11 @@ def partition_varieties(Gamma: list[VarietySpec], cfg: SolveConfig) -> Partition
 
     # each level is built once and every restart anneals through it, since no
     # level's seeds depend on the restart; a restart keeps its own point,
-    # random stream, trace, objective and (discrete) incremental table
+    # random stream, trace and (discrete) incremental table
     restarts = range(cfg.restarts)
     xs = [random_point(cfg.s, (cfg.seed, 1, r)) for r in restarts]
     rngs = [np.random.default_rng((cfg.seed, 2, r)) for r in restarts]
     traces: list = [[] for _ in restarts]
-    objs = [0.0] * cfg.restarts
     ev_tables = [None] * cfg.restarts
     offset = 0
     skipped = []
@@ -237,57 +253,40 @@ def partition_varieties(Gamma: list[VarietySpec], cfg: SolveConfig) -> Partition
             obj = ev.set_point(xs[r])
             if not traces[r]:  # the restart's starting objective
                 traces[r].append((-1, float(obj)))
-            xs[r], objs[r] = _anneal(ev, xs[r], obj, iters, rngs[r], traces[r], offset)
-            if cfg.objective == "discrete":  # checked against cells.counts below
+            xs[r] = _anneal(ev, xs[r], obj, iters, rngs[r], traces[r], offset)
+            if cfg.objective == "discrete":  # checked against its recount below
                 ev_tables[r] = ev._table()
         offset += iters
         del ev  # one level's caches alive at a time
-    finals = None
+    # every restart is recounted on a frame of its own and ranked by its
+    # recount (the first on ties); the best one's table is reported as it is
+    pvecs = [to_polys(x, n) for x in xs]
+    finals = [cells_mod.counts(Gamma, p, sampling, exact_lines=True) for p in pvecs]
+    for ev_table, final in zip(ev_tables, finals):
+        if ev_table is not None and not np.array_equal(ev_table, final.table):
+            i = int(np.flatnonzero(ev_table != final.table)[0])
+            raise SelfCheckError(
+                f"incremental count {ev_table[i]} differs from cells.counts {final.table[i]} "
+                f"in cell {cells_mod.index_w(i, cfg.s)}"
+            )
+    best = min(restarts, key=lambda r: spectral_power(finals[r].table))
+    meta = {
+        "s": cfg.s,
+        "n": n,
+        "k": k,
+        "D": D,
+        "degree_schedule": sched,
+        "seed": cfg.seed,
+        "objective_kind": cfg.objective,
+        "restarts": cfg.restarts,
+        "num_varieties": len(Gamma),
+        "sampling": {"R": sampling.R, "count": sampling.count, "seed": sampling.seed},
+        "exact_lines": True,
+    }
     if cfg.objective == "smooth":
-        # ranked by their discrete counts, each restart counted once; the
-        # best one's table goes into the report as it is
-        finals = [cells_mod.counts(Gamma, to_polys(x, n), sampling, exact_lines=True) for x in xs]
-        objs = [spectral_power(c.table) for c in finals]
-    best = min(restarts, key=objs.__getitem__)  # the first on ties
-    x, trace, ev_table = xs[best], traces[best], ev_tables[best]
-    pvec = to_polys(x, n)
-    if finals is None:
-        table = cells_mod.counts(Gamma, pvec, sampling, exact_lines=True)
-    else:
-        table = finals[best]
-    if ev_table is not None and not np.array_equal(ev_table, table.table):
-        i = int(np.flatnonzero(ev_table != table.table)[0])
-        raise SelfCheckError(
-            f"incremental count {ev_table[i]} differs from cells.counts {table.table[i]} "
-            f"in cell {cells_mod.index_w(i, cfg.s)}"
-        )
-    max_count = int(table.table.max())
-    bound_ratio = max_count / (len(Gamma) * float(D) ** (k - n))
-    report = PartitionReport(
-        pvec=pvec,
-        counts=table,
-        spectrum=wht(table),
-        max_count=max_count,
-        bound_ratio=bound_ratio,
-        objective=float(spectral_power(table.table)),
-        trace=trace,
-        meta={
-            "s": cfg.s,
-            "n": n,
-            "k": k,
-            "D": D,
-            "degree_schedule": sched,
-            "seed": cfg.seed,
-            "objective_kind": cfg.objective,
-            "restarts": cfg.restarts,
-            "num_varieties": len(Gamma),
-            "sampling": {"R": sampling.R, "count": sampling.count, "seed": sampling.seed},
-            "exact_lines": True,
-        },
-    )
-    if cfg.objective == "smooth":
-        report.meta["levels_skipped"] = skipped  # the deltas certified to score 0
-    return report
+        meta["levels_skipped"] = skipped  # the deltas certified to score 0
+    scale = len(Gamma) * float(D) ** (k - n)
+    return PartitionReport.from_counts(pvecs[best], finals[best], scale, traces[best], meta)
 
 
 # ---------------------------------------------------------------------------
@@ -479,7 +478,7 @@ def partition_points(X, s: int, cfg: SolveConfig) -> PartitionReport:
     D = sum(sched)
     part = np.zeros(len(X), dtype=np.int64)
     alive = np.ones(len(X), dtype=bool)
-    pvec = []
+    blocks = []
     imbalance_trace = []
     for j in range(1, s + 1):
         basis = monomial_basis(n, sched[j - 1])
@@ -496,9 +495,7 @@ def partition_points(X, s: int, cfg: SolveConfig) -> PartitionReport:
             c2, score = _polish(M, bucket, c1, n_parts, rng, proposals=cfg.iters // 2)
             if best_score is None or score < best_score:
                 best_c, best_score = c2, score
-        coeffs = np.zeros(len(basis))
-        coeffs[:subdim] = best_c
-        pvec.append(Polynomial(basis, coeffs))
+        blocks.append(best_c)
         vals = M @ best_c
         imb = _imbalances(vals, bucket, n_parts)
         sizes = np.bincount(bucket, minlength=n_parts + 1)
@@ -510,26 +507,17 @@ def partition_points(X, s: int, cfg: SolveConfig) -> PartitionReport:
         alive &= ~boundary
         part = part | ((vals < -TAU).astype(np.int64) << (j - 1))
 
-    table = point_counts(X, pvec)
-    max_count = int(table.table.max())
-    bound_ratio = max_count / (len(X) * float(D) ** (0 - n))
-    return PartitionReport(
-        pvec=pvec,
-        counts=table,
-        spectrum=wht(table),
-        max_count=max_count,
-        bound_ratio=bound_ratio,
-        objective=float(spectral_power(table.table)),
-        trace=imbalance_trace,
-        meta={
-            "s": s,
-            "n": n,
-            "k": 0,
-            "D": D,
-            "degree_schedule": sched,
-            "seed": cfg.seed,
-            "objective_kind": "bisection",
-            "restarts": cfg.restarts,
-            "num_points": len(X),
-        },
-    )
+    pvec = to_polys(XsPoint(tuple(blocks)), n)
+    meta = {
+        "s": s,
+        "n": n,
+        "k": 0,
+        "D": D,
+        "degree_schedule": sched,
+        "seed": cfg.seed,
+        "objective_kind": "bisection",
+        "restarts": cfg.restarts,
+        "num_points": len(X),
+    }
+    scale = len(X) * float(D) ** (0 - n)
+    return PartitionReport.from_counts(pvec, point_counts(X, pvec), scale, imbalance_trace, meta)

@@ -68,15 +68,33 @@ class WeightedCloud:
     weight: float
 
 
+def _finite(v, what, ndim=None) -> np.ndarray:
+    """v as a float64 array of finite real numbers: a number for ndim 0, a
+    vector for ndim 1, any shape for None. ValueError for anything else, bools
+    and strings included."""
+    entries = np.asarray(v, dtype=object)
+    if not all(
+        isinstance(e, (int, float, np.integer, np.floating)) and not isinstance(e, bool)
+        for e in entries.ravel()
+    ):
+        raise ValueError(f"{what} must hold real numbers, got {v!r}")
+    arr = entries.astype(np.float64)
+    if ndim is not None and arr.ndim != ndim:
+        raise ValueError(f"{what} must be {('a number', 'a vector')[ndim]}, got {v!r}")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{what} must be finite, got {v!r}")
+    return arr
+
+
 def _unit(v, what):
-    v = np.asarray(v, dtype=np.float64)
+    v = _finite(v, what, 1)
     if abs(np.linalg.norm(v) - 1.0) > _ORTHO_TOL:
         raise ValueError(f"{what} must be a unit vector, |v| = {np.linalg.norm(v)}")
     return v
 
 
 def _orthonormal(frame, n, what):
-    F = np.asarray(frame, dtype=np.float64)
+    F = _finite(frame, what)
     if F.ndim != 2 or F.shape[1] != n:
         raise ValueError(f"{what} must have shape (k, {n}), got {F.shape}")
     gram = F @ F.T
@@ -93,7 +111,7 @@ def _complement(rows: np.ndarray, n: int) -> np.ndarray:
 
 
 def line(point, direction) -> VarietySpec:
-    a = np.asarray(point, dtype=np.float64)
+    a = _finite(point, "line point", 1)
     n = a.shape[0]
     if n < 2:
         raise ValueError("a line needs ambient dimension >= 2")
@@ -105,10 +123,11 @@ def line(point, direction) -> VarietySpec:
 
 
 def circle(center, radius, frame=None) -> VarietySpec:
-    c = np.asarray(center, dtype=np.float64)
+    c = _finite(center, "circle center", 1)
     n = c.shape[0]
     if n < 2:
         raise ValueError("a circle needs ambient dimension >= 2")
+    radius = float(_finite(radius, "circle radius", 0))
     if radius <= 0:
         raise ValueError(f"circle radius must be positive, got {radius}")
     if frame is None:
@@ -119,15 +138,15 @@ def circle(center, radius, frame=None) -> VarietySpec:
     if F.shape[0] != 2:
         raise ValueError("circle frame must have exactly 2 rows")
     normals = _complement(F, n)
-    sampler = CircleSampler(c, float(radius), F, normals)
+    sampler = CircleSampler(c, radius, F, normals)
     return VarietySpec(n=n, k=1, sampler=sampler)
 
 
 def kplane(point, frame) -> VarietySpec:
     """Affine k-plane; an empty frame gives a single-point (k = 0) variety."""
-    a = np.asarray(point, dtype=np.float64)
+    a = _finite(point, "k-plane point", 1)
     n = a.shape[0]
-    frame = np.asarray(frame, dtype=np.float64)
+    frame = _finite(frame, "k-plane frame")
     if frame.size == 0:
         frame = frame.reshape(0, n)
     F = _orthonormal(frame, n, "k-plane frame")

@@ -366,3 +366,73 @@ def test_verify_mollifier_non_decreasing_grid_exit_2(monkeypatch, capsys, grid):
     assert captured.out == ""
     assert "--delta-grid" in captured.err and "decreasing" in captured.err
     assert len(captured.err.strip().splitlines()) == 1
+
+
+_LINE = '{"kind": "line", "point": [0, 0], "dir": [1, 0]}'
+
+# (command, instance text or None for a missing file, what the error names)
+BAD_INSTANCES = {
+    "line-point-nan": (
+        "partition", '{"n": 2, "varieties": [{"kind": "line", "point": [NaN, 0], "dir": [1, 0]}]}',
+        "line point must be finite"),
+    "radius-string": (
+        "partition", '{"n": 2, "varieties": [{"kind": "circle", "center": [0, 0], "radius": "x"}]}',
+        "circle radius must hold real numbers"),
+    "radius-infinity": (
+        "partition",
+        '{"n": 2, "varieties": [{"kind": "circle", "center": [0, 0], "radius": Infinity}]}',
+        "circle radius must be finite"),
+    "radius-overflow": (
+        "partition", '{"n": 2, "varieties": [{"kind": "circle", "center": [0, 0], "radius": 1e400}]}',
+        "circle radius must be finite"),
+    "radius-bool": (
+        "partition", '{"n": 2, "varieties": [{"kind": "circle", "center": [0, 0], "radius": true}]}',
+        "circle radius must hold real numbers"),
+    "point-plane-infinity": (
+        "partition", '{"n": 2, "varieties": [{"kind": "kplane", "point": [0, Infinity], "frame": []}]}',
+        "k-plane point must be finite"),
+    "direction-bool": (
+        "partition", '{"n": 2, "varieties": [{"kind": "line", "point": [0, 0], "dir": [true, 0]}]}',
+        "line direction must hold real numbers"),
+    "point-scalar": (
+        "partition", '{"n": 2, "varieties": [{"kind": "line", "point": 5, "dir": [1, 0]}]}',
+        "line point must be a vector"),
+    "center-null": (
+        "partition", '{"n": 2, "varieties": [{"kind": "circle", "center": null, "radius": 1}]}',
+        "circle center must hold real numbers"),
+    "n-bool": ("partition", '{"n": true, "varieties": [%s]}' % _LINE, "field 'n'"),
+    "n-missing": ("partition", '{"varieties": [%s]}' % _LINE, "field 'n'"),
+    "varieties-not-array": ("partition", '{"n": 2, "varieties": 3}', "field 'varieties'"),
+    "direction-not-unit": (
+        "partition", '{"n": 2, "varieties": [{"kind": "line", "point": [0, 0], "dir": [3, 0]}]}',
+        "unit vector"),
+    "kind-implicit": ("partition", '{"n": 2, "varieties": [{"kind": "implicit"}]}', "implicit"),
+    "family-mixed-k": (
+        "partition",
+        '{"n": 3, "varieties": [{"kind": "line", "point": [0, 0, 0], "dir": [1, 0, 0]}, '
+        '{"kind": "kplane", "point": [0, 0, 1], "frame": [[1, 0, 0], [0, 1, 0]]}]}',
+        "dimension k"),
+    "json-invalid": ("partition", "{not json", "invalid JSON"),
+    "file-missing": ("partition", None, "not found"),
+    "points-nan": ("partition-points", '{"n": 2, "points": [[0.1, 0.2], [NaN, 0.3]]}', "points[1]"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INSTANCES))
+def test_bad_instance_exits_2_without_traceback(tmp_path, case):
+    # a fresh process, as a user runs it: one error line, no traceback, no output
+    command, text, names = BAD_INSTANCES[case]
+    path, out = tmp_path / "inst.json", tmp_path / "o"
+    if text is not None:
+        path.write_text(text)
+    proc = subprocess.run(
+        [sys.executable, "-m", "polypart.cli", command, "--input", str(path), "--s", "2",
+         "--iters", "5", "--restarts", "1", "--out", str(out)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    err = proc.stderr.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and names in err[0], err
+    assert not out.exists()

@@ -10,11 +10,9 @@ from polypart.mollifier import (
     f_delta_v,
     family_clouds,
     i_delta,
-    mollified_row,
     mollified_rows,
     mollified_table,
     schedule,
-    tube_cloud,
 )
 from polypart.polyalg import (
     MonomialBasis,
@@ -24,7 +22,7 @@ from polypart.polyalg import (
     grad_bound,
 )
 from polypart.sphereprod import flip, random_point, to_polys
-from polypart.varieties import circle, line
+from polypart.varieties import circle, line, tube_sample
 
 
 def unit_linear(cx, cy, c0):
@@ -118,7 +116,7 @@ def test_i_delta_lipschitz_smoke():
     bases = [MonomialBasis(2, 1)]
     g = line((0.1, 0.2), (0.8, 0.6))
     cfg = schedule(2.0**-7, bases, mc_count=4096, seed=6)
-    cloud = tube_cloud(g, cfg)
+    cloud = tube_sample(g, cfg.delta, cfg.radius, cfg.mc_count, cfg.seed)
     rng = np.random.default_rng(7)
     base = np.array([0.5, 0.3, 0.81])
     base /= np.linalg.norm(base)
@@ -172,7 +170,7 @@ def test_mollified_row_empty_tube():
     g = line((0.0, 50.0), (1.0, 0.0))  # far outside B_R
     pvec = [unit_linear(1.0, 0.0, 0.0)]
     cfg = schedule(2.0**-4, [pvec[0].basis], mc_count=256, seed=12)
-    assert np.all(mollified_row(g, pvec, cfg) == 0.0)
+    assert np.all(mollified_table([g], pvec, cfg) == 0.0)
 
 
 def test_mollified_rows_match_per_point_oracle():

@@ -185,6 +185,23 @@ def test_solve_config_rejects_deltas_outside_the_unit_interval(grid):
         SolveConfig(s=2, n=2, delta_grid=grid)
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("delta_grid", (0.25, 0.25), "strictly decreasing"),
+        ("iters", -3, "iters >= 0"),
+        ("s", 0, "s >= 1"),
+        ("n", 0, "n >= 1"),
+        ("seed", -1, "seed >= 0"),
+    ],
+)
+def test_solve_config_rejects_what_the_cli_rejects(field, value, message):
+    # each used to be accepted here and fail late, or run a different solve
+    # than asked (a negative iters ran 0 discrete but 20 smooth iterations)
+    with pytest.raises(ValueError, match=message):
+        SolveConfig(**{"s": 2, "n": 2, field: value})
+
+
 def drive_evaluator(ev, x, rng, steps, check):
     """Seeded try/reject sequence; check(point, value) after every step, for
     the candidate right after try_block and for the kept point after. A kept
@@ -431,8 +448,9 @@ def test_default_grid_skips_the_certified_levels(monkeypatch):
 def test_line_restrictions_per_solve(monkeypatch):
     # every line restriction goes through the cells.restrict_to_line_batch
     # binding, which the benchmark's tracer wraps: s per restart's starting
-    # point, one per proposal and s for the final recount. The evaluator's
-    # calls share one factor cache; the recount passes none and rebuilds them
+    # point, one per proposal and s per restart's recount. The evaluator's
+    # calls share one factor cache; each recount's s calls share a cache of
+    # their own, which neither the evaluator nor another recount sees
     from polypart import solver as solver_mod
 
     caches = []
@@ -457,10 +475,13 @@ def test_line_restrictions_per_solve(monkeypatch):
     cfg = SolveConfig(s=3, n=2, restarts=2, iters=25, seed=5)
     partition_varieties(Gamma, cfg)
     assert len(steps) > 0
-    assert len(caches) == cfg.restarts * cfg.s + len(steps) + cfg.s
-    shared = caches[: -cfg.s]
-    assert isinstance(shared[0], dict) and all(f is shared[0] for f in shared)
-    assert caches[-cfg.s :] == [None] * cfg.s
+    recounts = cfg.restarts * cfg.s
+    assert len(caches) == cfg.restarts * cfg.s + len(steps) + recounts
+    evaluator, rest = caches[:-recounts], caches[-recounts:]
+    groups = [evaluator] + [rest[i : i + cfg.s] for i in range(0, recounts, cfg.s)]
+    for group in groups:
+        assert isinstance(group[0], dict) and all(f is group[0] for f in group)
+    assert len({id(group[0]) for group in groups}) == 1 + cfg.restarts
 
 
 def test_partition_self_check_names_first_differing_cell(monkeypatch):
@@ -476,6 +497,32 @@ def test_partition_self_check_names_first_differing_cell(monkeypatch):
     cfg = SolveConfig(s=2, n=2, restarts=2, iters=20, seed=0)
     with pytest.raises(SelfCheckError, match=r"in cell \(0, 1\)$"):
         partition_varieties(crossing_lines(), cfg)
+
+
+def test_partition_self_check_covers_every_restart(monkeypatch):
+    # only the recounts of restarts the solve does not report are off, so the
+    # check must look at every restart, not just the best
+    rng = np.random.default_rng(3)
+    theta = rng.uniform(0.0, 2 * np.pi, size=12)
+    Gamma = [line(rng.uniform(-1.0, 1.0, size=2), (np.cos(t), np.sin(t))) for t in theta]
+    cfg = SolveConfig(s=2, n=2, restarts=3, iters=20, seed=1)
+    best = partition_varieties(Gamma, cfg).pvec
+    scratch_counts = cells_mod.counts
+    corrupted = []
+
+    def off_unless_best(Gamma, pvec, *args, **kwargs):
+        cc = scratch_counts(Gamma, pvec, *args, **kwargs)
+        if all(np.array_equal(p.coeffs, q.coeffs) for p, q in zip(pvec, best)):
+            return cc
+        corrupted.append(pvec)
+        table = cc.table.copy()
+        table[1] += 1
+        return CellCounts(cc.s, table)
+
+    monkeypatch.setattr(cells_mod, "counts", off_unless_best)
+    with pytest.raises(SelfCheckError, match=r"in cell \(1, 0\)$"):
+        partition_varieties(Gamma, cfg)
+    assert corrupted
 
 
 def test_partition_points_single_point():

@@ -54,6 +54,25 @@ def test_build_errors():
         kplane((0.0, 0.0, 0.0), np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]]))
 
 
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: line((math.nan, 0.0), (1.0, 0.0)), "line point must be finite"),
+        (lambda: line((0.0, 0.0), (True, 0)), "line direction must hold real numbers"),
+        (lambda: line(5.0, (1.0, 0.0)), "line point must be a vector"),
+        (lambda: circle((0.0, 0.0), "x"), "circle radius must hold real numbers"),
+        (lambda: circle((0.0, 0.0), True), "circle radius must hold real numbers"),
+        (lambda: circle((0.0, 0.0), math.inf), "circle radius must be finite"),
+        (lambda: circle((0.0, 0.0), 1 + 0j), "circle radius must hold real numbers"),
+        (lambda: kplane((0.0, math.inf), np.zeros((0, 2))), "k-plane point must be finite"),
+        (lambda: kplane((0.0, 0.0, 0.0), [[1, 0, 0], [0, 1]]), "k-plane frame must hold real"),
+    ],
+)
+def test_build_rejects_non_finite_and_non_real_parameters(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
 def test_point_variety_k0():
     # an empty frame gives a single-point variety: k = 0
     spec = kplane((0.3, -0.4), np.zeros((0, 2)))
