@@ -85,6 +85,11 @@ def load_instance(path: str) -> Instance:
             raise InstanceError(
                 f"field 'points' must have shape (N, {n}), got {points.shape}"
             )
+        # float64 conversion reads true as 1.0 and "0.5" as 0.5
+        for i, row in enumerate(raw["points"]):
+            for c in row:
+                if isinstance(c, bool) or not isinstance(c, (int, float)):
+                    raise InstanceError(f"points[{i}]: coordinates must be real numbers, got {c!r}")
         bad = ~np.isfinite(points).all(axis=1)
         if bad.any():
             raise InstanceError(f"points[{np.flatnonzero(bad)[0]}]: coordinates must be finite")
@@ -189,13 +194,16 @@ def verify_borsuk(s: int):
     )
     res = max(float(np.abs(eq.model_g(z)).max()) for z in zeros)
     checks.append(("zero-residual", res == 0.0, f"max residual {res}"))
-    diag_ok, fd_ok = True, True
+    diag_ok, fd_ok, analytic_ok = True, True, True
     fd_worst = 0.0
     h = 1e-6
+    model = eq.model_map(s)
     for z in zeros:
         J = eq.jacobian_g(z)
         d = np.diag(J)
         diag_ok &= bool(np.all(np.isin(d, (-1.0, 1.0)))) and np.all(J == np.diag(d))
+        # model_map's jac as continuation's Newton steps see it, through the chart
+        analytic_ok &= bool(np.array_equal(eq.chart_jacobian(model.jac(z), z), J))
         for col, v in enumerate(range(1, 2**s)):
             j, slot = eq.slot_of_v(v)
             bp = [b.copy() for b in z.blocks]
@@ -209,6 +217,9 @@ def verify_borsuk(s: int):
     fd_ok = fd_worst < 1e-6
     checks.append(("jacobian-diagonal", diag_ok, "entries in {-1, +1}"))
     checks.append(("jacobian-fd", fd_ok, f"max deviation {fd_worst:.3e}"))
+    checks.append(
+        ("jacobian-analytic", analytic_ok, "charted model_map jac equals jacobian_g exactly")
+    )
     viol = eq.check_equivariance(eq.model_map(s), trials=100, seed=0)
     checks.append(("equivariance", viol < 1e-14, f"max violation {viol:.3e}"))
     return checks

@@ -10,6 +10,7 @@ the model zeros, with Newton correction in per-block charts.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -47,33 +48,79 @@ def slot_of_v(v: int) -> tuple[int, int]:
 
 @dataclass
 class EquivariantMap:
-    """Map X_s -> R^(2^s - 1) indexed by nonzero v, odd in each flipped block."""
+    """Map X_s -> R^(2^s - 1) indexed by nonzero v, odd in each flipped block.
+
+    jac, when given, returns the (2^s - 1) x (2^s - 1 + s) derivative of fn
+    with respect to the concatenated blocks; continuation then needs no
+    finite differences.
+    """
 
     s: int
     fn: object
+    jac: object = None
 
     def __call__(self, x: XsPoint) -> np.ndarray:
         return self.fn(x)
 
 
-def _lower_t(x: XsPoint) -> np.ndarray:
-    """Entry v - 1: the product of t_j over the lower set bits of v, taken in
-    ascending j (each doubling appends the last table times t_j)."""
+def _lower_t(ts) -> np.ndarray:
+    """Entry v - 1: the product of ts[j - 1] over the lower set bits j of v,
+    taken in ascending j (each doubling appends the last table times t_j)."""
     prod = np.array([1.0])
     parts = [prod]
-    for b in x.blocks[:-1]:
-        prod = np.concatenate((prod, prod * b[0]))
+    for t in ts[:-1]:
+        prod = np.concatenate((prod, prod * t))
         parts.append(prod)
     return np.concatenate(parts)
 
 
 def model_g(x: XsPoint) -> np.ndarray:
     """The model map: x_v times the t_j of the lower set bits of v."""
-    return np.concatenate([b[1:] for b in x.blocks]) * _lower_t(x)
+    return np.concatenate([b[1:] for b in x.blocks]) * _lower_t([b[0] for b in x.blocks])
+
+
+@functools.lru_cache(maxsize=None)
+def _model_jac_index(s: int):
+    """Where model_jac's nonzeros go: (flat positions, xi, ti), entry e being
+    X[xi[e]] * prod(T[ti[e]]) with X the x_v and T the t_j, each followed by a
+    1.0 that pads the rows of ti. Built on first use for each s."""
+    N = 2**s - 1
+    pos, xi, ti = [], [], []
+    for v in range(1, 2**s):
+        j = v.bit_length()
+        lower = [i - 1 for i in range(1, j) if (v >> (i - 1)) & 1]
+        # x_v's column: the t-product of v's lower bits
+        pos.append((v - 1) * (N + s) + v + j - 1)
+        xi.append(N)
+        ti.append(lower)
+        # t_i's column for each lower set bit i: x_v times the other t's
+        for i in lower:
+            pos.append((v - 1) * (N + s) + 2**i + i - 1)
+            xi.append(v - 1)
+            ti.append([k for k in lower if k != i])
+    pad = np.full((len(ti), max(1, s - 1)), s)
+    for e, ks in enumerate(ti):
+        pad[e, : len(ks)] = ks
+    return np.array(pos), np.array(xi), pad
+
+
+def model_jac(x: XsPoint) -> np.ndarray:
+    """Derivative of model_g with respect to the concatenated blocks of x.
+
+    Block j starts at column 2^(j-1) + j - 2 with t_j, so x_v sits in column
+    v + j - 1. Row v - 1 holds the t-product of v's lower bits at x_v, and at
+    each lower set bit i's t_i column x_v times the product without t_i.
+    """
+    pos, xi, ti = _model_jac_index(x.s)
+    X = np.concatenate([b[1:] for b in x.blocks] + [[1.0]])
+    T = np.array([b[0] for b in x.blocks] + [1.0])
+    J = np.zeros((2**x.s - 1, 2**x.s - 1 + x.s))
+    J.ravel()[pos] = X[xi] * T[ti].prod(axis=1)
+    return J
 
 
 def model_map(s: int) -> EquivariantMap:
-    return EquivariantMap(s, model_g)
+    return EquivariantMap(s, model_g, model_jac)
 
 
 def g_zeros(s: int) -> list[XsPoint]:
@@ -100,7 +147,7 @@ def jacobian_g(x: XsPoint) -> np.ndarray:
     for j, b in enumerate(x.blocks, start=1):
         if abs(abs(b[0]) - 1.0) > 1e-9 or np.abs(b[1:]).max(initial=0.0) > 1e-9:
             raise ValueError(f"block {j} is not at a model zero")
-    return np.diag(_lower_t(x))
+    return np.diag(_lower_t([b[0] for b in x.blocks]))
 
 
 def check_equivariance(f: EquivariantMap, trials: int = 100, seed=0) -> float:
@@ -128,6 +175,10 @@ def random_equivariant(s: int, lam: float, seed) -> EquivariantMap:
     """
     if s < 1:
         raise ValueError(f"need s >= 1, got {s}")
+    if s > MAX_ZERO_S:
+        # checked before any draw: the stacked tables grow as 3 * 2^s, and no
+        # continuation can start above MAX_ZERO_S
+        raise ValueError(f"need s <= MAX_ZERO_S = {MAX_ZERO_S}, got {s}")
     rng = np.random.default_rng(seed)
     n_terms = 3
     vecs = [[] for _ in range(s)]  # block j's unit vectors, in term order
@@ -160,7 +211,26 @@ def random_equivariant(s: int, lam: float, seed) -> EquivariantMap:
         out += lam * sum(terms.reshape(-1, n_terms).T)
         return out
 
-    return EquivariantMap(s, fn)
+    sizes = np.array([block_size(j) for j in range(1, s + 1)])
+    t_cols = sizes.cumsum() - sizes
+    off_self = ~np.eye(s, dtype=bool)
+
+    def jac(x: XsPoint) -> np.ndarray:
+        # term (v, r) is weight * prod_j dot_j, with dot_j = 1 off v's bits;
+        # row k of G is its gradient, then the r rows of each v are summed
+        t = np.array([b[0] for b in x.blocks])
+        weight = alpha * (1.0 + (beta @ (t * t)[:, None])[:, 0, 0])
+        dots = np.ones((len(alpha), s))
+        G = np.zeros((len(alpha), 2**s - 1 + s))
+        for c, (b, (ks, a)) in enumerate(zip(x.blocks, factors)):
+            dots[ks, c] = (a @ b[:, None])[:, 0, 0]
+            G[ks, t_cols[c] : t_cols[c] + sizes[c]] = a[:, 0, :]
+        others = np.where(off_self, dots[:, None, :], 1.0).prod(axis=2)
+        G *= (weight[:, None] * others).repeat(sizes, axis=1)
+        G[:, t_cols] += (2.0 * alpha * dots.prod(axis=1))[:, None] * beta[:, 0, :] * t
+        return model_jac(x) + lam * G.reshape(-1, n_terms, G.shape[1]).sum(axis=1)
+
+    return EquivariantMap(s, fn, jac)
 
 
 def flip_orbit(x: XsPoint) -> list[XsPoint]:
@@ -180,7 +250,7 @@ class ContinuationConfig:
     newton_tol: float = 1e-10
     newton_max: int = 16
     min_step: float = 1.0 / 1024.0
-    fd_step: float = 1e-6
+    fd_step: float = 1e-6  # central-difference step; used only for maps with no jac
 
     def __post_init__(self):
         for name, ok, want in (
@@ -230,32 +300,67 @@ def _lift(y: np.ndarray, drops, signs) -> XsPoint | None:
     return None if any(b is None for b in blocks) else XsPoint(blocks)
 
 
-def _newton_in_chart(fun, x: XsPoint, cfg: ContinuationConfig):
+def chart_jacobian(J: np.ndarray, x: XsPoint, drops=None) -> np.ndarray:
+    """J, taken with respect to the concatenated blocks of x, chained through
+    the lift of the chart that drops coordinate d of each block (x's own chart
+    by default): chart column i of a block is J[:, i] - J[:, d] * (b_i / b_d).
+    """
+    if drops is None:
+        drops = _chart(x)[1]
+    flat = np.concatenate(x.blocks)
+    sizes = [len(b) for b in x.blocks]
+    dropped = np.cumsum([0] + sizes[:-1]) + drops
+    keep = np.ones(len(flat), dtype=bool)
+    keep[dropped] = False
+    owner = np.repeat(dropped, sizes)[keep]
+    return J[:, keep] - J[:, owner] * (flat[keep] / flat[owner])
+
+
+def _fd_jacobian(fun, y, drops, signs, cfg: ContinuationConfig):
+    """Central-difference Jacobian of fun in the chart at y, or None if a
+    perturbed coordinate leaves the chart.
+
+    A column re-lifts only the block of its chart coordinate and keeps the
+    other blocks of the lift of y. This is the path for maps with no jac, and
+    the oracle the analytic path is tested against.
+    """
+    base = _lift(y, drops, signs).blocks
+    N = len(y)
+    J = np.empty((N, N))
+    for i in range(N):
+        e = np.zeros(N)
+        e[i] = cfg.fd_step
+        j = (i + 1).bit_length() - 1  # 0-based block holding coordinate i
+        lo, hi = 2**j - 1, 2 ** (j + 1) - 1
+        moved = [_lift_block(z[lo:hi], drops[j], signs[j]) for z in (y + e, y - e)]
+        if moved[0] is None or moved[1] is None:
+            return None
+        xp, xm = (XsPoint(base[:j] + (b,) + base[j + 1 :]) for b in moved)
+        J[:, i] = (fun(xp) - fun(xm)) / (2.0 * cfg.fd_step)
+    return J
+
+
+def _newton_in_chart(fun, x: XsPoint, cfg: ContinuationConfig, jac=None):
     """Newton-correct x toward fun = 0; returns (point, residual, ok).
 
-    A Jacobian column re-lifts only the block of its chart coordinate and keeps
-    the other blocks of the lift of y (cur's can differ from those by an ulp).
+    With jac (fun's derivative with respect to the concatenated blocks), each
+    step's Jacobian is jac at the current point chained through the chart's
+    lift by chart_jacobian: one jac call, no extra fun calls. Without it the
+    step falls back to _fd_jacobian's 2N fun calls.
     """
     y, drops, signs = _chart(x)
     cur = _lift(y, drops, signs)
     fx = fun(cur)
     res = float(np.abs(fx).max())
-    N = len(y)
     for _ in range(cfg.newton_max):
         if res < cfg.newton_tol:
             return cur, res, True
-        base = _lift(y, drops, signs).blocks
-        J = np.empty((N, N))
-        for i in range(N):
-            e = np.zeros(N)
-            e[i] = cfg.fd_step
-            j = (i + 1).bit_length() - 1  # 0-based block holding coordinate i
-            lo, hi = 2**j - 1, 2 ** (j + 1) - 1
-            moved = [_lift_block(z[lo:hi], drops[j], signs[j]) for z in (y + e, y - e)]
-            if moved[0] is None or moved[1] is None:
+        if jac is None:
+            J = _fd_jacobian(fun, y, drops, signs, cfg)
+            if J is None:
                 return cur, res, False
-            xp, xm = (XsPoint(base[:j] + (b,) + base[j + 1 :]) for b in moved)
-            J[:, i] = (fun(xp) - fun(xm)) / (2.0 * cfg.fd_step)
+        else:
+            J = chart_jacobian(jac(cur), cur, drops)
         try:
             step = np.linalg.solve(J, -fx)
         except np.linalg.LinAlgError:
@@ -286,7 +391,12 @@ def _track_from(f: EquivariantMap, x0: XsPoint, cfg: ContinuationConfig):
         def fun(pt, tv=t_next):
             return (1.0 - tv) * model_g(pt) + tv * f(pt)
 
-        cand, res, converged = _newton_in_chart(fun, x, cfg)
+        def jac(pt, tv=t_next):
+            return (1.0 - tv) * model_jac(pt) + tv * f.jac(pt)
+
+        cand, res, converged = _newton_in_chart(
+            fun, x, cfg, None if f.jac is None else jac
+        )
         if converged:
             x, t = cand, t_next
             if dt < 1.0 / cfg.t_steps:

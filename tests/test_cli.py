@@ -259,17 +259,24 @@ def test_verify_borsuk_s6_passes_every_row():
     # model map's s = 6 product table is checked, in about a second
     rows = cli.verify_borsuk(6)
     assert [name for name, _, _ in rows] == [
-        "zero-count", "zero-residual", "jacobian-diagonal", "jacobian-fd", "equivariance"
+        "zero-count", "zero-residual", "jacobian-diagonal", "jacobian-fd",
+        "jacobian-analytic", "equivariance",
     ]
     assert all(passed for _, passed, _ in rows), rows
 
 
-_jacobian_g, _wht_table = cli.eq.jacobian_g, cli.wht_table
+_jacobian_g, _model_jac, _wht_table = cli.eq.jacobian_g, cli.eq.model_jac, cli.wht_table
 
 
 def _one_sign_flipped(z):
     J = _jacobian_g(z)
     J[0, 0] = -J[0, 0]
+    return J
+
+
+def _model_jac_one_sign_flipped(x):
+    J = _model_jac(x)
+    J[0, 1] = -J[0, 1]  # d g_1 / d x_1
     return J
 
 
@@ -281,6 +288,8 @@ def _cells_past_bound(g, pvec):
 BROKEN_SUITES = {
     "borsuk": (["verify-borsuk", "--s", "2"], cli.eq, "jacobian_g", _one_sign_flipped,
                ["jacobian-fd"]),
+    "borsuk-analytic": (["verify-borsuk", "--s", "2"], cli.eq, "model_jac",
+                        _model_jac_one_sign_flipped, ["jacobian-analytic"]),
     "spectrum": (["verify-spectrum", "--s", "4"], cli, "wht_table",
                  lambda table: _wht_table(table) + 1, ["wht-involution"]),
     "line-cells-above": (["bench-line-cells", "--D", "4", "--trials", "10"], cli,
@@ -415,6 +424,12 @@ BAD_INSTANCES = {
     "json-invalid": ("partition", "{not json", "invalid JSON"),
     "file-missing": ("partition", None, "not found"),
     "points-nan": ("partition-points", '{"n": 2, "points": [[0.1, 0.2], [NaN, 0.3]]}', "points[1]"),
+    "points-bool": (
+        "partition-points", '{"n": 2, "points": [[true, 0.5], [0.2, false]]}',
+        "points[0]: coordinates must be real numbers"),
+    "points-string": (
+        "partition-points", '{"n": 2, "points": [["0.2", 0.5]]}',
+        "points[0]: coordinates must be real numbers"),
 }
 
 

@@ -2,11 +2,16 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from polypart import equivariant as eq
 from polypart.equivariant import (
+    MAX_ZERO_S,
     ContinuationConfig,
     ContinuationError,
     EquivariantMap,
+    chart_jacobian,
     check_equivariance,
     continuation_zero,
     flip_orbit,
@@ -18,7 +23,7 @@ from polypart.equivariant import (
     random_equivariant,
     slot_of_v,
 )
-from polypart.sphereprod import XsPoint, block_size, random_point, retract
+from polypart.sphereprod import XsPoint, block_size, flip, random_point, retract
 
 
 def test_coordframe_bijection():
@@ -292,9 +297,28 @@ def test_random_equivariant_matches_loop_on_continuation_path():
         assert len(seen) > 100 and all(seen)
 
 
+def _result_hash(res):
+    h = hashlib.sha256()
+    for b in res.point.blocks:
+        h.update(b.tobytes())
+    h.update(np.float64(res.residual).tobytes())
+    h.update(np.int64(res.start_index).tobytes())
+    return h.hexdigest()
+
+
 # sha256 over the result blocks, residual and start index, recorded with the
-# per-v and per-term loops above before the array kernels replaced them
+# analytic Jacobian path (random_equivariant's jac chained through the chart)
 PINNED_CONTINUATION_S2 = [
+    "d50a464e955e5a0f9f6a4f9f7b42ca01488ec91e9dafc11b2b32b9cea97830d6",
+    "2d3dd048e73ef99afaebcada3d68fbe0e38bee1983075291f78cd96bdef8777e",
+    "c0304f8b6a4a20d2724cd07d187cd3abc46d16409e93438e3950ce88a6e36134",
+    "0e3eb80540b5eea47343e931d96b182490d760a3f32cc29ffbe7b46914340e91",
+]
+
+# the same hashes for the finite-difference path (the map without its jac),
+# recorded with the per-v and per-term loops above before the array kernels
+# replaced them
+PINNED_CONTINUATION_S2_FD = [
     "8ab54324e40327df49ce70fe3f92ef9097e0923986a9c0813254fa48aff74e38",
     "dc403246f997f24c48808923114b0fd6b2dd15384fac99aff65a1f600f04a8f9",
     "2eddf6e803141a15d6cb58fe85517bec221c54e34a65d6c6f09bf5148df26ca8",
@@ -305,12 +329,14 @@ PINNED_CONTINUATION_S2 = [
 @pytest.mark.parametrize("seed", range(4))
 def test_continuation_zero_pinned_bits(seed):
     res = continuation_zero(random_equivariant(2, 0.3, seed), 2)
-    h = hashlib.sha256()
-    for b in res.point.blocks:
-        h.update(b.tobytes())
-    h.update(np.float64(res.residual).tobytes())
-    h.update(np.int64(res.start_index).tobytes())
-    assert h.hexdigest() == PINNED_CONTINUATION_S2[seed]
+    assert _result_hash(res) == PINNED_CONTINUATION_S2[seed]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_continuation_zero_fd_path_pinned_bits(seed):
+    f = random_equivariant(2, 0.3, seed)
+    res = continuation_zero(EquivariantMap(2, f.fn), 2)
+    assert _result_hash(res) == PINNED_CONTINUATION_S2_FD[seed]
 
 
 def test_newton_in_chart_pinned_bits():
@@ -360,3 +386,100 @@ def test_continuation_zero_rejects_mismatched_s():
 def test_random_equivariant_rejects_s_below_1():
     with pytest.raises(ValueError, match="s >= 1"):
         random_equivariant(0, 0.3, 0)
+
+
+def test_random_equivariant_rejects_s_above_zero_limit(monkeypatch):
+    # the guard fires before any draw, so s = MAX_ZERO_S + 1 costs nothing
+    def reached(*args, **kwargs):
+        raise AssertionError("random_equivariant drew past the s guard")
+
+    monkeypatch.setattr(eq.np.random, "default_rng", reached)
+    with pytest.raises(ValueError, match="MAX_ZERO_S"):
+        random_equivariant(MAX_ZERO_S + 1, 0.3, 0)
+
+
+# ---------------------------------------------------------------------------
+# analytic Jacobians: the kernels, the chart chaining, and the Newton path
+
+
+class _Unchecked:
+    """Blocks off the spheres, which XsPoint rejects: the maps read only
+    .blocks, so ambient central differences can perturb one coordinate."""
+
+    def __init__(self, blocks):
+        self.blocks = tuple(blocks)
+
+    @property
+    def s(self):
+        return len(self.blocks)
+
+
+def _ambient_fd(fn, x, h=1e-6):
+    flat = np.concatenate(x.blocks)
+    cuts = np.cumsum([len(b) for b in x.blocks])[:-1]
+    cols = []
+    for i in range(len(flat)):
+        e = np.zeros(len(flat))
+        e[i] = h
+        up, down = (_Unchecked(np.split(z, cuts)) for z in (flat + e, flat - e))
+        cols.append((fn(up) - fn(down)) / (2 * h))
+    return np.stack(cols, axis=1)
+
+
+@pytest.mark.parametrize("s", range(1, 5))
+def test_jacobians_match_central_differences(s):
+    for seed in range(4):
+        x = random_point(s, seed=50 + seed)
+        for f in (random_equivariant(s, 0.4, seed), model_map(s)):
+            J = f.jac(x)
+            assert J.shape == (2**s - 1, 2**s - 1 + s)
+            assert np.abs(J - _ambient_fd(f.fn, x)).max() < 1e-6
+
+
+@pytest.mark.parametrize("s", range(1, 5))
+def test_chart_jacobian_matches_fd_oracle(s):
+    # the finite-difference helper Newton falls back on is the oracle for the
+    # analytic path, in every chart a random point picks
+    cfg = ContinuationConfig()
+    for seed in range(4):
+        f = random_equivariant(s, 0.4, seed)
+        x = random_point(s, seed=70 + seed)
+        y, drops, signs = eq._chart(x)
+        cur = eq._lift(y, drops, signs)
+        fd = eq._fd_jacobian(f, y, drops, signs, cfg)
+        assert np.abs(chart_jacobian(f.jac(cur), cur, drops) - fd).max() < 1e-6
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    s=st.integers(1, 4),
+    map_seed=st.integers(0, 2**32 - 1),
+    point_seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_jacobian_flip_rule(s, map_seed, point_seed, data):
+    # f(flip_j x) = S_j f(x) gives J(flip_j x) = S_j J(x) F_j: rows v with bit
+    # j set and the columns of block j change sign
+    j = data.draw(st.integers(1, s))
+    x = random_point(s, point_seed)
+    rows = np.array([(v >> (j - 1)) & 1 for v in range(1, 2**s)], dtype=bool)
+    cols = np.zeros(2**s - 1 + s, dtype=bool)
+    start = 2 ** (j - 1) + j - 2
+    cols[start : start + block_size(j)] = True
+    for f in (random_equivariant(s, 0.4, map_seed), model_map(s)):
+        want = f.jac(x)
+        want[rows] *= -1.0
+        want[:, cols] *= -1.0
+        assert np.array_equal(f.jac(flip(x, j)), want)
+
+
+@pytest.mark.parametrize("s, maps", [(2, 50), (3, 10)])
+def test_analytic_path_agrees_with_fd_oracle(s, maps):
+    # same start, same zero to 1e-12: only the Newton Jacobian differs
+    for seed in range(maps):
+        f = random_equivariant(s, 0.3, seed)
+        got = continuation_zero(f, s)
+        want = continuation_zero(EquivariantMap(s, f.fn), s)
+        assert got.start_index == want.start_index
+        for a, b in zip(got.point.blocks, want.point.blocks):
+            assert np.abs(a - b).max() <= 1e-12
