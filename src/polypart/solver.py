@@ -368,8 +368,10 @@ def _smooth_descent(M, bucket, c, n_parts, sigma_levels=9, newton_iters=12):
     scale = float(np.median(np.abs(v0[alive]))) if np.any(alive) else 1.0
     sigma = max(scale, 1e-9)
     for _level in range(sigma_levels):
+        # an accepted step carries its residual into the next iteration, so
+        # the residual is computed fresh only where sigma changes
+        th, F = _smoothed_residual(M, bucket, c, n_parts, sigma)
         for _ in range(newton_iters):
-            th, F = _smoothed_residual(M, bucket, c, n_parts, sigma)
             err = float(np.abs(F).max())
             if err < 0.25:
                 break
@@ -387,9 +389,9 @@ def _smooth_descent(M, bucket, c, n_parts, sigma_levels=9, newton_iters=12):
             for _try in range(10):
                 cand = c + t * step
                 cand /= np.linalg.norm(cand)
-                _, Fc = _smoothed_residual(M, bucket, cand, n_parts, sigma)
+                thc, Fc = _smoothed_residual(M, bucket, cand, n_parts, sigma)
                 if float(np.sum(Fc**2)) < base:
-                    c = cand
+                    c, th, F = cand, thc, Fc
                     improved = True
                     break
                 t *= 0.5
