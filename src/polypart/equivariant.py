@@ -308,12 +308,22 @@ def chart_jacobian(J: np.ndarray, x: XsPoint, drops=None) -> np.ndarray:
     if drops is None:
         drops = _chart(x)[1]
     flat = np.concatenate(x.blocks)
-    sizes = [len(b) for b in x.blocks]
-    dropped = np.cumsum([0] + sizes[:-1]) + drops
-    keep = np.ones(len(flat), dtype=bool)
+    keep, owner = _chart_layout(tuple(len(b) for b in x.blocks), tuple(int(d) for d in drops))
+    return J[:, keep] - J[:, owner] * (flat[keep] / flat[owner])
+
+
+@functools.lru_cache(maxsize=256)
+def _chart_layout(sizes: tuple[int, ...], drops: tuple[int, ...]):
+    """chart_jacobian's columns for blocks of these sizes charted by these
+    drops: (mask of the kept columns, the dropped column owning each kept
+    one). A continuation keeps its charts for many steps, so each pair is
+    built once and shared read-only."""
+    dropped = np.cumsum((0,) + sizes[:-1]) + np.array(drops)
+    keep = np.ones(sum(sizes), dtype=bool)
     keep[dropped] = False
     owner = np.repeat(dropped, sizes)[keep]
-    return J[:, keep] - J[:, owner] * (flat[keep] / flat[owner])
+    keep.flags.writeable = owner.flags.writeable = False
+    return keep, owner
 
 
 def _fd_jacobian(fun, y, drops, signs, cfg: ContinuationConfig):
