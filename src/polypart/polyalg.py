@@ -133,37 +133,19 @@ class Polynomial:
         return float(np.linalg.norm(self.coeffs))
 
 
-def from_terms(n: int, terms: dict[tuple[int, ...], float], D: int | None = None) -> Polynomial:
-    """Build a Polynomial from {exponent tuple: coefficient}."""
-    if D is None:
-        D = max((sum(e) for e in terms), default=0)
-    basis = monomial_basis(n, D)
-    coeffs = np.zeros(len(basis))
-    index = {m: i for i, m in enumerate(basis.monomials)}
-    for expo, c in terms.items():
-        if len(expo) != n:
-            raise ValueError(f"exponent {expo} has {len(expo)} entries, expected {n}")
-        coeffs[index[tuple(expo)]] += c
-    return Polynomial(basis, coeffs)
+def _powers(x: np.ndarray, D: int) -> np.ndarray:
+    """x ** [0..D] on a new last axis, by pt[..., e] = pt[..., e-1] * x.
 
-
-def _power_table(x: np.ndarray, D: int) -> np.ndarray:
-    # (n, D+1) with pt[i, e] = x_i**e
-    pt = np.empty((x.shape[0], D + 1))
-    pt[:, 0] = 1.0
-    for e in range(1, D + 1):
-        pt[:, e] = pt[:, e - 1] * x
+    Each product is correctly rounded (IEEE 754) and the order is fixed, so
+    the table has the same bits on every host; a libm or SIMD pow need not.
+    """
+    pt = np.empty(x.shape + (D + 1,))
+    pt[..., 0] = 1.0
+    if D:
+        pt[..., 1] = x
+    for e in range(2, D + 1):
+        np.multiply(pt[..., e - 1], x, out=pt[..., e])
     return pt
-
-
-def eval_poly(p: Polynomial, x) -> float:
-    """Evaluate p at a point of R^n by direct monomial summation."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (p.n,):
-        raise ValueError(f"point has shape {x.shape}, expected ({p.n},)")
-    pt = _power_table(x, p.basis.D)
-    mono = np.prod(pt[np.arange(p.n), p.basis.exponents], axis=1)
-    return float(mono @ p.coeffs)
 
 
 def monomial_matrix(X: np.ndarray, basis: MonomialBasis) -> np.ndarray:
@@ -171,17 +153,7 @@ def monomial_matrix(X: np.ndarray, basis: MonomialBasis) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != basis.n:
         raise ValueError(f"points have shape {X.shape}, expected (m, {basis.n})")
-    D = basis.D
-    pt = np.empty(X.shape + (D + 1,))
-    pt[:, :, 0] = 1.0
-    pt[:, :, 1:2] = X[:, :, None]  # an empty slice when D = 0
-    # np.power with a full exponent array rounds x**e as the table X ** [0..D]
-    # did; a one-entry call takes numpy's scalar path (x*x for e = 2), so a
-    # lone point runs e = 1 through it as well
-    lo = 1 if X.size == 1 else 2
-    high = pt[:, :, lo:]
-    high[...] = np.arange(lo, D + 1)
-    np.power(X[:, :, None], high, out=high)
+    pt = _powers(X, basis.D)
     out = pt[:, 0, basis.exponents[:, 0]]
     for i in range(1, basis.n):
         out *= pt[:, i, basis.exponents[:, i]]  # left to right, as np.prod rounds
@@ -191,24 +163,6 @@ def monomial_matrix(X: np.ndarray, basis: MonomialBasis) -> np.ndarray:
 def eval_poly_many(p: Polynomial, X: np.ndarray) -> np.ndarray:
     """Evaluate p at each row of X, shape (m, n) -> (m,)."""
     return monomial_matrix(X, p.basis) @ p.coeffs
-
-
-def grad(p: Polynomial, x) -> np.ndarray:
-    """Gradient of p at x."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (p.n,):
-        raise ValueError(f"point has shape {x.shape}, expected ({p.n},)")
-    pt = _power_table(x, p.basis.D)
-    exps = p.basis.exponents
-    out = np.zeros(p.n)
-    idx = np.arange(p.n)
-    for i in range(p.n):
-        ei = exps[:, i]
-        shifted = exps.copy()
-        shifted[:, i] = np.maximum(ei - 1, 0)
-        mono = np.prod(pt[idx, shifted], axis=1)
-        out[i] = np.sum(np.where(ei > 0, p.coeffs * ei * mono, 0.0))
-    return out
 
 
 def grad_bound(basis: MonomialBasis, R: float) -> float:
@@ -224,36 +178,16 @@ def grad_bound(basis: MonomialBasis, R: float) -> float:
     return math.sqrt(len(basis)) * basis.n * basis.D * max(1.0, R) ** (basis.D - 1)
 
 
-def restrict_to_line(p: Polynomial, point, direction) -> np.ndarray:
-    """Coefficients (ascending) of the univariate t -> p(point + t*direction)."""
-    a = np.asarray(point, dtype=np.float64)
-    u = np.asarray(direction, dtype=np.float64)
-    if a.shape != (p.n,) or u.shape != (p.n,):
-        raise ValueError("line point/direction dimension mismatch")
-    out = np.zeros(p.basis.D + 1)
-    for expo, c in zip(p.basis.monomials, p.coeffs):
-        if c == 0.0:
-            continue
-        conv = np.array([c])
-        for i, e in enumerate(expo):
-            if e == 0:
-                continue
-            # coefficients of (a_i + u_i t)^e, ascending
-            r = np.arange(e + 1)
-            binom = np.array([math.comb(e, int(k)) for k in r], dtype=np.float64)
-            fac = binom * a[i] ** (e - r) * u[i] ** r
-            conv = np.convolve(conv, fac)
-        out[: len(conv)] += conv
-    return out
-
-
 def restrict_to_line_batch(
     p: Polynomial, A: np.ndarray, U: np.ndarray, facs: dict | None = None
 ) -> np.ndarray:
-    """Batched restrict_to_line: rows of A, U give m lines -> (m, D+1) coefficients.
+    """Ascending coefficients of t -> p(A_k + t U_k) for the m lines given by
+    the rows of A and U, shape (m, D+1).
 
     facs caches the ascending coefficients of (A_i + U_i t)^e per line under
     (i, e) and gains what it lacks; only calls on the same A, U may share one.
+    Entry r is C(e, r) * A_i^(e-r) * U_i^r, multiplied left to right, with
+    the powers built as monomial_matrix builds them.
     """
     A = np.asarray(A, dtype=np.float64)
     U = np.asarray(U, dtype=np.float64)
@@ -270,9 +204,8 @@ def restrict_to_line_batch(
                 continue
             fac = facs.get((i, e))
             if fac is None:
-                r = np.arange(e + 1)
-                binom = np.array([math.comb(e, int(k)) for k in r], dtype=np.float64)
-                fac = binom[None, :] * A[:, i : i + 1] ** (e - r)[None, :] * U[:, i : i + 1] ** r[None, :]
+                binom = np.array([math.comb(e, r) for r in range(e + 1)], dtype=np.float64)
+                fac = binom * _powers(A[:, i], e)[:, ::-1] * _powers(U[:, i], e)
                 facs[(i, e)] = fac
             new = np.zeros((m, conv.shape[1] + e))
             for k in range(conv.shape[1]):

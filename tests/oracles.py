@@ -1,0 +1,139 @@
+"""Reference implementations the tests hold polypart's kernels to.
+
+No `src/` path calls these. `eval_poly`, `grad` and `restrict_to_line` are
+the one-point forms of the batched kernels, compared within a tolerance.
+`monomial_table_py` and `line_factors_py` spell out, in Python floats, the
+multiplication order `polyalg` fixes, so the kernels must match them bit for
+bit. `restrict_to_line_exact` expands a restriction in exact rationals.
+"""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+
+import numpy as np
+
+from polypart.polyalg import MonomialBasis, Polynomial, monomial_basis
+
+
+def from_terms(n: int, terms: dict[tuple[int, ...], float], D: int | None = None) -> Polynomial:
+    """Build a Polynomial from {exponent tuple: coefficient}."""
+    if D is None:
+        D = max((sum(e) for e in terms), default=0)
+    basis = monomial_basis(n, D)
+    coeffs = np.zeros(len(basis))
+    index = {m: i for i, m in enumerate(basis.monomials)}
+    for expo, c in terms.items():
+        if len(expo) != n:
+            raise ValueError(f"exponent {expo} has {len(expo)} entries, expected {n}")
+        coeffs[index[tuple(expo)]] += c
+    return Polynomial(basis, coeffs)
+
+
+def _power_table(x: np.ndarray, D: int) -> np.ndarray:
+    # (n, D+1) with pt[i, e] = x_i**e
+    pt = np.empty((x.shape[0], D + 1))
+    pt[:, 0] = 1.0
+    for e in range(1, D + 1):
+        pt[:, e] = pt[:, e - 1] * x
+    return pt
+
+
+def eval_poly(p: Polynomial, x) -> float:
+    """Evaluate p at a point of R^n by direct monomial summation."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape != (p.n,):
+        raise ValueError(f"point has shape {x.shape}, expected ({p.n},)")
+    pt = _power_table(x, p.basis.D)
+    mono = np.prod(pt[np.arange(p.n), p.basis.exponents], axis=1)
+    return float(mono @ p.coeffs)
+
+
+def grad(p: Polynomial, x) -> np.ndarray:
+    """Gradient of p at x."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape != (p.n,):
+        raise ValueError(f"point has shape {x.shape}, expected ({p.n},)")
+    pt = _power_table(x, p.basis.D)
+    exps = p.basis.exponents
+    out = np.zeros(p.n)
+    idx = np.arange(p.n)
+    for i in range(p.n):
+        ei = exps[:, i]
+        shifted = exps.copy()
+        shifted[:, i] = np.maximum(ei - 1, 0)
+        mono = np.prod(pt[idx, shifted], axis=1)
+        out[i] = np.sum(np.where(ei > 0, p.coeffs * ei * mono, 0.0))
+    return out
+
+
+def restrict_to_line(p: Polynomial, point, direction) -> np.ndarray:
+    """Coefficients (ascending) of the univariate t -> p(point + t*direction)."""
+    a = np.asarray(point, dtype=np.float64)
+    u = np.asarray(direction, dtype=np.float64)
+    if a.shape != (p.n,) or u.shape != (p.n,):
+        raise ValueError("line point/direction dimension mismatch")
+    out = np.zeros(p.basis.D + 1)
+    for expo, c in zip(p.basis.monomials, p.coeffs):
+        if c == 0.0:
+            continue
+        conv = np.array([c])
+        for i, e in enumerate(expo):
+            if e == 0:
+                continue
+            # coefficients of (a_i + u_i t)^e, ascending
+            r = np.arange(e + 1)
+            binom = np.array([math.comb(e, int(k)) for k in r], dtype=np.float64)
+            fac = binom * a[i] ** (e - r) * u[i] ** r
+            conv = np.convolve(conv, fac)
+        out[: len(conv)] += conv
+    return out
+
+
+def _powers_py(x: float, D: int) -> list[float]:
+    # [x^0, ..., x^D]: x^1 is x itself, each later power the last one times x
+    pw = [1.0, x][: D + 1]
+    for _ in range(2, D + 1):
+        pw.append(pw[-1] * x)
+    return pw
+
+
+def monomial_table_py(X: np.ndarray, basis: MonomialBasis) -> np.ndarray:
+    """monomial_matrix in Python floats: x^e by repeated multiplication, each
+    monomial the product of its coordinates' powers taken left to right."""
+    out = np.empty((len(X), len(basis)))
+    for row, x in enumerate(X.tolist()):
+        pws = [_powers_py(xi, basis.D) for xi in x]
+        for col, expo in enumerate(basis.monomials):
+            v = pws[0][expo[0]]
+            for i in range(1, basis.n):
+                v *= pws[i][expo[i]]
+            out[row, col] = v
+    return out
+
+
+def line_factors_py(a: float, u: float, e: int) -> list[float]:
+    """Ascending coefficients of (a + u t)^e as restrict_to_line_batch caches
+    them in Python floats: C(e, r) * a^(e-r) * u^r, powers as above."""
+    pa, pu = _powers_py(a, e), _powers_py(u, e)
+    return [float(math.comb(e, r)) * pa[e - r] * pu[r] for r in range(e + 1)]
+
+
+def restrict_to_line_exact(p: Polynomial, point, direction, absolute: bool = False) -> list[Fraction]:
+    """Ascending coefficients of t -> p(point + t*direction) in exact
+    rationals, from the float inputs as given. With absolute, every
+    coefficient and every point and direction entry is replaced by its
+    magnitude: the sums a rounding-error bound is stated against."""
+    mag = abs if absolute else (lambda v: v)
+    a = [mag(Fraction(float(v))) for v in point]
+    u = [mag(Fraction(float(v))) for v in direction]
+    out = [Fraction(0)] * (p.basis.D + 1)
+    for expo, c in zip(p.basis.monomials, p.coeffs):
+        poly = [mag(Fraction(float(c)))]
+        for i, e in enumerate(expo):
+            for _ in range(e):  # poly *= a_i + u_i t
+                poly = [x * a[i] + y * u[i] for x, y in zip(poly + [0], [0] + poly)]
+        for k, v in enumerate(poly):
+            out[k] += v
+    return out

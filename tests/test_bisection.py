@@ -3,7 +3,9 @@
 The pinned figures below were recorded from the solver before its kernels
 were bucketed (dead points in their own bucket, one flat bincount per
 Jacobian, the polish noise drawn at once); the rewrite must reproduce every
-decision and coefficient bit for bit. The chunked polish is held to a copy
+decision and coefficient bit for bit. The coefficient digests were recorded
+again when the monomial table came to build its powers by repeated
+multiplication; the tables and imbalances did not move. The chunked polish is held to a copy
 of the one-proposal-at-a-time polish it replaced.
 """
 
@@ -47,7 +49,7 @@ PINNED = [
             1, 1, 3, 0, 5, 9, 0, 1, 2, 2, 0, 1, 3, 8, 7, 6, 3, 1, 5, 1, 1,
             5, 9, 15, 2, 4, 2, 4, 5, 6, 0, 4, 4, 2, 2, 1, 0, 2, 5, 4, 4, 6,
         ],
-        "pvec_sha256": "d3ff6770b39f12f348cb09eaf38ccbc2c53348e07960052c1d9bc385191358f2",
+        "pvec_sha256": "708ea3c42e55bca1db116f7b77b5bea8ff396771317e65cec0051e4900430208",
     },
     {
         "data_seed": 6,
@@ -56,7 +58,7 @@ PINNED = [
         "cfg": {"restarts": 2, "iters": 300, "seed": 6},
         "table": [19, 19, 19, 19, 19, 18, 19, 18, 19, 19, 19, 19, 18, 18, 18, 19],
         "imbalances": [0, 0, 0, 1, 1, 1, 1, 0, 0, 0, 0, 1, 0, 1, 1],
-        "pvec_sha256": "f009787ac31702a49e30321829e9764bf07667f33603d2e1b117a53aa11e88f9",
+        "pvec_sha256": "9a524a1b1e4d6f3193bc95130ac0052726b2c3f7df9d49ed63822ddf4cf51c66",
     },
 ]
 

@@ -17,13 +17,8 @@ from polypart.cells import (
     sign_vector_many,
     w_index,
 )
-from polypart.polyalg import (
-    MonomialBasis,
-    Polynomial,
-    from_terms,
-    restrict_to_line,
-    restrict_to_line_batch,
-)
+from oracles import from_terms, restrict_to_line
+from polypart.polyalg import MonomialBasis, Polynomial, restrict_to_line_batch
 from polypart.sphereprod import flip, random_point, to_polys
 from polypart.varieties import circle, kplane, line
 

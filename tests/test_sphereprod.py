@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from polypart.polyalg import degree_schedule, eval_poly
+from oracles import eval_poly
+from polypart.polyalg import degree_schedule
 from polypart.solver import _step_block
 from polypart.sphereprod import (
     XsPoint,
