@@ -23,6 +23,7 @@ from .polyalg import Polynomial, eval_poly_many, restrict_to_line_batch
 from .varieties import LineSampler, UnsupportedVarietyError, VarietySpec, sample_in_ball
 
 DEFAULT_SIGN_TOL_SCALE = 1e-9
+MAX_S = 20  # most polynomials a cell table (of size 2^s) supports
 _DEGENERATE_TOL = 1e-12
 _ISOLATION_MAX_SPLITS = 200
 _REFINE_MAX_ITERS = 260
@@ -118,11 +119,11 @@ def pack_signs(cols, tols) -> tuple[np.ndarray, np.ndarray]:
     return idx, interior
 
 
-def sign_vector_many(pvec, X, tau=None):
+def sign_vector_many(pvec, X):
     """Batch sign vectors as table indices plus a boundary mask."""
     X = np.asarray(X, dtype=np.float64)
     cols = [eval_poly_many(p, X) for p in pvec]
-    idx, interior = pack_signs(cols, [_sign_tol(p) if tau is None else float(tau) for p in pvec])
+    idx, interior = pack_signs(cols, [_sign_tol(p) for p in pvec])
     return idx, ~interior
 
 
@@ -195,20 +196,20 @@ def counts(
     over the whole line instead of sampling; other kinds always sample.
     """
     s = len(pvec)
-    if s > 20:
-        raise ValueError(f"cell tables support at most 20 polynomials, got {s}")
+    if s > MAX_S:
+        raise ValueError(f"cell tables support at most {MAX_S} polynomials, got {s}")
     # a frame of its own: a solver's self-check shares no cache with its evaluator
     frame = CountFrame(Gamma, sampling, sum(p.degree() for p in pvec), exact_lines)
     return CellCounts(s, frame.table([frame.column(p) for p in pvec]))
 
 
-def point_counts(points, pvec, tau: float | None = None) -> CellCounts:
+def point_counts(points, pvec) -> CellCounts:
     """Counts of points per sign cell; boundary points count nowhere."""
     s = len(pvec)
     points = np.asarray(points, dtype=np.float64)
     table = np.zeros(2**s, dtype=np.int64)
     if len(points):
-        idx, boundary = sign_vector_many(pvec, points, tau)
+        idx, boundary = sign_vector_many(pvec, points)
         table += np.bincount(idx[~boundary], minlength=2**s).astype(np.int64)
     return CellCounts(s, table)
 

@@ -20,13 +20,13 @@ from pathlib import Path
 import numpy as np
 
 from . import equivariant as eq
-from .cells import CellCounts, SamplingConfig, cells_entered_line, index_w
+from .cells import MAX_S, CellCounts, SamplingConfig, cells_entered_line, index_w
 from .mollifier import check_delta_grid, i_delta, schedule
 from .polyalg import (
     MAX_BASIS_DIM, MonomialBasis, Polynomial, basis_dim, degree_schedule, grad_bound
 )
 from .solver import PartitionReport, SolveConfig, partition_points, partition_varieties
-from .spectrum import MAX_S, is_equidistributed, lemma_identity_check, wht_table
+from .spectrum import is_equidistributed, lemma_identity_check, wht_table
 from .sphereprod import retract
 from .varieties import VarietySpec, build, line
 

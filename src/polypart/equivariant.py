@@ -21,6 +21,13 @@ from .sphereprod import XsPoint, block_size, flip, random_point
 # largest s whose 2^s model zeros g_zeros enumerates
 MAX_ZERO_S = 10
 
+# continuation: t-steps from g to f, Newton stopping rule per step, and the
+# smallest t-step a failed step may halve down to before the start is dropped
+T_STEPS = 32
+NEWTON_TOL = 1e-10
+NEWTON_MAX = 16
+MIN_STEP = 1.0 / 1024.0
+
 
 class ContinuationError(RuntimeError):
     """All continuation starts failed; carries the per-start final residuals."""
@@ -50,14 +57,14 @@ def slot_of_v(v: int) -> tuple[int, int]:
 class EquivariantMap:
     """Map X_s -> R^(2^s - 1) indexed by nonzero v, odd in each flipped block.
 
-    jac, when given, returns the (2^s - 1) x (2^s - 1 + s) derivative of fn
-    with respect to the concatenated blocks; continuation then needs no
-    finite differences.
+    jac returns the (2^s - 1) x (2^s - 1 + s) derivative of fn with respect
+    to the concatenated blocks, which continuation's Newton steps chain
+    through their charts.
     """
 
     s: int
     fn: object
-    jac: object = None
+    jac: object
 
     def __call__(self, x: XsPoint) -> np.ndarray:
         return self.fn(x)
@@ -245,26 +252,6 @@ def flip_orbit(x: XsPoint) -> list[XsPoint]:
 
 
 @dataclass
-class ContinuationConfig:
-    t_steps: int = 32
-    newton_tol: float = 1e-10
-    newton_max: int = 16
-    min_step: float = 1.0 / 1024.0
-    fd_step: float = 1e-6  # central-difference step; used only for maps with no jac
-
-    def __post_init__(self):
-        for name, ok, want in (
-            ("t_steps", self.t_steps >= 1, ">= 1"),
-            ("newton_max", self.newton_max >= 1, ">= 1"),
-            ("newton_tol", self.newton_tol > 0.0, "> 0"),
-            ("fd_step", self.fd_step > 0.0, "> 0"),
-            ("min_step", 0.0 < self.min_step <= 1.0, "in (0, 1]"),
-        ):
-            if not ok:
-                raise ValueError(f"need {name} {want}, got {getattr(self, name)}")
-
-
-@dataclass
 class ContinuationResult:
     point: XsPoint
     residual: float
@@ -326,53 +313,22 @@ def _chart_layout(sizes: tuple[int, ...], drops: tuple[int, ...]):
     return keep, owner
 
 
-def _fd_jacobian(fun, y, drops, signs, cfg: ContinuationConfig):
-    """Central-difference Jacobian of fun in the chart at y, or None if a
-    perturbed coordinate leaves the chart.
-
-    A column re-lifts only the block of its chart coordinate and keeps the
-    other blocks of the lift of y. This is the path for maps with no jac, and
-    the oracle the analytic path is tested against.
-    """
-    base = _lift(y, drops, signs).blocks
-    N = len(y)
-    J = np.empty((N, N))
-    for i in range(N):
-        e = np.zeros(N)
-        e[i] = cfg.fd_step
-        j = (i + 1).bit_length() - 1  # 0-based block holding coordinate i
-        lo, hi = 2**j - 1, 2 ** (j + 1) - 1
-        moved = [_lift_block(z[lo:hi], drops[j], signs[j]) for z in (y + e, y - e)]
-        if moved[0] is None or moved[1] is None:
-            return None
-        xp, xm = (XsPoint(base[:j] + (b,) + base[j + 1 :]) for b in moved)
-        J[:, i] = (fun(xp) - fun(xm)) / (2.0 * cfg.fd_step)
-    return J
-
-
-def _newton_in_chart(fun, x: XsPoint, cfg: ContinuationConfig, jac=None):
+def _newton_in_chart(fun, jac, x: XsPoint):
     """Newton-correct x toward fun = 0; returns (point, residual, ok).
 
-    With jac (fun's derivative with respect to the concatenated blocks), each
+    jac is fun's derivative with respect to the concatenated blocks. Each
     step's Jacobian is jac at the current point chained through the chart's
-    lift by chart_jacobian: one jac call, no extra fun calls. Without it the
-    step falls back to _fd_jacobian's 2N fun calls.
+    lift by chart_jacobian.
     """
     y, drops, signs = _chart(x)
     cur = _lift(y, drops, signs)
     fx = fun(cur)
     res = float(np.abs(fx).max())
-    for _ in range(cfg.newton_max):
-        if res < cfg.newton_tol:
+    for _ in range(NEWTON_MAX):
+        if res < NEWTON_TOL:
             return cur, res, True
-        if jac is None:
-            J = _fd_jacobian(fun, y, drops, signs, cfg)
-            if J is None:
-                return cur, res, False
-        else:
-            J = chart_jacobian(jac(cur), cur, drops)
         try:
-            step = np.linalg.solve(J, -fx)
+            step = np.linalg.solve(chart_jacobian(jac(cur), cur, drops), -fx)
         except np.linalg.LinAlgError:
             return cur, res, False
         if not np.all(np.isfinite(step)):
@@ -386,15 +342,14 @@ def _newton_in_chart(fun, x: XsPoint, cfg: ContinuationConfig, jac=None):
         res = float(np.abs(fx).max())
         # re-chart so the dropped coordinate stays the dominant one
         y, drops, signs = _chart(cur)
-    return cur, res, res < cfg.newton_tol
+    return cur, res, res < NEWTON_TOL
 
 
-def _track_from(f: EquivariantMap, x0: XsPoint, cfg: ContinuationConfig):
+def _track_from(f: EquivariantMap, x0: XsPoint):
     """Follow the zero of (1-t) g + t f from one model zero to t = 1."""
     x = x0
     t = 0.0
-    dt = 1.0 / cfg.t_steps
-    res = float(np.abs(f(x)).max())
+    dt = 1.0 / T_STEPS
     while t < 1.0:
         t_next = min(1.0, t + dt)
 
@@ -404,23 +359,18 @@ def _track_from(f: EquivariantMap, x0: XsPoint, cfg: ContinuationConfig):
         def jac(pt, tv=t_next):
             return (1.0 - tv) * model_jac(pt) + tv * f.jac(pt)
 
-        cand, res, converged = _newton_in_chart(
-            fun, x, cfg, None if f.jac is None else jac
-        )
+        cand, res, converged = _newton_in_chart(fun, jac, x)
         if converged:
             x, t = cand, t_next
-            if dt < 1.0 / cfg.t_steps:
-                dt = min(2.0 * dt, 1.0 / cfg.t_steps)
+            dt = min(2.0 * dt, 1.0 / T_STEPS)
         else:
             dt *= 0.5
-            if dt < cfg.min_step:
+            if dt < MIN_STEP:
                 return x, res, False
     return x, float(np.abs(f(x)).max()), True
 
 
-def continuation_zero(
-    f: EquivariantMap, s: int, cfg: ContinuationConfig | None = None
-) -> ContinuationResult:
+def continuation_zero(f: EquivariantMap, s: int) -> ContinuationResult:
     """Track a zero of (1-t) g + t f from each model zero until one reaches t=1.
 
     Every interpolant is equivariant (the sign rule is linear in the map), so
@@ -430,10 +380,9 @@ def continuation_zero(
     """
     if s != f.s:
         raise ValueError(f"s = {s} does not match the map's s = {f.s}")
-    cfg = cfg or ContinuationConfig()
     failures = []
     for start_index, x0 in enumerate(g_zeros(s)):
-        x, res, ok = _track_from(f, x0, cfg)
+        x, res, ok = _track_from(f, x0)
         if ok and res < 1e-8:
             orbit = flip_orbit(x)
             return ContinuationResult(

@@ -16,9 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cells import pack_signs, w_index
-# eval_poly_many is unused here, but perfbench's tracer requires this binding
+# eval_poly_many and wht_table are unused here, but perfbench's tracer
+# requires these bindings
 from .polyalg import MonomialBasis, Polynomial, eval_poly_many, grad_bound, monomial_matrix
-from .spectrum import wht_table
+from .spectrum import wht_table  # noqa: F401
 from .varieties import VarietySpec, WeightedCloud, tube_sample, tube_sample_many
 
 # eps(delta) = EPS_FACTOR * B * delta keeps the certificate strict for all
@@ -151,15 +152,3 @@ def mollified_table(
     """
     frame = LevelFrame(Gamma, cfg, max((p.basis for p in pvec), key=len), clouds)
     return frame.table([frame.column(p) for p in pvec])
-
-
-def f_delta_v(Gamma, pvec, v, cfg: MollConfig, clouds=None) -> float:
-    """Smoothed balance functional at nonzero frequency v.
-
-    Equals the Walsh-Hadamard transform of the mollified count table at v.
-    """
-    vi = w_index(v)
-    if vi == 0:
-        raise ValueError("v must be a nonzero frequency")
-    table = mollified_table(Gamma, pvec, cfg, clouds)
-    return float(wht_table(table)[vi])

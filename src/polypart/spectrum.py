@@ -11,9 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cells import CellCounts, index_w, w_index
-
-MAX_S = 20  # tables of size 2^s
+from .cells import MAX_S, CellCounts, index_w, w_index
 
 
 @dataclass

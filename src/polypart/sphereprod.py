@@ -21,10 +21,6 @@ def block_size(j: int) -> int:
     return 2 ** (j - 1) + 1
 
 
-def xs_dim(s: int) -> int:
-    return 2**s - 1
-
-
 @dataclass
 class XsPoint:
     """s unit blocks, block j of length 2^(j-1)+1."""

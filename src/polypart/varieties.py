@@ -1,5 +1,5 @@
 """Variety specifications: parametric samplers for lines, circles and affine
-k-planes, with exact region measures, tube sampling and distances.
+k-planes, with exact region measures and tube sampling.
 """
 
 from __future__ import annotations
@@ -229,12 +229,6 @@ def _span_measure(spec: VarietySpec, span) -> float:
     return _ball_volume(spec.k) * span[1] ** spec.k
 
 
-def region_measure(spec: VarietySpec, R: float) -> float:
-    """k-volume of the sampled portion of the variety inside B_R (closed form)."""
-    span = _span(spec, R)
-    return 0.0 if span is None else _span_measure(spec, span)
-
-
 def _ball_volume(d: int) -> float:
     return math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0)
 
@@ -258,7 +252,7 @@ def _base_points(specs, R, count, rngs):
     """Points on each variety inside B_R, each drawn from its own rng.
 
     Returns (live, measure, base, radial): live lists the varieties that
-    meet B_R, measure the region_measure of each, base (len(live), count, n)
+    meet B_R, measure the k-volume of each inside B_R, base (len(live), count, n)
     their points, and radial maps each row of base on a circle to the unit
     radial direction at its points. Each variety's span is found once.
     Lines and circles draw one stratified parameter per point over their
@@ -387,26 +381,3 @@ def tube_sample(spec: VarietySpec, delta: float, R: float, count: int, seed) -> 
     vol(N_delta gamma intersect B_R). The one-variety call of tube_sample_many.
     """
     return tube_sample_many([spec], delta, R, count, [seed])[0]
-
-
-def distance_to(spec: VarietySpec, X: np.ndarray) -> np.ndarray:
-    """Exact distance from each row of X to the variety."""
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    s = spec.sampler
-    if isinstance(s, LineSampler):
-        d = X - s.point[None, :]
-        proj = d @ s.direction
-        return np.linalg.norm(d - proj[:, None] * s.direction[None, :], axis=1)
-    if isinstance(s, PlaneSampler):
-        d = X - s.point[None, :]
-        coords = d @ s.frame.T
-        return np.linalg.norm(d - coords @ s.frame, axis=1)
-    d = X - s.center[None, :]
-    u, v = s.frame
-    pu = d @ u
-    pv = d @ v
-    inplane = np.hypot(pu, pv)
-    # the out-of-plane part taken directly: |d|^2 - inplane^2 cancels to
-    # rounding noise whose square root reaches 1e-8 on the circle itself
-    perp = np.linalg.norm(d - pu[:, None] * u - pv[:, None] * v, axis=1)
-    return np.hypot(inplane - s.radius, perp)

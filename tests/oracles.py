@@ -5,6 +5,9 @@ the one-point forms of the batched kernels, compared within a tolerance.
 `monomial_table_py` and `line_factors_py` spell out, in Python floats, the
 multiplication order `polyalg` fixes, so the kernels must match them bit for
 bit. `restrict_to_line_exact` expands a restriction in exact rationals.
+`chart_fd_jacobian` is the central-difference Jacobian the analytic chart
+Jacobian is checked against. `xs_dim`, `region_measure`, `distance_to` and
+`f_delta_v` are closed forms and functionals only the tests read.
 """
 
 from __future__ import annotations
@@ -14,7 +17,13 @@ from fractions import Fraction
 
 import numpy as np
 
+from polypart.cells import w_index
+from polypart.equivariant import _lift, _lift_block
+from polypart.mollifier import mollified_table
 from polypart.polyalg import MonomialBasis, Polynomial, monomial_basis
+from polypart.spectrum import wht_table
+from polypart.sphereprod import XsPoint
+from polypart.varieties import LineSampler, PlaneSampler, VarietySpec, _span, _span_measure
 
 
 def from_terms(n: int, terms: dict[tuple[int, ...], float], D: int | None = None) -> Polynomial:
@@ -137,3 +146,68 @@ def restrict_to_line_exact(p: Polynomial, point, direction, absolute: bool = Fal
         for k, v in enumerate(poly):
             out[k] += v
     return out
+
+
+def chart_fd_jacobian(fun, y, drops, signs, h: float) -> np.ndarray:
+    """Central-difference Jacobian, step h, of fun in the chart at y.
+
+    A column re-lifts only the block of its chart coordinate and keeps the
+    other blocks of the lift of y.
+    """
+    base = _lift(y, drops, signs).blocks
+    N = len(y)
+    J = np.empty((N, N))
+    for i in range(N):
+        e = np.zeros(N)
+        e[i] = h
+        j = (i + 1).bit_length() - 1  # 0-based block holding coordinate i
+        lo, hi = 2**j - 1, 2 ** (j + 1) - 1
+        moved = [_lift_block(z[lo:hi], drops[j], signs[j]) for z in (y + e, y - e)]
+        xp, xm = (XsPoint(base[:j] + (b,) + base[j + 1 :]) for b in moved)
+        J[:, i] = (fun(xp) - fun(xm)) / (2.0 * h)
+    return J
+
+
+def xs_dim(s: int) -> int:
+    """Dimension of the sphere product X_s: block j contributes 2^(j-1)."""
+    return 2**s - 1
+
+
+def region_measure(spec: VarietySpec, R: float) -> float:
+    """k-volume of the sampled portion of the variety inside B_R (closed form)."""
+    span = _span(spec, R)
+    return 0.0 if span is None else _span_measure(spec, span)
+
+
+def distance_to(spec: VarietySpec, X) -> np.ndarray:
+    """Exact distance from each row of X to the variety."""
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    s = spec.sampler
+    if isinstance(s, LineSampler):
+        d = X - s.point[None, :]
+        proj = d @ s.direction
+        return np.linalg.norm(d - proj[:, None] * s.direction[None, :], axis=1)
+    if isinstance(s, PlaneSampler):
+        d = X - s.point[None, :]
+        coords = d @ s.frame.T
+        return np.linalg.norm(d - coords @ s.frame, axis=1)
+    d = X - s.center[None, :]
+    u, v = s.frame
+    pu = d @ u
+    pv = d @ v
+    inplane = np.hypot(pu, pv)
+    # the out-of-plane part taken directly: |d|^2 - inplane^2 cancels to
+    # rounding noise whose square root reaches 1e-8 on the circle itself
+    perp = np.linalg.norm(d - pu[:, None] * u - pv[:, None] * v, axis=1)
+    return np.hypot(inplane - s.radius, perp)
+
+
+def f_delta_v(Gamma, pvec, v, cfg) -> float:
+    """Smoothed balance functional at nonzero frequency v: the Walsh-Hadamard
+    transform of the mollified count table at v. `mollified_table` builds the
+    smooth evaluator's frame on the largest basis of its polynomials, so this
+    rounds exactly as the smooth evaluator does."""
+    vi = w_index(v)
+    if vi == 0:
+        raise ValueError("v must be a nonzero frequency")
+    return float(wht_table(mollified_table(Gamma, pvec, cfg))[vi])

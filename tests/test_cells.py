@@ -33,11 +33,12 @@ def test_w_index_roundtrip():
 
 
 def test_sign_vector_examples():
-    idx, boundary = sign_vector_many([X, Y], [(1.0, -2.0), (0.0, 1.0)], tau=0.0)
+    # X and Y have unit coefficient norm, so the boundary tolerance is 1e-9
+    idx, boundary = sign_vector_many([X, Y], [(1.0, -2.0), (0.0, 1.0)])
     assert idx[0] == w_index((0, 1)) and boundary.tolist() == [False, True]
-    _, boundary = sign_vector_many([X], [(1e-13, 0.5)], tau=1e-9)
+    _, boundary = sign_vector_many([X], [(1e-13, 0.5)])
     assert boundary.tolist() == [True]
-    idx, boundary = sign_vector_many([X], [(1.0, 0.5)], tau=0.0)
+    idx, boundary = sign_vector_many([X], [(1.0, 0.5)])
     assert idx.tolist() == [w_index((0,))] and boundary.tolist() == [False]
 
 

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from polypart import equivariant as eq
 from polypart.equivariant import (
     MAX_ZERO_S,
-    ContinuationConfig,
     ContinuationError,
     EquivariantMap,
     chart_jacobian,
@@ -19,10 +18,12 @@ from polypart.equivariant import (
     j_of_v,
     jacobian_g,
     model_g,
+    model_jac,
     model_map,
     random_equivariant,
     slot_of_v,
 )
+from oracles import chart_fd_jacobian
 from polypart.sphereprod import XsPoint, block_size, flip, random_point, retract
 
 
@@ -117,7 +118,7 @@ def test_check_equivariance_broken_map():
         out[0] = 1.0  # constants are not odd
         return out
 
-    f = EquivariantMap(2, broken)
+    f = EquivariantMap(2, broken, model_jac)
     assert check_equivariance(f, trials=200, seed=2) >= 1.0
 
 
@@ -164,10 +165,20 @@ def test_continuation_failure_reports():
     def hopeless(x):
         return model_g(x) + 5.0  # no zero anywhere near; breaks equivariance too
 
-    f = EquivariantMap(1, hopeless)
+    f = EquivariantMap(1, hopeless, model_jac)
     with pytest.raises(ContinuationError) as err:
-        continuation_zero(f, 1, ContinuationConfig(t_steps=4, min_step=0.25))
+        continuation_zero(f, 1)
     assert len(err.value.residuals) == 2
+
+
+def test_continuation_map_calls_at_lam_zero():
+    # from an exact model zero every t-step converges at its first residual:
+    # 32 steps, the final residual and the 4 orbit residuals call the map
+    f = random_equivariant(2, 0.0, seed=7)
+    calls, fn = [], f.fn
+    f.fn = lambda x: calls.append(x) or fn(x)
+    continuation_zero(f, 2)
+    assert len(calls) == 37
 
 
 def test_zero_orbit_closure():
@@ -181,11 +192,10 @@ def test_model_zero_structure_from_newton():
     # Newton-polished zeros of the model map keep x_v ~ 0 and |t_j| near 1
     from polypart.equivariant import _newton_in_chart
 
-    cfg = ContinuationConfig()
     found = 0
     for seed in range(40):
         x = random_point(2, seed=100 + seed)
-        pt, res, ok = _newton_in_chart(model_g, x, cfg)
+        pt, res, ok = _newton_in_chart(model_g, model_jac, x)
         if ok and res < 1e-10:
             found += 1
             for b in pt.blocks:
@@ -315,67 +325,26 @@ PINNED_CONTINUATION_S2 = [
     "0e3eb80540b5eea47343e931d96b182490d760a3f32cc29ffbe7b46914340e91",
 ]
 
-# the same hashes for the finite-difference path (the map without its jac),
-# recorded with the per-v and per-term loops above before the array kernels
-# replaced them
-PINNED_CONTINUATION_S2_FD = [
-    "8ab54324e40327df49ce70fe3f92ef9097e0923986a9c0813254fa48aff74e38",
-    "dc403246f997f24c48808923114b0fd6b2dd15384fac99aff65a1f600f04a8f9",
-    "2eddf6e803141a15d6cb58fe85517bec221c54e34a65d6c6f09bf5148df26ca8",
-    "153e61d55dd70da2419a292332ba2940bdaa758336d7ae0942c671326d6fc7ca",
-]
-
-
 @pytest.mark.parametrize("seed", range(4))
 def test_continuation_zero_pinned_bits(seed):
     res = continuation_zero(random_equivariant(2, 0.3, seed), 2)
     assert _result_hash(res) == PINNED_CONTINUATION_S2[seed]
 
 
-@pytest.mark.parametrize("seed", range(4))
-def test_continuation_zero_fd_path_pinned_bits(seed):
-    f = random_equivariant(2, 0.3, seed)
-    res = continuation_zero(EquivariantMap(2, f.fn), 2)
-    assert _result_hash(res) == PINNED_CONTINUATION_S2_FD[seed]
-
-
 def test_newton_in_chart_pinned_bits():
     # from this start Newton moves block 2's dropped coordinate back and forth,
-    # and twice the lift of the new chart differs in the last bit from the
-    # point it was charted from; the Jacobian columns must perturb that lift
+    # so the steps chain the Jacobian through both of its charts
     from polypart.equivariant import _newton_in_chart
 
     f = random_equivariant(2, 0.5, 6)
-    pt, res, ok = _newton_in_chart(f, random_point(2, seed=5286), ContinuationConfig())
+    pt, res, ok = _newton_in_chart(f, f.jac, random_point(2, seed=5286))
     h = hashlib.sha256()
     for b in pt.blocks:
         h.update(b.tobytes())
     h.update(np.float64(res).tobytes())
     assert ok and h.hexdigest() == (
-        "28004b95331a1b88077e2be3910a729242432621e1c65a2cba1a82531d871c68"
+        "19833f035ca030dcbda50fa71a8356b5a2a88caf7e7b973df3f527ce1cf42f0c"
     )
-
-
-@pytest.mark.parametrize(
-    "field, value",
-    [
-        ("t_steps", 0),
-        ("newton_max", 0),
-        ("newton_tol", 0.0),
-        ("newton_tol", -1e-10),
-        ("fd_step", 0.0),
-        ("fd_step", float("nan")),
-        ("min_step", 0.0),
-        ("min_step", 1.5),
-    ],
-)
-def test_continuation_config_rejects(field, value):
-    with pytest.raises(ValueError, match=field):
-        ContinuationConfig(**{field: value})
-
-
-def test_continuation_config_accepts_bounds():
-    ContinuationConfig(t_steps=1, newton_max=1, min_step=1.0)
 
 
 def test_continuation_zero_rejects_mismatched_s():
@@ -438,15 +407,14 @@ def test_jacobians_match_central_differences(s):
 
 @pytest.mark.parametrize("s", range(1, 5))
 def test_chart_jacobian_matches_fd_oracle(s):
-    # the finite-difference helper Newton falls back on is the oracle for the
-    # analytic path, in every chart a random point picks
-    cfg = ContinuationConfig()
+    # chart-coordinate central differences are the oracle for the chained
+    # Jacobian, in every chart a random point picks
     for seed in range(4):
         f = random_equivariant(s, 0.4, seed)
         x = random_point(s, seed=70 + seed)
         y, drops, signs = eq._chart(x)
         cur = eq._lift(y, drops, signs)
-        fd = eq._fd_jacobian(f, y, drops, signs, cfg)
+        fd = chart_fd_jacobian(f, y, drops, signs, h=1e-6)
         assert np.abs(chart_jacobian(f.jac(cur), cur, drops) - fd).max() < 1e-6
 
 
@@ -479,7 +447,7 @@ def test_analytic_path_agrees_with_fd_oracle(s, maps):
     for seed in range(maps):
         f = random_equivariant(s, 0.3, seed)
         got = continuation_zero(f, s)
-        want = continuation_zero(EquivariantMap(s, f.fn), s)
+        want = continuation_zero(EquivariantMap(s, f.fn, lambda x: _ambient_fd(f.fn, x)), s)
         assert got.start_index == want.start_index
         for a, b in zip(got.point.blocks, want.point.blocks):
             assert np.abs(a - b).max() <= 1e-12

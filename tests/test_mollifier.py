@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from oracles import f_delta_v
 from polypart.mollifier import (
     EPS_FACTOR,
     MollConfig,
     eta,
-    f_delta_v,
     family_clouds,
     i_delta,
     mollified_rows,

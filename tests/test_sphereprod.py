@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import eval_poly
+from oracles import eval_poly, xs_dim
 from polypart.polyalg import degree_schedule
 from polypart.solver import _step_block
 from polypart.sphereprod import (
@@ -12,7 +12,6 @@ from polypart.sphereprod import (
     random_point,
     retract,
     to_polys,
-    xs_dim,
 )
 
 

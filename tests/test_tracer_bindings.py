@@ -1,16 +1,20 @@
-"""The names the benchmark's tracer must find bound in polypart modules.
+"""The names the benchmark reaches in polypart must exist.
 
 perfbench/tracer.py wraps a function under every module-level name that
 binds it, and its REQUIRED_BINDINGS lists bindings whose absence would hide a
-module's calls; a traced run stops when one is missing. The list is read from
-the file itself, without importing the benchmark.
+module's calls; a traced run stops when one is missing. perfbench/workloads.py
+and run.py call polypart as `pp.<module>.<name>` and count the calls of solver
+functions they name as strings. All three files are read with `ast`, without
+importing the benchmark.
 """
 
 import ast
 import importlib
 from pathlib import Path
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACER = PERFBENCH / "tracer.py"
+CALLERS = (PERFBENCH / "workloads.py", PERFBENCH / "run.py")
 
 
 def required_bindings() -> dict:
@@ -31,4 +35,44 @@ def test_every_required_binding_is_bound():
         for layer in layers
         if not callable(getattr(importlib.import_module(f"polypart.{layer}"), name, None))
     ]
+    assert missing == []
+
+
+def _string_arg(call: ast.Call, index: int, keyword: str):
+    args = call.args[index : index + 1] + [k.value for k in call.keywords if k.arg == keyword]
+    return [a.value for a in args if isinstance(a, ast.Constant) and isinstance(a.value, str)]
+
+
+def perfbench_uses() -> tuple[set, set]:
+    """({(module, name) of every pp.<module>.<name>}, {counted solver names}):
+    the counted names are Spec's `counted` and CallCounter's function name."""
+    used, counted = set(), set()
+    for path in CALLERS:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Attribute)
+                and isinstance(node.value.value, ast.Name)
+                and node.value.value.id == "pp"
+            ):
+                used.add((node.value.attr, node.attr))
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                if node.func.id == "Spec":
+                    counted.update(_string_arg(node, 3, "counted"))
+                elif node.func.id == "CallCounter":
+                    counted.update(_string_arg(node, 1, "name"))
+    return used, counted
+
+
+def test_perfbench_calls_resolve():
+    used, counted = perfbench_uses()
+    assert ("equivariant", "continuation_zero") in used
+    assert {"_step_block", "_bisect_score"} <= counted
+    missing = [
+        f"{module}.{name}"
+        for module, name in sorted(used)
+        if not hasattr(importlib.import_module(f"polypart.{module}"), name)
+    ]
+    solver = importlib.import_module("polypart.solver")
+    missing += [f"solver.{name}" for name in sorted(counted) if not callable(getattr(solver, name, None))]
     assert missing == []

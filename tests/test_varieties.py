@@ -4,13 +4,12 @@ import math
 import numpy as np
 import pytest
 
+from oracles import distance_to, region_measure
 from polypart.varieties import (
     build,
     circle,
-    distance_to,
     kplane,
     line,
-    region_measure,
     sample_in_ball,
     tube_sample,
     tube_sample_many,
