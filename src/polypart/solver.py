@@ -5,17 +5,18 @@ steps one block at a time and accepting whenever the objective does not
 increase, so accepted traces are non-increasing by construction. The discrete
 objective is the spectral power of the cell-count table (zero exactly at
 equidistribution); the smoothed objective swaps in mollified counts over a
-shrinking delta grid. Both score proposals through one incremental evaluator
-that caches one column per block and recomputes only the moved block's
-column. The tables are built elsewhere: a cells.CountFrame gives the discrete
-columns and table, and a mollifier.LevelFrame the mollified ones, so the
-solver only anneals. Every solve ends the same way: each restart's tuple is
-recounted from scratch by cells.counts, a discrete restart's incremental
-table must equal its recount, and the restarts are ranked by the spectral
-power of their recounts. The point solver instead bisects sequentially, one
-polynomial per step, minimizing the worst signed imbalance over the current
-parts (a numerical stand-in for a ham-sandwich cut on the lifted points).
-Both solvers build their report through PartitionReport.from_counts.
+shrinking delta grid. Each level is a frame with column(p) and table(cols):
+a cells.CountFrame for the discrete counts, a mollifier.LevelFrame for the
+mollified ones. The annealing loop keeps one column per block, recomputes
+only the moved block's column and scores spectral_power(frame.table(cols)),
+so the solver only anneals. Every solve ends the same way: each restart's
+tuple is recounted from scratch by cells.counts, a discrete restart's
+annealed table must equal its recount, and the restarts are ranked by the
+spectral power of their recounts. The point solver instead bisects
+sequentially, one polynomial per step, minimizing the worst signed imbalance
+over the current parts (a numerical stand-in for a ham-sandwich cut on the
+lifted points). Both solvers build their report through
+PartitionReport.from_counts.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ STEP_FINAL = 0.02
 
 
 class SelfCheckError(RuntimeError):
-    """The incremental evaluator's count table disagrees with cells.counts."""
+    """A restart's annealed count table disagrees with cells.counts."""
 
 
 @dataclass
@@ -119,54 +120,6 @@ def _step_block(x: XsPoint, j: int, direction: np.ndarray, h: float) -> XsPoint:
     return XsPoint(tuple(blocks))
 
 
-class _Evaluator:
-    """Incremental objective over one cached column per block.
-
-    column(P_j) is whatever block j contributes to the count table, and
-    table(cols) combines the s columns; the objective is the table's spectral
-    power. A one-block proposal recomputes column j alone, keeping the old
-    column as the undo handle, so a rejected proposal puts it back and an
-    accepted one needs nothing further.
-    """
-
-    def __init__(self, n, column, table):
-        self.n = n
-        self.column = column
-        self.table = table
-        self.cols = []
-
-    def set_point(self, x: XsPoint):
-        self.cols = [self.column(p) for p in to_polys(x, self.n)]
-        return self._objective()
-
-    def _table(self):
-        return self.table(self.cols)
-
-    def _objective(self):
-        return spectral_power(self._table())
-
-    def try_block(self, j, x_cand: XsPoint):
-        old = self.cols[j - 1]
-        self.cols[j - 1] = self.column(block_poly(x_cand, j, self.n))
-        return self._objective(), (j, old)
-
-    def reject(self, handle):
-        j, old = handle
-        self.cols[j - 1] = old
-
-
-def _discrete_evaluator(Gamma, n, D, sampling) -> _Evaluator:
-    """Discrete counts; all line restrictions share one factor cache."""
-    frame = cells_mod.CountFrame(Gamma, sampling, D, exact_lines=True)
-    return _Evaluator(n, frame.column, frame.table)
-
-
-def _smooth_evaluator(Gamma, n, mcfg: moll_mod.MollConfig, bases) -> _Evaluator:
-    """Mollified counts at one level, on the largest schedule basis."""
-    frame = moll_mod.LevelFrame(Gamma, mcfg, max(bases, key=len))
-    return _Evaluator(n, frame.column, frame.table)
-
-
 def _certified_zero(mcfg: moll_mod.MollConfig, bases) -> bool:
     """True when the level scores every unit tuple exactly 0.
 
@@ -184,26 +137,27 @@ def _certified_zero(mcfg: moll_mod.MollConfig, bases) -> bool:
     return bound * (1.0 + 1e-9) < mcfg.eps
 
 
-def _levels(Gamma, n, cfg: SolveConfig, D, sampling, bases):
-    """(evaluator, iterations, skipped) per annealing level: one discrete
-    level, or one smooth level per delta, each built only when the previous
-    is done. A smooth level certified to score 0 is skipped: no clouds are
-    sampled, and its evaluator scores every tuple 0.0 as the built one
-    would, so the annealing draws and accepts exactly as before."""
+def _levels(Gamma, cfg: SolveConfig, D, sampling, bases):
+    """(frame, iterations, skipped) per annealing level: one cells.CountFrame,
+    or one mollifier.LevelFrame per delta on the largest schedule basis, each
+    built only when the previous is done. A smooth level certified to score 0
+    is skipped: its frame has no clouds and scores every tuple 0.0, as the
+    sampled one would, so the annealing draws and accepts exactly as before."""
     if cfg.objective == "discrete":
-        yield _discrete_evaluator(Gamma, n, D, sampling), cfg.iters, False
+        yield cells_mod.CountFrame(Gamma, sampling, D, exact_lines=True), cfg.iters, False
         return
     per_level = max(cfg.iters // len(cfg.delta_grid), 20)
+    basis = max(bases, key=len)
     for level, delta in enumerate(cfg.delta_grid):
         mcfg = moll_mod.schedule(delta, bases, cfg.mc_count, (cfg.seed, 3, level))
-        if _certified_zero(mcfg, bases):
-            zero = np.zeros(2**cfg.s)
-            yield _Evaluator(n, lambda p: None, lambda cols: zero), per_level, True
-        else:
-            yield _smooth_evaluator(Gamma, n, mcfg, bases), per_level, False
+        skip = _certified_zero(mcfg, bases)
+        yield moll_mod.LevelFrame(Gamma, mcfg, basis, [] if skip else None), per_level, skip
 
 
-def _anneal(evaluator, x, obj, iters, rng, trace, it_offset):
+def _anneal(frame, cols, x, obj, n, iters, rng, trace, it_offset):
+    """Anneal x, whose objective is obj, through frame. cols holds the frame
+    column of each of x's s polynomials and follows x: a proposal recomputes
+    only the moved block's column, and a rejected one puts the old back."""
     s = x.s
     for k in range(iters):
         frac = k / max(iters - 1, 1)
@@ -211,12 +165,14 @@ def _anneal(evaluator, x, obj, iters, rng, trace, it_offset):
         j = int(rng.integers(1, s + 1))
         direction = rng.normal(size=block_size(j))
         x_cand = _step_block(x, j, direction, h)
-        cand, handle = evaluator.try_block(j, x_cand)
+        old = cols[j - 1]
+        cols[j - 1] = frame.column(block_poly(x_cand, j, n))
+        cand = spectral_power(frame.table(cols))
         if cand <= obj:
             x, obj = x_cand, cand
             trace.append((it_offset + k, float(obj)))
         else:
-            evaluator.reject(handle)
+            cols[j - 1] = old
         if obj == 0.0:
             break
     return x
@@ -238,35 +194,36 @@ def partition_varieties(Gamma: list[VarietySpec], cfg: SolveConfig) -> Partition
 
     # each level is built once and every restart anneals through it, since no
     # level's seeds depend on the restart; a restart keeps its own point,
-    # random stream, trace and (discrete) incremental table
+    # random stream, trace and (discrete) annealed table
     restarts = range(cfg.restarts)
     xs = [random_point(cfg.s, (cfg.seed, 1, r)) for r in restarts]
     rngs = [np.random.default_rng((cfg.seed, 2, r)) for r in restarts]
     traces: list = [[] for _ in restarts]
-    ev_tables = [None] * cfg.restarts
+    tables = [None] * cfg.restarts
     offset = 0
     skipped = []
-    for level, (ev, iters, skip) in enumerate(_levels(Gamma, n, cfg, D, sampling, bases)):
+    for level, (frame, iters, skip) in enumerate(_levels(Gamma, cfg, D, sampling, bases)):
         if skip:
             skipped.append(cfg.delta_grid[level])
         for r in restarts:
-            obj = ev.set_point(xs[r])
+            cols = [frame.column(p) for p in to_polys(xs[r], n)]
+            obj = spectral_power(frame.table(cols))
             if not traces[r]:  # the restart's starting objective
                 traces[r].append((-1, float(obj)))
-            xs[r] = _anneal(ev, xs[r], obj, iters, rngs[r], traces[r], offset)
+            xs[r] = _anneal(frame, cols, xs[r], obj, n, iters, rngs[r], traces[r], offset)
             if cfg.objective == "discrete":  # checked against its recount below
-                ev_tables[r] = ev._table()
+                tables[r] = frame.table(cols)
         offset += iters
-        del ev  # one level's caches alive at a time
+        del frame, cols  # one level's caches alive at a time
     # every restart is recounted on a frame of its own and ranked by its
     # recount (the first on ties); the best one's table is reported as it is
     pvecs = [to_polys(x, n) for x in xs]
     finals = [cells_mod.counts(Gamma, p, sampling, exact_lines=True) for p in pvecs]
-    for ev_table, final in zip(ev_tables, finals):
-        if ev_table is not None and not np.array_equal(ev_table, final.table):
-            i = int(np.flatnonzero(ev_table != final.table)[0])
+    for table, final in zip(tables, finals):
+        if table is not None and not np.array_equal(table, final.table):
+            i = int(np.flatnonzero(table != final.table)[0])
             raise SelfCheckError(
-                f"incremental count {ev_table[i]} differs from cells.counts {final.table[i]} "
+                f"annealed count {table[i]} differs from cells.counts {final.table[i]} "
                 f"in cell {cells_mod.index_w(i, cfg.s)}"
             )
     best = min(restarts, key=lambda r: spectral_power(finals[r].table))

@@ -43,9 +43,6 @@ class XsPoint:
     def s(self) -> int:
         return len(self.blocks)
 
-    def copy(self) -> "XsPoint":
-        return XsPoint(tuple(b.copy() for b in self.blocks))
-
 
 def flip(x: XsPoint, j: int) -> XsPoint:
     """Negate block j (1-based); an involution, and flips commute."""

@@ -205,8 +205,8 @@ def distance_to(spec: VarietySpec, X) -> np.ndarray:
 def f_delta_v(Gamma, pvec, v, cfg) -> float:
     """Smoothed balance functional at nonzero frequency v: the Walsh-Hadamard
     transform of the mollified count table at v. `mollified_table` builds the
-    smooth evaluator's frame on the largest basis of its polynomials, so this
-    rounds exactly as the smooth evaluator does."""
+    solver's LevelFrame on the largest basis of its polynomials, so this
+    rounds exactly as a smooth annealing level does."""
     vi = w_index(v)
     if vi == 0:
         raise ValueError("v must be a nonzero frequency")

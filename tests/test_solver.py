@@ -13,15 +13,14 @@ from polypart.polyalg import MonomialBasis, degree_schedule, monomial_basis
 from polypart.solver import (
     SelfCheckError,
     SolveConfig,
+    _anneal,
     _certified_zero,
-    _discrete_evaluator,
-    _smooth_evaluator,
     _step_block,
     partition_points,
     partition_varieties,
 )
 from polypart.spectrum import spectral_power
-from polypart.sphereprod import XsPoint, block_size, flip, random_point, to_polys
+from polypart.sphereprod import XsPoint, block_poly, block_size, flip, random_point, to_polys
 from polypart.varieties import circle, kplane, line
 
 
@@ -202,21 +201,24 @@ def test_solve_config_rejects_what_the_cli_rejects(field, value, message):
         SolveConfig(**{"s": 2, "n": 2, field: value})
 
 
-def drive_evaluator(ev, x, rng, steps, check):
-    """Seeded try/reject sequence; check(point, value) after every step, for
-    the candidate right after try_block and for the kept point after. A kept
-    candidate needs no call: try_block already holds its column."""
-    check(x, ev.set_point(x))
+def drive_frame(frame, n, x, rng, steps, check):
+    """Seeded swap/restore sequence over one frame column per block, as the
+    annealer keeps them; check(point, table) after every step, for the
+    candidate right after its column goes in and for the kept point after. A
+    kept candidate needs no call: its column is already in place."""
+    cols = [frame.column(p) for p in to_polys(x, n)]
+    check(x, frame.table(cols))
     for _ in range(steps):
         j = int(rng.integers(1, x.s + 1))
         cand = _step_block(x, j, rng.normal(size=block_size(j)), 0.5)
-        obj, handle = ev.try_block(j, cand)
-        check(cand, obj)
+        old = cols[j - 1]
+        cols[j - 1] = frame.column(block_poly(cand, j, n))
+        check(cand, frame.table(cols))
         if rng.random() < 0.5:
             x = cand
         else:
-            ev.reject(handle)
-        check(x, ev._objective())
+            cols[j - 1] = old
+        check(x, frame.table(cols))
 
 
 def test_smooth_evaluator_matches_from_scratch():
@@ -238,17 +240,18 @@ def test_smooth_evaluator_matches_from_scratch():
         clouds = family_clouds(Gamma, mcfg)
         sizes = [len(c.points) for c in clouds]
         assert sizes[-1] == 0 and len(set(sizes)) >= 3
-        ev = _smooth_evaluator(Gamma, n, mcfg, bases)
+        frame = moll_mod.LevelFrame(Gamma, mcfg, max(bases, key=len))
         seen = []
 
-        def check(y, got):
-            # one mollified path: the evaluator's table is mollified_table's
+        def check(y, table):
+            # one mollified path: the frame's table is mollified_table's
             want = mollified_table(Gamma, to_polys(y, n), mcfg, clouds)
-            assert np.array_equal(ev._table(), want)
+            assert np.array_equal(table, want)
+            got = spectral_power(table)
             assert got == spectral_power(want)
             seen.append(got)
 
-        drive_evaluator(ev, random_point(s, seed=level), rng, 30, check)
+        drive_frame(frame, n, random_point(s, seed=level), rng, 30, check)
         assert np.count_nonzero(seen) > len(seen) // 2
 
 
@@ -281,13 +284,13 @@ def test_discrete_evaluator_matches_counts(seed, s, mix):
     Gamma, rng = mixed_family(seed, *mix)
     n = 2
     sampling = SamplingConfig(R=2.0, seed=seed)
-    ev = _discrete_evaluator(Gamma, n, sum(degree_schedule(n, s)), sampling)
+    frame = cells_mod.CountFrame(Gamma, sampling, sum(degree_schedule(n, s)), exact_lines=True)
 
-    def check(y, _):
+    def check(y, table):
         want = counts(Gamma, to_polys(y, n), sampling, exact_lines=True).table
-        assert np.array_equal(ev._table(), want)
+        assert np.array_equal(table, want)
 
-    drive_evaluator(ev, random_point(s, seed=seed + 1), rng, 20, check)
+    drive_frame(frame, n, random_point(s, seed=seed + 1), rng, 20, check)
 
 
 def test_discrete_evaluator_matches_counts_on_sampled_varieties():
@@ -296,13 +299,32 @@ def test_discrete_evaluator_matches_counts_on_sampled_varieties():
     Gamma, rng = mixed_family(13, 6, 6, 6)
     s, n = 3, 2
     sampling = SamplingConfig(R=2.0, seed=4)
-    ev = _discrete_evaluator(Gamma, n, sum(degree_schedule(n, s)), sampling)
+    frame = cells_mod.CountFrame(Gamma, sampling, sum(degree_schedule(n, s)), exact_lines=True)
 
-    def check(y, _):
+    def check(y, table):
         want = counts(Gamma, to_polys(y, n), sampling, exact_lines=True).table
-        assert np.array_equal(ev._table(), want)
+        assert np.array_equal(table, want)
 
-    drive_evaluator(ev, random_point(s, seed=3), rng, 20, check)
+    drive_frame(frame, n, random_point(s, seed=3), rng, 20, check)
+
+
+def test_anneal_keeps_its_columns_in_step_with_the_point():
+    # after a seeded run with rejections, the columns _anneal kept are those
+    # of the point it returns: each rejected proposal put its old column back
+    Gamma, _ = mixed_family(21, 8, 3, 3)
+    s, n = 3, 2
+    sampling = SamplingConfig(R=2.0, seed=6)
+    frame = cells_mod.CountFrame(Gamma, sampling, sum(degree_schedule(n, s)), exact_lines=True)
+    x = random_point(s, seed=7)
+    cols = [frame.column(p) for p in to_polys(x, n)]
+    obj = spectral_power(frame.table(cols))
+    trace, iters = [], 40
+    y = _anneal(frame, cols, x, obj, n, iters, np.random.default_rng(8), trace, 0)
+    assert trace and trace[-1][1] > 0.0  # no early stop at 0
+    assert len(trace) < iters  # so some proposals were rejected
+    table = frame.table(cols)
+    assert np.array_equal(table, frame.table([frame.column(p) for p in to_polys(y, n)]))
+    assert np.array_equal(table, counts(Gamma, to_polys(y, n), sampling, exact_lines=True).table)
 
 
 def test_levels_built_once_per_solve(monkeypatch):
@@ -386,7 +408,8 @@ def random_family(rng, n, size):
 )
 def test_certified_levels_score_exactly_zero(n, s, size, seed):
     # at a level the certificate marks, every unit tuple's mollified table is
-    # all zero, so the evaluator the skip replaces scores every step 0.0
+    # all zero, so the sampled frame the skip replaces scores every step 0.0,
+    # as the skip's frame without clouds does
     rng = np.random.default_rng(seed)
     Gamma = random_family(rng, n, size)
     bases = [monomial_basis(n, D) for D in degree_schedule(n, s)]
@@ -394,15 +417,22 @@ def test_certified_levels_score_exactly_zero(n, s, size, seed):
         mcfg = schedule(delta, bases, mc_count=64, seed=(seed, level))
         if not _certified_zero(mcfg, bases):
             continue
-        ev = _smooth_evaluator(Gamma, n, mcfg, bases)
+        basis = max(bases, key=len)
+        frame = moll_mod.LevelFrame(Gamma, mcfg, basis)
+        empty = moll_mod.LevelFrame(Gamma, mcfg, basis, clouds=[])
         x = random_point(s, (seed, level))
-        assert ev.set_point(x) == 0.0 and not ev._table().any()
+        cols = [frame.column(p) for p in to_polys(x, n)]
+        assert spectral_power(frame.table(cols)) == 0.0 and not frame.table(cols).any()
         for j in range(1, s + 1):
             for h in (0.5, 2.0):
                 cand = _step_block(x, j, rng.normal(size=block_size(j)), h)
-                obj, handle = ev.try_block(j, cand)
-                assert obj == 0.0 and not ev._table().any()
-                ev.reject(handle)
+                old = cols[j - 1]
+                cols[j - 1] = frame.column(block_poly(cand, j, n))
+                table = frame.table(cols)
+                assert spectral_power(table) == 0.0 and not table.any()
+                skip = empty.table([empty.column(p) for p in to_polys(cand, n)])
+                assert skip.dtype == table.dtype and np.array_equal(skip, table)
+                cols[j - 1] = old
 
 
 def test_default_grid_skips_the_certified_levels(monkeypatch):
@@ -448,9 +478,9 @@ def test_default_grid_skips_the_certified_levels(monkeypatch):
 def test_line_restrictions_per_solve(monkeypatch):
     # every line restriction goes through the cells.restrict_to_line_batch
     # binding, which the benchmark's tracer wraps: s per restart's starting
-    # point, one per proposal and s per restart's recount. The evaluator's
-    # calls share one factor cache; each recount's s calls share a cache of
-    # their own, which neither the evaluator nor another recount sees
+    # point, one per proposal and s per restart's recount. The annealing
+    # frame's calls share one factor cache; each recount's s calls share a
+    # cache of their own, which neither that frame nor another recount sees
     from polypart import solver as solver_mod
 
     caches = []
@@ -477,8 +507,8 @@ def test_line_restrictions_per_solve(monkeypatch):
     assert len(steps) > 0
     recounts = cfg.restarts * cfg.s
     assert len(caches) == cfg.restarts * cfg.s + len(steps) + recounts
-    evaluator, rest = caches[:-recounts], caches[-recounts:]
-    groups = [evaluator] + [rest[i : i + cfg.s] for i in range(0, recounts, cfg.s)]
+    annealed, rest = caches[:-recounts], caches[-recounts:]
+    groups = [annealed] + [rest[i : i + cfg.s] for i in range(0, recounts, cfg.s)]
     for group in groups:
         assert isinstance(group[0], dict) and all(f is group[0] for f in group)
     assert len({id(group[0]) for group in groups}) == 1 + cfg.restarts

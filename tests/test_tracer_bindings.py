@@ -3,13 +3,14 @@
 perfbench/tracer.py wraps a function under every module-level name that
 binds it, and its REQUIRED_BINDINGS lists bindings whose absence would hide a
 module's calls; a traced run stops when one is missing. perfbench/workloads.py
-and run.py call polypart as `pp.<module>.<name>` and count the calls of solver
-functions they name as strings. All three files are read with `ast`, without
-importing the benchmark.
+and run.py call polypart as `pp.<module>.<name>(...)`, which must bind to the
+callable's signature, and count the calls of solver functions they name as
+strings. All three files are read with `ast`, without importing the benchmark.
 """
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -76,3 +77,63 @@ def test_perfbench_calls_resolve():
     solver = importlib.import_module("polypart.solver")
     missing += [f"solver.{name}" for name in sorted(counted) if not callable(getattr(solver, name, None))]
     assert missing == []
+
+
+def _dict_keys(node) -> list:
+    """The string keys of every dict literal in node (both arms of an `a if
+    c else b`, say); None if node holds no dict literal."""
+    dicts = [d for d in ast.walk(node) if isinstance(d, ast.Dict)]
+    if not dicts:
+        return None
+    return [k.value for d in dicts for k in d.keys if isinstance(k, ast.Constant)]
+
+
+def perfbench_calls() -> list:
+    """(where, module, name, positional count, keyword names) of every
+    `pp.<module>.<name>(...)` call. A `**kw` argument contributes the string
+    keys of the dict literals that its file assigns to kw."""
+    out = []
+    for path in CALLERS:
+        nodes = list(ast.walk(ast.parse(path.read_text())))
+        assigned = {}
+        for node in nodes:
+            if isinstance(node, ast.Assign):
+                for t in node.targets:
+                    if isinstance(t, ast.Name):
+                        assigned.setdefault(t.id, []).append(node.value)
+        for node in nodes:
+            if not (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and isinstance(node.func.value, ast.Attribute)
+                and isinstance(node.func.value.value, ast.Name)
+                and node.func.value.value.id == "pp"
+            ):
+                continue
+            where = f"{path.name}:{node.lineno}"
+            assert not any(isinstance(a, ast.Starred) for a in node.args), where
+            names = []
+            for k in node.keywords:
+                if k.arg is not None:
+                    names.append(k.arg)
+                    continue
+                keys = [_dict_keys(v) for v in assigned.get(getattr(k.value, "id", None), [])]
+                assert keys and None not in keys, f"{where}: unresolved **{ast.unparse(k.value)}"
+                names += sorted({key for ks in keys for key in ks})
+            out.append((where, node.func.value.attr, node.func.attr, len(node.args), names))
+    return out
+
+
+def test_perfbench_calls_bind_to_signatures():
+    calls = perfbench_calls()
+    assert ("cells", "counts") in {(m, name) for _, m, name, _, _ in calls}
+    assert any("objective" in names for *_, names in calls)  # read through **kw
+    bad = []
+    for where, module, name, npos, names in calls:
+        target = getattr(importlib.import_module(f"polypart.{module}"), name)
+        try:
+            assert len(names) == len(set(names)), "a keyword is passed twice"
+            inspect.signature(target).bind(*[None] * npos, **dict.fromkeys(names))
+        except (TypeError, AssertionError) as err:
+            bad.append(f"{where} {module}.{name}: {err}")
+    assert bad == []
