@@ -5,10 +5,12 @@ points with any |P_j| at or below tolerance sit on the boundary and belong to
 no cell. Cell entry is decided by sampling for general varieties and exactly
 for lines from the real roots of the univariate restrictions: companion-matrix
 eigenvalues certified by Sturm counts, with Sturm-count bisection for the rows
-that certification rejects. The sign of each P_j in every gap between the
-merged roots of a line is read from the same restricted univariate
-coefficients the roots were isolated from (Horner at the gap midpoint), so no
-polynomial is evaluated in R^n along lines.
+that certification rejects, and in closed form for linear restrictions. A
+line's cells follow from root parity rather than from evaluating the blocks
+at the gaps: each restriction gives the line's bit at t -> -inf from its
+trimmed leading coefficient, and crossing a root of P_j flips bit j.
+Certified roots are simple; a bisected row keeps only the roots it changes
+sign at.
 """
 
 from __future__ import annotations
@@ -437,33 +439,50 @@ def _certified_roots(P: np.ndarray):
     return bad, ri[ok], t[ok]
 
 
+def _degrees(C: np.ndarray) -> np.ndarray:
+    """Degree of each row of C trimmed as _trim_desc trims: its last
+    coefficient above 1e-14 times the row's largest; 0 for an all-zero row."""
+    keep = np.abs(C) > 1e-14 * np.abs(C).max(axis=1, keepdims=True)
+    return np.where(keep.any(axis=1), C.shape[1] - 1 - np.argmax(keep[:, ::-1], axis=1), 0)
+
+
+def _isolate(C: np.ndarray, deg: np.ndarray):
+    """isolate_real_roots_flat of the (m, w) array C with trimmed degrees deg,
+    plus the mask of rows that certification rejected and bisection isolated."""
+    bisected = np.zeros(len(C), dtype=bool)
+    owners, roots = [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
+    for d in np.unique(deg[deg > 0]):
+        rows = np.flatnonzero(deg == d)
+        if d == 1:  # _certified_roots' own bits; its checks pass on every trimmed linear row
+            ri, t = np.arange(len(rows)), -C[rows, 0] / C[rows, 1]
+        else:
+            bad, ri, t = _certified_roots(C[rows, d::-1])
+            bisected[rows[bad]] = True
+        owners.append(rows[ri])
+        roots.append(t)
+    for i, r in zip(np.flatnonzero(bisected), _isolate_by_bisection(C[bisected])):
+        owners.append(np.full(len(r), i))
+        roots.append(r)
+    owners, roots = np.concatenate(owners), np.concatenate(roots)
+    order = np.argsort(owners, kind="stable")  # each row's roots are one run
+    return owners[order], roots[order], bisected
+
+
 def isolate_real_roots_flat(coeff_rows) -> tuple[np.ndarray, np.ndarray]:
     """All distinct real roots of ascending-coefficient univariate polynomials,
     as (owners, roots): each root with its row index, grouped by row in row
     order and ascending within a row.
 
     Takes an (m, w) array or a list of rows. Rows grouped by trimmed degree
-    (as _trim_desc trims) get certified companion eigenvalues, the rest
-    Sturm-count bisection, which raises RootIsolationError rather than return
-    uncertain roots. Each root is within 0.5e-12*max(1, M) of a true root.
+    (as _trim_desc trims) get their roots in closed form at degree 1 and as
+    certified companion eigenvalues above it; the rows that certification
+    rejects get Sturm-count bisection, which raises RootIsolationError rather
+    than return uncertain roots. Each root is within 0.5e-12*max(1, M) of a
+    true root.
     """
     C = _as_rows(coeff_rows)
-    keep = np.abs(C) > 1e-14 * np.abs(C).max(axis=1, keepdims=True)
-    deg = np.where(keep.any(axis=1), C.shape[1] - 1 - np.argmax(keep[:, ::-1], axis=1), 0)
-    uncertified = np.zeros(len(C), dtype=bool)
-    owners, roots = [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
-    for d in np.unique(deg[deg > 0]):
-        rows = np.flatnonzero(deg == d)
-        bad, ri, t = _certified_roots(C[rows, d::-1])
-        uncertified[rows[bad]] = True
-        owners.append(rows[ri])
-        roots.append(t)
-    for i, r in zip(np.flatnonzero(uncertified), _isolate_by_bisection(C[uncertified])):
-        owners.append(np.full(len(r), i))
-        roots.append(r)
-    owners, roots = np.concatenate(owners), np.concatenate(roots)
-    order = np.argsort(owners, kind="stable")  # each row's roots are one run
-    return owners[order], roots[order]
+    owners, roots, _ = _isolate(C, _degrees(C))
+    return owners, roots
 
 
 def _restriction_scale(p: Polynomial, A: np.ndarray) -> np.ndarray:
@@ -486,32 +505,81 @@ class LineRestriction(NamedTuple):
 
     coeffs: (m, D+1) ascending univariate coefficients, zero on the rows of
         lines inside Z(p), which `degenerate` flags;
-    owners, roots: every real root with the index of its line, grouped by line;
-    tol: the tolerance below which a value of p along a line has no sign.
+    owners, roots: every real root at which p changes sign, with the index of
+        its line, grouped by line;
+    start: each line's bit at t -> -inf, set where p is negative there: the
+        sign of the trimmed leading coefficient times (-1)^degree.
     """
 
     coeffs: np.ndarray
     degenerate: np.ndarray
     owners: np.ndarray
     roots: np.ndarray
-    tol: float
+    start: np.ndarray
+
+
+def _exact_sign(c, t) -> int:
+    """Sign of the ascending coefficients c at t, in exact rational arithmetic."""
+    from fractions import Fraction  # only this rare path needs it; it adds ~2 ms to every import
+
+    v, t = Fraction(0), Fraction(float(t))
+    for ck in c[::-1]:
+        v = v * t + Fraction(float(ck))
+    return (v > 0) - (v < 0)
+
+
+def _sign_changes(C, owners, roots):
+    """Which of the given roots of the rows of C their row changes sign at.
+
+    Each row is read by Horner between its consecutive roots and beyond its
+    extreme roots by max(1, |root|). A reading within Horner's rounding bound
+    of zero is redone in exact rational arithmetic; an exact zero raises
+    RootIsolationError.
+    """
+    rows = C[owners]
+    same = owners[1:] == owners[:-1]
+    mid = 0.5 * (roots[1:] + roots[:-1])
+    reach = np.maximum(1.0, np.abs(roots))
+    before = np.where(np.r_[False, same], np.r_[0.0, mid], roots - reach)
+    after = np.where(np.r_[same, False], np.r_[mid, 0.0], roots + reach)
+    signs = []
+    for t in (before, after):
+        v, bound = rows[:, -1], np.abs(rows[:, -1])
+        for k in range(rows.shape[1] - 2, -1, -1):
+            v = v * t + rows[:, k]
+            bound = bound * np.abs(t) + np.abs(rows[:, k])
+        sign = np.sign(v)
+        for k in np.flatnonzero(np.abs(v) <= 2 * rows.shape[1] * np.finfo(float).eps * bound):
+            sign[k] = _exact_sign(rows[k], t[k])
+        if not sign.all():
+            k = np.argmin(np.abs(sign))
+            raise RootIsolationError(f"ambiguous sign reading on line {owners[k]} at t = {t[k]}")
+        signs.append(sign < 0)
+    return signs[0] != signs[1]
 
 
 def line_restriction_roots(
     A: np.ndarray, U: np.ndarray, p: Polynomial, facs: dict | None = None
 ) -> LineRestriction:
-    """Restrict p to the lines of the stacked frame (A, U) and isolate the roots;
-    facs is restrict_to_line_batch's factor cache for this frame."""
+    """Restrict p to the lines of the stacked frame (A, U), isolate the roots
+    and read the start bits; facs is restrict_to_line_batch's factor cache for
+    this frame. Certified roots are simple; a root of a bisected row is kept
+    only where the row changes sign, so no root of even multiplicity is kept."""
     C = restrict_to_line_batch(p, A, U, facs)
     degenerate = np.abs(C).max(axis=1) < _DEGENERATE_TOL * _restriction_scale(p, A)
     C[degenerate] = 0.0
-    owners, roots = isolate_real_roots_flat(C)
-    tol = _sign_tol(p) * 1e-2
-    return LineRestriction(C, degenerate, owners, roots, tol)
+    deg = _degrees(C)
+    owners, roots, bisected = _isolate(C, deg)
+    check = bisected[owners]
+    if check.any():
+        keep = ~check
+        keep[check] = _sign_changes(C, owners[check], roots[check])
+        owners, roots = owners[keep], roots[keep]
+    start = (C[np.arange(len(C)), deg] < 0) != (deg % 2 == 1)
+    return LineRestriction(C, degenerate, owners, roots, start)
 
 
 _MERGE_TOL = 1e-9
-_GAP_FRACTIONS = (0.5, 0.25, 0.75, 0.4, 0.6)
 
 
 def _owner_value_order(owners, vals):
@@ -524,109 +592,39 @@ def _owner_value_order(owners, vals):
     return np.argsort(owners * N + rank)
 
 
-def _gap_midpoints(restrictions, skip_mask):
-    """One evaluation gap per realized sign interval, across all lines.
+def _line_cells(restrictions):
+    """(line id, table index) of every sign interval realized along the lines,
+    by root parity; lines inside some Z(P_j) are boundary everywhere and
+    realize none.
 
-    Returns (owner line ids, gap los, gap his); the midpoint of each gap is
-    the primary sign-reading point. Lines in skip_mask contribute nothing.
+    A line's cell before its first root is its start bits. The roots of all
+    blocks are merged per line, roots within _MERGE_TOL of the previous one
+    joining its cluster, and crossing a cluster flips the bit of every block
+    with an odd number of roots in it. One XOR scan over all lines gives the
+    cell after each cluster, offset by the scan's value where the line begins.
     """
-    m = len(skip_mask)
+    m = len(restrictions[0].degenerate)
+    skip = np.zeros(m, dtype=bool)
+    start = np.zeros(m, dtype=np.int64)
+    for j, r in enumerate(restrictions):
+        skip |= r.degenerate
+        start |= r.start.astype(np.int64) << j
     owner_raw = np.concatenate([r.owners for r in restrictions])
     val_raw = np.concatenate([r.roots for r in restrictions])
+    bit_raw = np.repeat(1 << np.arange(len(restrictions)), [len(r.roots) for r in restrictions])
     order = _owner_value_order(owner_raw, val_raw)
-    o, v = owner_raw[order], val_raw[order]
-    keep = np.ones(len(o), dtype=bool)
-    tol = _MERGE_TOL * np.maximum(1.0, np.abs(v))
-    keep[1:] = (o[1:] != o[:-1]) | (np.diff(v) > tol[1:])
-    # clusters collapse onto their first member
-    o, v = o[keep], v[keep]
-    rooted = np.zeros(m, dtype=bool)
-    rooted[o] = True
-
-    owners_out = []
-    lo_out = []
-    hi_out = []
-    if len(o):
-        inner = o[1:] == o[:-1]
-        ends = np.flatnonzero(~inner)
-        firsts = np.concatenate(([0], ends + 1))
-        lasts = np.concatenate((ends, [len(o) - 1]))
-        line_of = o[firsts]
-        span = np.maximum(1.0, v[lasts] - v[firsts])
-        # interior gaps between consecutive roots of the same line
-        owners_out.append(o[1:][inner])
-        lo_out.append(v[:-1][inner])
-        hi_out.append(v[1:][inner])
-        # unbounded ends, one gap beyond each extreme root
-        owners_out.append(line_of)
-        lo_out.append(v[firsts] - 2.0 * span)
-        hi_out.append(v[firsts])
-        owners_out.append(line_of)
-        lo_out.append(v[lasts])
-        hi_out.append(v[lasts] + 2.0 * span)
-    # lines whose restrictions never vanish read their sign anywhere
-    free = np.flatnonzero(~rooted & ~skip_mask)
-    owners_out.append(free)
-    lo_out.append(np.full(len(free), -1.0))
-    hi_out.append(np.full(len(free), 1.0))
-
-    owners = np.concatenate(owners_out).astype(np.int64)
-    lo = np.concatenate(lo_out)
-    hi = np.concatenate(hi_out)
-    ok = ~skip_mask[owners]
-    return owners[ok], lo[ok], hi[ok]
-
-
-def _gap_values(restrictions, owners, ts):
-    """Each restriction at t = ts[g] on line owners[g], by Horner: s columns."""
-    cols = []
-    for r in restrictions:
-        C = r.coeffs[owners]
-        v = C[:, -1]
-        for k in range(C.shape[1] - 2, -1, -1):
-            v = v * ts + C[:, k]
-        cols.append(v)
-    return cols
-
-
-def _midpoint_indices(restrictions, owners, lo, hi):
-    """Sign-vector table index per gap, read at its midpoint; an ambiguous gap
-    is read again at the other _GAP_FRACTIONS and raises if none resolves it."""
-    tols = np.array([r.tol for r in restrictions])
-    idx, interior = pack_signs(_gap_values(restrictions, owners, 0.5 * (lo + hi)), tols)
-    pending = np.flatnonzero(~interior)
-    for frac in _GAP_FRACTIONS[1:]:
-        if len(pending) == 0:
-            break
-        t = lo[pending] + frac * (hi[pending] - lo[pending])
-        w, ok = pack_signs(_gap_values(restrictions, owners[pending], t), tols)
-        idx[pending[ok]] = w[ok]
-        pending = pending[~ok]
-    if len(pending):
-        k = pending[0]
-        raise RootIsolationError(
-            f"ambiguous sign reading on line {owners[k]} in gap ({lo[k]}, {hi[k]})"
-        )
-    return idx
-
-
-def _line_cells(restrictions):
-    """(line id, table index) of every sign interval realized along the lines;
-    lines inside some Z(P_j) are boundary everywhere and realize none."""
-    skip = np.zeros(len(restrictions[0].degenerate), dtype=bool)
-    for r in restrictions:
-        skip |= r.degenerate
-    owners, lo, hi = _gap_midpoints(restrictions, skip)
-    return owners, _midpoint_indices(restrictions, owners, lo, hi)
-
-
-def cell_sets_from_roots(restrictions: list[LineRestriction]) -> list[set]:
-    """Sign vectors realized along each line, one restriction per P_j."""
-    s = len(restrictions)
-    out: list[set] = [set() for _ in restrictions[0].degenerate]
-    for i, w in zip(*_line_cells(restrictions)):
-        out[i].add(index_w(int(w), s))
-    return out
+    o, v, bit = owner_raw[order], val_raw[order], bit_raw[order]
+    acc = np.bitwise_xor.accumulate(bit)
+    first = np.ones(len(o), dtype=bool)
+    first[1:] = o[1:] != o[:-1]
+    offset = start.copy()
+    offset[o[first]] ^= acc[first] ^ bit[first]
+    last = np.ones(len(o), dtype=bool)  # the last root of its cluster
+    last[:-1] = first[1:] | (np.diff(v) > _MERGE_TOL * np.maximum(1.0, np.abs(v[1:])))
+    owners = np.concatenate((o[last], np.arange(m)))
+    idx = np.concatenate((acc[last] ^ offset[o[last]], start))
+    ok = ~skip[owners]
+    return owners[ok], idx[ok]
 
 
 def cell_table_from_roots(restrictions: list[LineRestriction]) -> np.ndarray:
@@ -635,12 +633,10 @@ def cell_table_from_roots(restrictions: list[LineRestriction]) -> np.ndarray:
 
 
 def line_cell_sets(lines: list[VarietySpec], pvec) -> list[set]:
-    """Exact sets of sign vectors each line enters (batched over lines)."""
+    """Exact sets of sign vectors each line enters (batched over lines); an
+    empty set means the line lies inside some Z(P_j), boundary everywhere."""
     A, U = line_frames(lines)
-    return cell_sets_from_roots([line_restriction_roots(A, U, p) for p in pvec])
-
-
-def cells_entered_line(line: VarietySpec, pvec) -> set:
-    """Exact sign vectors realized along one line; empty means degenerate
-    (the line lies inside some Z(P_j) and is boundary everywhere)."""
-    return line_cell_sets([line], pvec)[0]
+    out: list[set] = [set() for _ in lines]
+    for i, w in zip(*_line_cells([line_restriction_roots(A, U, p) for p in pvec])):
+        out[i].add(index_w(int(w), len(pvec)))
+    return out

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import equivariant as eq
-from .cells import MAX_S, CellCounts, SamplingConfig, cells_entered_line, index_w
+from .cells import MAX_S, CellCounts, SamplingConfig, index_w, line_cell_sets
 from .mollifier import check_delta_grid, i_delta, schedule
 from .polyalg import (
     MAX_BASIS_DIM, MonomialBasis, Polynomial, basis_dim, degree_schedule, grad_bound
@@ -280,7 +280,7 @@ def bench_line_cells(D: int, trials: int):
     for t in range(trials):
         n = 2 if t % 2 == 0 else 3
         g, pvec = _random_line_poly_pair(rng, n, D)
-        ws = cells_entered_line(g, pvec)
+        ws = line_cell_sets([g], pvec)[0]
         fewest, most = min(fewest, len(ws)), max(most, len(ws))
         if not 1 <= len(ws) <= D + 1:  # a line lies in at least one cell
             violations += 1

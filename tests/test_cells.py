@@ -8,7 +8,6 @@ from polypart.cells import (
     CellCounts,
     RootIsolationError,
     SamplingConfig,
-    cells_entered_line,
     counts,
     index_w,
     isolate_real_roots_flat,
@@ -18,7 +17,7 @@ from polypart.cells import (
     w_index,
 )
 from oracles import from_terms, restrict_to_line
-from polypart.polyalg import MonomialBasis, Polynomial, restrict_to_line_batch
+from polypart.polyalg import MonomialBasis, Polynomial, degree_schedule, restrict_to_line_batch
 from polypart.sphereprod import flip, random_point, to_polys
 from polypart.varieties import circle, kplane, line
 
@@ -239,6 +238,32 @@ def test_isolation_errors_still_raise(monkeypatch):
         isolate_rows([np.array([1.0, -1.0]), asc])
 
 
+@settings(max_examples=200)
+@given(
+    st.lists(
+        st.tuples(
+            st.floats(-8.0, 8.0),  # log10 |c1|
+            st.floats(-13.0, 13.999),  # log10 |c0 / c1|, up to the 1e-14 trim
+            st.sampled_from([-1.0, 1.0]),
+            st.sampled_from([-1.0, 0.0, 1.0]),
+        ),
+        min_size=1,
+        max_size=20,
+    )
+)
+@example([(0.0, 13.999999, 1.0, -1.0), (-8.0, -13.0, -1.0, 1.0), (3.0, 5.0, 1.0, 0.0)])
+def test_linear_rows_certify_to_the_closed_form(rows):
+    C = np.array([[s0 * 10.0 ** (a + r), s1 * 10.0**a] for a, r, s1, s0 in rows])
+    assert (cells._degrees(C) == 1).all()  # every row survives the trim
+    closed = -C[:, 0] / C[:, 1]
+    bad, ri, t = cells._certified_roots(C[:, ::-1])
+    assert not bad.any() and ri.tolist() == list(range(len(C)))
+    assert np.array_equal(t.view(np.int64), closed.view(np.int64))  # bit for bit, -0.0 too
+    owners, roots = isolate_real_roots_flat(C)
+    assert owners.tolist() == ri.tolist()
+    assert np.array_equal(roots.view(np.int64), closed.view(np.int64))
+
+
 _coeff = st.one_of(
     st.integers(-4, 4).map(float),
     st.floats(-8.0, 8.0, allow_nan=False, allow_subnormal=False),
@@ -262,11 +287,11 @@ def test_isolation_batching_invariance(rows):
 def test_cells_entered_line_examples():
     xaxis = line((0.0, 0.0), (1.0, 0.0))
     xm1 = from_terms(2, {(1, 0): 1.0, (0, 0): -1.0})
-    assert cells_entered_line(xaxis, [xm1]) == {(0,), (1,)}
+    assert line_cell_sets([xaxis], [xm1])[0] == {(0,), (1,)}
     yp1 = from_terms(2, {(0, 1): 1.0, (0, 0): 1.0})
-    assert cells_entered_line(xaxis, [yp1]) == {(0,)}
+    assert line_cell_sets([xaxis], [yp1])[0] == {(0,)}
     # degenerate: the line lies inside Z(y)
-    assert cells_entered_line(xaxis, [Y]) == set()
+    assert line_cell_sets([xaxis], [Y])[0] == set()
 
 
 def random_unit_poly(rng, n, D):
@@ -289,7 +314,7 @@ def test_line_bound_and_oracle_agreement():
         degs = rng.integers(1, 4, size=rng.integers(1, 4))
         pvec = [random_unit_poly(rng, n, int(d)) for d in degs]
         g = random_line(rng, n)
-        ws = cells_entered_line(g, pvec)
+        ws = line_cell_sets([g], pvec)[0]
         D = sum(p.degree() for p in pvec)
         assert 1 <= len(ws) <= D + 1
         # cross-check interval structure against the companion-matrix oracle
@@ -305,7 +330,7 @@ def test_sampled_subset_of_exact():
     for _ in range(25):
         pvec = [random_unit_poly(rng, 2, int(d)) for d in rng.integers(1, 4, size=2)]
         g = random_line(rng, 2)
-        exact = cells_entered_line(g, pvec)
+        exact = line_cell_sets([g], pvec)[0]
         table = counts([g], pvec, cfg).table
         assert table.max() <= 1
         assert {index_w(i, len(pvec)) for i in np.flatnonzero(table)} <= exact
@@ -317,7 +342,7 @@ def test_line_cell_sets_batched_consistent():
     lines = [random_line(rng, 2) for _ in range(20)]
     batched = line_cell_sets(lines, pvec)
     for g, ws in zip(lines, batched):
-        assert cells_entered_line(g, pvec) == ws
+        assert line_cell_sets([g], pvec)[0] == ws
 
 
 @settings(max_examples=40)
@@ -329,7 +354,7 @@ def test_line_cell_sets_batched_consistent():
 def test_random_line_enters_at_most_d_plus_one_cells(n, degs, seed):
     rng = np.random.default_rng(seed)
     pvec = [random_unit_poly(rng, n, d) for d in degs]
-    ws = cells_entered_line(random_line(rng, n), pvec)
+    ws = line_cell_sets([random_line(rng, n)], pvec)[0]
     assert 1 <= len(ws) <= sum(p.degree() for p in pvec) + 1
 
 
@@ -365,7 +390,30 @@ def unit_disk_lines(seed, m=200):
     ]
 
 
+def merged_gap_points(restrictions, m):
+    """(line, t) at every gap between a line's merged roots, as _line_cells
+    merges them, and one unit beyond its extreme roots; t = 0 on rootless lines."""
+    owners = np.concatenate([r.owners for r in restrictions])
+    roots = np.concatenate([r.roots for r in restrictions])
+    out = []
+    for i in range(m):
+        clusters = []
+        for t in np.sort(roots[owners == i]):
+            if not clusters or t - clusters[-1][-1] > cells._MERGE_TOL * max(1.0, abs(t)):
+                clusters.append([t])
+            else:
+                clusters[-1].append(t)
+        if not clusters:
+            out.append((i, 0.0))
+            continue
+        out.append((i, clusters[0][0] - 1.0))
+        out += [(i, 0.5 * (a[-1] + b[0])) for a, b in zip(clusters[:-1], clusters[1:])]
+        out.append((i, clusters[-1][-1] + 1.0))
+    return out
+
+
 def test_gap_signs_from_restrictions_match_sign_vector_many():
+    # the parity reader's cells are the n-variate sign vectors at the gaps
     for seed in range(3):
         lines = unit_disk_lines(seed)
         pvec = to_polys(random_point(4, seed), 2)
@@ -373,12 +421,13 @@ def test_gap_signs_from_restrictions_match_sign_vector_many():
         A, U = cells.line_frames(lines)
         rs = [cells.line_restriction_roots(A, U, p) for p in pvec]
         assert not any(r.degenerate.any() for r in rs)
-        owners, lo, hi = cells._gap_midpoints(rs, np.zeros(len(lines), dtype=bool))
-        got = cells._midpoint_indices(rs, owners, lo, hi)
-        ts = 0.5 * (lo + hi)
+        gaps = merged_gap_points(rs, len(lines))
+        owners = np.array([i for i, _ in gaps])
+        ts = np.array([t for _, t in gaps])
         want, boundary = sign_vector_many(pvec, A[owners] + ts[:, None] * U[owners])
-        assert not boundary.any()  # every midpoint is clear of the zero sets
-        assert np.array_equal(got, want)
+        assert not boundary.any()  # every gap point is clear of the zero sets
+        got = set(zip(*(a.tolist() for a in cells._line_cells(rs))))
+        assert got == set(zip(owners.tolist(), want.tolist()))
 
 
 def test_line_restriction_rows_match_restrict_to_line_batch():
@@ -397,19 +446,66 @@ def test_line_restriction_rows_match_restrict_to_line_batch():
     assert cells.line_restriction_roots(A, U, X).degenerate.tolist() == [False] * 30 + [True]
 
 
-def test_ambiguous_gap_reads_other_fractions_or_raises():
+def test_near_zero_restrictions_read_by_parity():
     xaxis = line((0.0, 0.0), (1.0, 0.0))
-    # (x-1)^2 + 2e-11 has no real root, yet at x = 1, the midpoint of the gap
-    # (0, 2) after the root of x, it is below its sign tolerance
+    # (x-1)^2 + 2e-11 has no real root, and at x = 1 it is 2e-11 above zero
     near = from_terms(2, {(2, 0): 1.0, (1, 0): -2.0, (0, 0): 1.0 + 2e-11})
     r = cells.line_restriction_roots(*cells.line_frames([xaxis]), near)
-    assert len(r.roots) == 0
-    assert abs(cells._gap_values([r], np.array([0]), np.array([1.0]))[0][0]) < r.tol
-    assert cells_entered_line(xaxis, [X, near]) == {(0, 0), (1, 0)}
-    # y + 5e-12 is not degenerate along the x-axis but has no sign anywhere on it
+    assert len(r.roots) == 0 and r.start.tolist() == [False]
+    assert line_cell_sets([xaxis], [X, near])[0] == {(0, 0), (1, 0)}
+    # y + 5e-12 is not degenerate along the x-axis: its constant restriction is positive
     tiny = from_terms(2, {(0, 1): 1.0, (0, 0): 5e-12})
+    assert line_cell_sets([xaxis], [X, tiny])[0] == {(0, 0), (1, 0)}
+
+
+def test_tangent_line_through_the_fallback():
+    xaxis = line((0.0, 0.0), (1.0, 0.0))
+    # along the x-axis P1 is (t-1)^2 (t+2): certification rejects the row, and
+    # bisection returns the double root as 1.00000001, where P1 keeps its sign
+    p1 = from_terms(2, {(3, 0): 1.0, (1, 0): -3.0, (0, 0): 2.0, (0, 1): -1.0})
+    p2 = from_terms(2, {(1, 0): 1.0, (0, 0): -0.5})
+    C = cells.line_restriction_roots(*cells.line_frames([xaxis]), p1).coeffs
+    assert cells._certified_roots(C[:, ::-1])[0].tolist() == [True]
+    assert line_cell_sets([xaxis], [p1, p2])[0] == {(0, 0), (0, 1), (1, 1)}
+    # a reading on an exact zero raises: t^3 - t at 0, between the roots -1 and 1
     with pytest.raises(RootIsolationError, match="ambiguous sign reading on line 0"):
-        cells_entered_line(xaxis, [X, tiny])
+        cells._sign_changes(np.array([[0.0, -1.0, 0.0, 1.0]]), np.zeros(2, int), np.array([-1.0, 1.0]))
+
+
+def fan_tuple(degs, center, rng):
+    """P_j the product of degs[j] random lines through center, expanded in floats."""
+    pvec = []
+    for d in degs:
+        terms = {(0, 0): 1.0}
+        for angle in rng.uniform(0.0, np.pi, size=d):
+            a, b = np.cos(angle), np.sin(angle)
+            factor = {(1, 0): a, (0, 1): b, (0, 0): -(a * center[0] + b * center[1])}
+            prod = {}
+            for (e1, f1), c1 in terms.items():
+                for (e2, f2), c2 in factor.items():
+                    key = (e1 + e2, f1 + f2)
+                    prod[key] = prod.get(key, 0.0) + c1 * c2
+            terms = prod
+        pvec.append(from_terms(2, terms))
+    return pvec
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_fan_tuples_count_within_the_line_bound(seed):
+    # every P_j vanishes to order D_j at (0.1, 0.2), so lines passing near it
+    # see many tiny values and clustered roots
+    lines = unit_disk_lines(40)
+    degs = degree_schedule(2, 6)
+    pvec = fan_tuple(degs, (0.1, 0.2), np.random.default_rng(seed))
+    table = counts(lines, pvec, SamplingConfig(R=4.0, seed=0), exact_lines=True).table
+    assert table.max() > 0
+    sets = line_cell_sets(lines, pvec)
+    assert max(len(ws) for ws in sets) <= sum(degs) + 1
+    ts = np.linspace(-6.0, 6.0, 1001)
+    for g, ws in zip(lines, sets):
+        X_ = g.sampler.point + ts[:, None] * g.sampler.direction
+        idx, boundary = sign_vector_many(pvec, X_)
+        assert {index_w(int(i), len(pvec)) for i in idx[~boundary]} <= ws
 
 
 def test_partition_property_random_points():
@@ -554,9 +650,10 @@ def test_cell_table_matches_cell_sets(seed, s, inside, rootless):
     if pvec[0] is X:
         assert rs[0].degenerate[-2]
 
-    def table_from_sets(restrictions):
+    def table_from_sets(_restrictions):
+        # line_cell_sets restricts afresh, to the same bits as rs
         table = np.zeros(2**s, dtype=np.int64)
-        for ws in cells.cell_sets_from_roots(restrictions):
+        for ws in line_cell_sets(lines, pvec):
             for w in ws:
                 table[w_index(w)] += 1
         return table

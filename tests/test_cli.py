@@ -280,8 +280,8 @@ def _model_jac_one_sign_flipped(x):
     return J
 
 
-def _cells_past_bound(g, pvec):
-    return [None] * (sum(p.basis.D for p in pvec) + 2)
+def _cells_past_bound(lines, pvec):
+    return [[None] * (sum(p.basis.D for p in pvec) + 2) for _ in lines]
 
 
 # each suite with one property broken: (argv, owner, name, replacement, rows that must fail)
@@ -293,9 +293,10 @@ BROKEN_SUITES = {
     "spectrum": (["verify-spectrum", "--s", "4"], cli, "wht_table",
                  lambda table: _wht_table(table) + 1, ["wht-involution"]),
     "line-cells-above": (["bench-line-cells", "--D", "4", "--trials", "10"], cli,
-                         "cells_entered_line", _cells_past_bound, ["line-cell-bound"]),
+                         "line_cell_sets", _cells_past_bound, ["line-cell-bound"]),
     "line-cells-none": (["bench-line-cells", "--D", "4", "--trials", "10"], cli,
-                        "cells_entered_line", lambda g, pvec: [], ["line-cell-bound"]),
+                        "line_cell_sets", lambda lines, pvec: [[] for _ in lines],
+                        ["line-cell-bound"]),
     "mollifier": (["verify-mollifier", "--delta-grid", "0.25,0.125,0.0625"], cli, "i_delta",
                   lambda *args: 0.5, ["separated-cell-zero", "witness-one"]),
 }
