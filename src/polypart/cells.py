@@ -27,6 +27,7 @@ from .varieties import LineSampler, UnsupportedVarietyError, VarietySpec, sample
 DEFAULT_SIGN_TOL_SCALE = 1e-9
 MAX_S = 20  # most polynomials a cell table (of size 2^s) supports
 _DEGENERATE_TOL = 1e-12
+_TRIM_TOL = 1e-14  # a coefficient at or below this times its row's largest is dropped
 _ISOLATION_MAX_SPLITS = 200
 _REFINE_MAX_ITERS = 260
 
@@ -65,16 +66,6 @@ class CellCounts:
     def zeros(cls, s: int) -> "CellCounts":
         return cls(s, np.zeros(2**s, dtype=np.int64))
 
-    @classmethod
-    def from_dict(cls, s: int, entries: dict) -> "CellCounts":
-        table = np.zeros(2**s, dtype=np.int64)
-        for w, v in entries.items():
-            table[w_index(w)] = v
-        return cls(s, table)
-
-    def as_dict(self) -> dict[tuple[int, ...], int]:
-        return {index_w(i, self.s): self.table[i].item() for i in range(2**self.s)}
-
     def __getitem__(self, w):
         return self.table[w_index(w)].item()
 
@@ -93,6 +84,12 @@ class SamplingConfig:
     R: float
     count: int | None = None
     seed: int | object = 0
+
+    def __post_init__(self):
+        if not (math.isfinite(self.R) and self.R > 0):
+            raise ValueError(f"need a finite ball radius R > 0, got {self.R}")
+        if self.count is not None and self.count < 1:
+            raise ValueError(f"need count >= 1 or None, got {self.count}")
 
 
 def _auto_count(spec: VarietySpec, R: float, product_degree: int) -> int:
@@ -221,11 +218,11 @@ def point_counts(points, pvec) -> CellCounts:
 # Chains are stored descending (np.polyval order), normalized to max |coef| 1.
 
 
-def _trim_desc(c, rel_tol=1e-14):
+def _trim_desc(c):
     scale = np.abs(c).max()
     if scale == 0.0:
         return np.zeros(1)
-    keep = np.abs(c) > rel_tol * scale
+    keep = np.abs(c) > _TRIM_TOL * scale
     first = int(np.argmax(keep))
     return c[first:]
 
@@ -394,14 +391,14 @@ def _sturm_chains_of_degree(P: np.ndarray):
     pad = np.zeros((m, w, w))
     pad[:, 0], pad[:, 1, 1:] = f, g
     bad = np.zeros(m, dtype=bool)
-    with np.errstate(divide="ignore", invalid="ignore"):  # bad rows carry junk
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # bad rows carry junk
         for level in range(2, w):
             r = f.copy()
             for _ in range(2):  # deg f = deg g + 1
                 r[:, : g.shape[1]] -= (r[:, 0] / g[:, 0])[:, None] * g
                 r = r[:, 1:]
             scale = np.abs(r).max(axis=1)
-            bad |= (scale <= _DEGENERATE_TOL) | (np.abs(r[:, 0]) <= 1e-14 * scale)
+            bad |= (scale <= _DEGENERATE_TOL) | (np.abs(r[:, 0]) <= _TRIM_TOL * scale)
             f, g = g, -r / scale[:, None]
             pad[:, level, level:] = g
     return pad, bad
@@ -441,8 +438,8 @@ def _certified_roots(P: np.ndarray):
 
 def _degrees(C: np.ndarray) -> np.ndarray:
     """Degree of each row of C trimmed as _trim_desc trims: its last
-    coefficient above 1e-14 times the row's largest; 0 for an all-zero row."""
-    keep = np.abs(C) > 1e-14 * np.abs(C).max(axis=1, keepdims=True)
+    coefficient above _TRIM_TOL times the row's largest; 0 for an all-zero row."""
+    keep = np.abs(C) > _TRIM_TOL * np.abs(C).max(axis=1, keepdims=True)
     return np.where(keep.any(axis=1), C.shape[1] - 1 - np.argmax(keep[:, ::-1], axis=1), 0)
 
 
@@ -503,15 +500,13 @@ def line_frames(lines: list[VarietySpec]) -> tuple[np.ndarray, np.ndarray]:
 class LineRestriction(NamedTuple):
     """One polynomial p restricted to m lines t -> A[i] + t*U[i].
 
-    coeffs: (m, D+1) ascending univariate coefficients, zero on the rows of
-        lines inside Z(p), which `degenerate` flags;
+    degenerate: the lines inside Z(p), whose restrictions vanish;
     owners, roots: every real root at which p changes sign, with the index of
         its line, grouped by line;
     start: each line's bit at t -> -inf, set where p is negative there: the
         sign of the trimmed leading coefficient times (-1)^degree.
     """
 
-    coeffs: np.ndarray
     degenerate: np.ndarray
     owners: np.ndarray
     roots: np.ndarray
@@ -576,7 +571,7 @@ def line_restriction_roots(
         keep[check] = _sign_changes(C, owners[check], roots[check])
         owners, roots = owners[keep], roots[keep]
     start = (C[np.arange(len(C)), deg] < 0) != (deg % 2 == 1)
-    return LineRestriction(C, degenerate, owners, roots, start)
+    return LineRestriction(degenerate, owners, roots, start)
 
 
 _MERGE_TOL = 1e-9

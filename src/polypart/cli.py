@@ -1,6 +1,8 @@
 """Batch front-end: instances in, reproducible reports and verify suites out.
 
-Instance files are JSON with top-level n, varieties[], points[], labels[].
+Instance files are JSON with top-level n, varieties[] and points[]; other
+keys are ignored. The smooth objective and verify-mollifier run on
+mollifier.DELTA_GRID unless --delta-grid gives verify-mollifier other levels.
 Partition commands write report.json, counts.csv, and trace.csv into --out;
 verify commands print one PASS/FAIL line per property and exit nonzero on
 any failure. All randomness flows from the single --seed through named
@@ -21,7 +23,7 @@ import numpy as np
 
 from . import equivariant as eq
 from .cells import MAX_S, CellCounts, SamplingConfig, index_w, line_cell_sets
-from .mollifier import check_delta_grid, i_delta, schedule
+from .mollifier import DELTA_GRID, check_delta_grid, i_delta, schedule
 from .polyalg import (
     MAX_BASIS_DIM, MonomialBasis, Polynomial, basis_dim, degree_schedule, grad_bound
 )
@@ -40,7 +42,6 @@ class Instance:
     n: int
     varieties: list[VarietySpec]
     points: np.ndarray | None
-    labels: list[str] | None
 
 
 def load_instance(path: str) -> Instance:
@@ -93,7 +94,7 @@ def load_instance(path: str) -> Instance:
         bad = ~np.isfinite(points).all(axis=1)
         if bad.any():
             raise InstanceError(f"points[{np.flatnonzero(bad)[0]}]: coordinates must be finite")
-    return Instance(n=n, varieties=varieties, points=points, labels=raw.get("labels"))
+    return Instance(n=n, varieties=varieties, points=points)
 
 
 def _json_ready(obj):
@@ -407,8 +408,10 @@ def _check_family(varieties) -> None:
 
 def cmd_partition(args) -> int:
     _check_solve_flags(args)
-    if not (math.isfinite(args.radius) and args.radius > 0):
-        raise InstanceError(f"--radius must be finite and > 0, got {args.radius}")
+    try:
+        sampling = SamplingConfig(R=args.radius, seed=args.seed)
+    except ValueError as err:
+        raise InstanceError(f"--radius: {err}")
     inst = load_instance(args.input)
     _check_basis_budget(inst.n, args.s)
     _check_family(inst.varieties)
@@ -418,7 +421,6 @@ def cmd_partition(args) -> int:
         rep = PartitionReport.from_counts([], CellCounts.zeros(args.s), 0.0, [], meta)
         write_report(args.out, rep, "partition", {"input": args.input})
         return 0
-    sampling = SamplingConfig(R=args.radius, seed=args.seed)
     cfg = SolveConfig(
         s=args.s,
         n=inst.n,
@@ -466,10 +468,10 @@ def main(argv=None) -> int:
     p = sub.add_parser("partition", help="partition a variety family")
     p.add_argument("--input", required=True)
     p.add_argument("--s", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=SolveConfig.seed)
     p.add_argument("--objective", choices=("discrete", "smooth"), default="discrete")
-    p.add_argument("--restarts", type=int, default=3)
-    p.add_argument("--iters", type=int, default=600)
+    p.add_argument("--restarts", type=int, default=SolveConfig.restarts)
+    p.add_argument("--iters", type=int, default=SolveConfig.iters)
     p.add_argument("--radius", type=float, default=4.0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_partition)
@@ -477,9 +479,9 @@ def main(argv=None) -> int:
     p = sub.add_parser("partition-points", help="partition a point set by bisection")
     p.add_argument("--input", required=True)
     p.add_argument("--s", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--restarts", type=int, default=3)
-    p.add_argument("--iters", type=int, default=600)
+    p.add_argument("--seed", type=int, default=SolveConfig.seed)
+    p.add_argument("--restarts", type=int, default=SolveConfig.restarts)
+    p.add_argument("--iters", type=int, default=SolveConfig.iters)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_partition_points)
 
@@ -499,7 +501,7 @@ def main(argv=None) -> int:
     p = sub.add_parser("verify-mollifier", help="threshold schedule and tube checks")
     p.add_argument(
         "--delta-grid",
-        default=",".join(str(2.0**-e) for e in range(1, 13)),
+        default=",".join(map(str, DELTA_GRID)),
         help="comma-separated smoothing levels in (0, 1)",
     )
     p.set_defaults(func=lambda a: _suite_result(verify_mollifier(_parse_grid(a.delta_grid))))

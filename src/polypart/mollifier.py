@@ -26,6 +26,8 @@ from .varieties import VarietySpec, WeightedCloud, tube_sample, tube_sample_many
 # delta in (0, 1) while still letting eps decay to 0 with delta
 EPS_FACTOR = 1.1
 DEFAULT_MC_COUNT = 4096
+# the smoothing levels of the smooth objective and of verify-mollifier
+DELTA_GRID = tuple(2.0**-e for e in range(1, 13))
 
 
 class ScheduleError(RuntimeError):
@@ -108,11 +110,10 @@ def mollified_rows(cols, sizes, weights, cfg: MollConfig, n: int) -> np.ndarray:
     return eta(cfg.eps, totals.reshape(m, ncell) * cfg.delta ** (-n))
 
 
-def i_delta(spec: VarietySpec, pvec, w, cfg: MollConfig, cloud=None) -> float:
-    """Mollified cell-entry indicator in [0, 1] for one cell; without a
-    cloud, the variety's tube is sampled on cfg.seed."""
-    if cloud is None:
-        cloud = tube_sample(spec, cfg.delta, cfg.radius, cfg.mc_count, cfg.seed)
+def i_delta(spec: VarietySpec, pvec, w, cfg: MollConfig) -> float:
+    """Mollified cell-entry indicator in [0, 1] for one cell, on the
+    variety's tube sampled on cfg.seed."""
+    cloud = tube_sample(spec, cfg.delta, cfg.radius, cfg.mc_count, cfg.seed)
     return float(mollified_table([spec], pvec, cfg, [cloud])[w_index(w)])
 
 

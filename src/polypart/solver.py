@@ -4,10 +4,10 @@ The variety solver anneals over the product of spheres, proposing tangent
 steps one block at a time and accepting whenever the objective does not
 increase, so accepted traces are non-increasing by construction. The discrete
 objective is the spectral power of the cell-count table (zero exactly at
-equidistribution); the smoothed objective swaps in mollified counts over a
-shrinking delta grid. Each level is a frame with column(p) and table(cols):
-a cells.CountFrame for the discrete counts, a mollifier.LevelFrame for the
-mollified ones. The annealing loop keeps one column per block, recomputes
+equidistribution); the smoothed objective swaps in mollified counts over the
+shrinking delta grid mollifier.DELTA_GRID. Each level is a frame with
+column(p) and table(cols): a cells.CountFrame for the discrete counts, a
+mollifier.LevelFrame for the mollified ones. The annealing loop keeps one column per block, recomputes
 only the moved block's column and scores spectral_power(frame.table(cols)),
 so the solver only anneals. Every solve ends the same way: each restart's
 tuple is recounted from scratch by cells.counts, a discrete restart's
@@ -54,8 +54,7 @@ class SolveConfig:
     iters: int = 600
     seed: int = 0
     objective: str = "discrete"  # or "smooth"
-    delta_grid: tuple = tuple(2.0**-e for e in range(1, 13))
-    mc_count: int = 4096
+    mc_count: int = moll_mod.DEFAULT_MC_COUNT
     sampling: SamplingConfig | None = None
 
     def __post_init__(self):
@@ -64,7 +63,6 @@ class SolveConfig:
                 raise ValueError(f"need {name} >= {low}, got {getattr(self, name)}")
         if self.objective not in ("discrete", "smooth"):
             raise ValueError(f"unknown objective kind {self.objective!r}")
-        moll_mod.check_delta_grid(self.delta_grid)
         if self.mc_count < 1:
             raise ValueError(f"need mc_count >= 1, got {self.mc_count}")
 
@@ -146,9 +144,9 @@ def _levels(Gamma, cfg: SolveConfig, D, sampling, bases):
     if cfg.objective == "discrete":
         yield cells_mod.CountFrame(Gamma, sampling, D, exact_lines=True), cfg.iters, False
         return
-    per_level = max(cfg.iters // len(cfg.delta_grid), 20)
+    per_level = max(cfg.iters // len(moll_mod.DELTA_GRID), 20)
     basis = max(bases, key=len)
-    for level, delta in enumerate(cfg.delta_grid):
+    for level, delta in enumerate(moll_mod.DELTA_GRID):
         mcfg = moll_mod.schedule(delta, bases, cfg.mc_count, (cfg.seed, 3, level))
         skip = _certified_zero(mcfg, bases)
         yield moll_mod.LevelFrame(Gamma, mcfg, basis, [] if skip else None), per_level, skip
@@ -202,9 +200,9 @@ def partition_varieties(Gamma: list[VarietySpec], cfg: SolveConfig) -> Partition
     tables = [None] * cfg.restarts
     offset = 0
     skipped = []
-    for level, (frame, iters, skip) in enumerate(_levels(Gamma, cfg, D, sampling, bases)):
+    for frame, iters, skip in _levels(Gamma, cfg, D, sampling, bases):
         if skip:
-            skipped.append(cfg.delta_grid[level])
+            skipped.append(frame.cfg.delta)
         for r in restarts:
             cols = [frame.column(p) for p in to_polys(xs[r], n)]
             obj = spectral_power(frame.table(cols))
@@ -252,6 +250,8 @@ def partition_varieties(Gamma: list[VarietySpec], cfg: SolveConfig) -> Partition
 
 TAU = 1e-9  # a point with |value| <= TAU lies on the polynomial's boundary
 _CHUNK = 16  # polish proposals scored by one matrix product
+SIGMA_LEVELS = 9  # tanh widths _smooth_descent sharpens through
+NEWTON_ITERS = 12  # most damped Newton steps per width
 
 
 def _signs(vals):
@@ -315,7 +315,7 @@ def _jacobian(M, W, keys, n_parts):
     return J[: n_parts * dim].reshape(n_parts, dim)
 
 
-def _smooth_descent(M, bucket, c, n_parts, sigma_levels=9, newton_iters=12):
+def _smooth_descent(M, bucket, c, n_parts):
     """Drive the smoothed signed imbalances to zero by damped Newton steps,
     sharpening the tanh surrogate toward the true sign counts."""
     alive = bucket < n_parts
@@ -324,11 +324,11 @@ def _smooth_descent(M, bucket, c, n_parts, sigma_levels=9, newton_iters=12):
     v0 = M @ c
     scale = float(np.median(np.abs(v0[alive]))) if np.any(alive) else 1.0
     sigma = max(scale, 1e-9)
-    for _level in range(sigma_levels):
+    for _level in range(SIGMA_LEVELS):
         # an accepted step carries its residual into the next iteration, so
         # the residual is computed fresh only where sigma changes
         th, F = _smoothed_residual(M, bucket, c, n_parts, sigma)
-        for _ in range(newton_iters):
+        for _ in range(NEWTON_ITERS):
             err = float(np.abs(F).max())
             if err < 0.25:
                 break
@@ -358,7 +358,7 @@ def _smooth_descent(M, bucket, c, n_parts, sigma_levels=9, newton_iters=12):
     return c
 
 
-def _polish(M, bucket, c, n_parts, rng, proposals=300):
+def _polish(M, bucket, c, n_parts, rng, proposals):
     """Hill climb directly on (max imbalance, sum of squares).
 
     The proposal noise is drawn in one call, which gives the same stream as
@@ -451,7 +451,7 @@ def partition_points(X, s: int, cfg: SolveConfig) -> PartitionReport:
             c0 = rng.normal(size=subdim)
             c0 /= np.linalg.norm(c0)
             c1 = _smooth_descent(M, bucket, c0, n_parts)
-            c2, score = _polish(M, bucket, c1, n_parts, rng, proposals=cfg.iters // 2)
+            c2, score = _polish(M, bucket, c1, n_parts, rng, cfg.iters // 2)
             if best_score is None or score < best_score:
                 best_c, best_score = c2, score
         blocks.append(best_c)

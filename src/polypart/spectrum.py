@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cells import MAX_S, CellCounts, index_w, w_index
+from .cells import MAX_S, CellCounts, w_index
 
 
 @dataclass
@@ -21,9 +21,6 @@ class Spectrum:
 
     def __getitem__(self, v):
         return self.values[w_index(v)].item()
-
-    def as_dict(self) -> dict:
-        return {index_w(i, self.s): self.values[i].item() for i in range(2**self.s)}
 
 
 def _check_table(table: np.ndarray) -> int:

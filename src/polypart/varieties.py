@@ -51,14 +51,6 @@ class VarietySpec:
     k: int
     sampler: LineSampler | CircleSampler | PlaneSampler
 
-    @property
-    def kind(self) -> str:
-        if isinstance(self.sampler, LineSampler):
-            return "line"
-        if isinstance(self.sampler, CircleSampler):
-            return "circle"
-        return "kplane"
-
 
 @dataclass
 class WeightedCloud:

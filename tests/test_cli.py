@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from polypart.cells import CellCounts, SamplingConfig, counts, point_counts
-from polypart import cli, polyalg
+from polypart import cli, mollifier, polyalg
 from polypart.cli import Instance, InstanceError, load_instance, load_pvec, main
 
 
@@ -91,7 +92,8 @@ def test_partition_command_end_to_end(tmp_path):
     )
     inst_obj = load_instance(inst)
     again = counts(inst_obj.varieties, pvec, sampling, exact_lines=meta["exact_lines"])
-    assert {"".join(map(str, w)): c for w, c in again.as_dict().items()} == report["counts"]
+    bits = [cli._bits(i, again.s) for i in range(len(again.table))]
+    assert dict(zip(bits, again.table.tolist())) == report["counts"]
     lines = (out / "counts.csv").read_text().strip().splitlines()
     assert lines[0] == "w_bits,count"
     assert len(lines) == 1 + 4
@@ -127,7 +129,8 @@ def test_partition_points_command(tmp_path):
     assert len(trace) == 1 + 1 + 2 + 4
     pvec, payload = load_pvec(out / "report.json")
     again = point_counts(np.array(pts), pvec)
-    assert {"".join(map(str, w)): c for w, c in again.as_dict().items()} == report["counts"]
+    bits = [cli._bits(i, again.s) for i in range(len(again.table))]
+    assert dict(zip(bits, again.table.tolist())) == report["counts"]
 
 
 def test_empty_family_report(tmp_path):
@@ -376,6 +379,23 @@ def test_verify_mollifier_non_decreasing_grid_exit_2(monkeypatch, capsys, grid):
     assert captured.out == ""
     assert "--delta-grid" in captured.err and "decreasing" in captured.err
     assert len(captured.err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "grid, message",
+    [("", "nonempty"), ("1.0,0.5", r"\(0, 1\)"), ("0.5,0.0", r"\(0, 1\)"), ("2.0", r"\(0, 1\)")],
+)
+def test_verify_mollifier_bad_grid_exit_2(capsys, grid, message):
+    assert main(["verify-mollifier", f"--delta-grid={grid}"]) == 2
+    err = capsys.readouterr().err
+    assert "--delta-grid" in err and re.search(message, err)
+
+
+def test_verify_mollifier_defaults_to_the_solver_grid(monkeypatch):
+    grids = []
+    monkeypatch.setattr(cli, "verify_mollifier", lambda grid: grids.append(grid) or [])
+    assert main(["verify-mollifier"]) == 0
+    assert grids == [mollifier.DELTA_GRID]
 
 
 _LINE = '{"kind": "line", "point": [0, 0], "dir": [1, 0]}'

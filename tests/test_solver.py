@@ -133,7 +133,8 @@ def test_partition_trace_never_increases():
     assert all(b <= a for a, b in zip(objs, objs[1:]))
 
 
-def test_partition_smoothed_objective_runs():
+def test_partition_smoothed_objective_runs(monkeypatch):
+    monkeypatch.setattr(moll_mod, "DELTA_GRID", (2.0**-3, 2.0**-5))
     Gamma = [circle((0.3, 0.0), 0.5), circle((-0.3, 0.1), 0.4)]
     cfg = SolveConfig(
         s=2,
@@ -142,7 +143,6 @@ def test_partition_smoothed_objective_runs():
         iters=40,
         seed=4,
         objective="smooth",
-        delta_grid=(2.0**-3, 2.0**-5),
         mc_count=512,
         sampling=SamplingConfig(R=3.0, count=512),
     )
@@ -162,13 +162,6 @@ def test_partition_varieties_validation():
         SolveConfig(s=2, n=2, restarts=0)
     with pytest.raises(ValueError):
         SolveConfig(s=2, n=2, objective="magic")
-    with pytest.raises(ValueError):
-        SolveConfig(s=2, n=2, delta_grid=(0.25, 0.5))
-
-
-def test_solve_config_rejects_an_empty_delta_grid():
-    with pytest.raises(ValueError, match="nonempty delta grid"):
-        SolveConfig(s=2, n=2, delta_grid=())
 
 
 @pytest.mark.parametrize("mc_count", [0, -4])
@@ -177,17 +170,9 @@ def test_solve_config_rejects_mc_count_below_one(mc_count):
         SolveConfig(s=2, n=2, mc_count=mc_count)
 
 
-@pytest.mark.parametrize("grid", [(1.0, 0.5), (0.5, 0.0), (0.25, -0.5), (2.0,)])
-def test_solve_config_rejects_deltas_outside_the_unit_interval(grid):
-    # a bad last level used to surface only once the levels before it had run
-    with pytest.raises(ValueError, match=r"\(0, 1\)"):
-        SolveConfig(s=2, n=2, delta_grid=grid)
-
-
 @pytest.mark.parametrize(
     "field, value, message",
     [
-        ("delta_grid", (0.25, 0.25), "strictly decreasing"),
         ("iters", -3, "iters >= 0"),
         ("s", 0, "s >= 1"),
         ("n", 0, "n >= 1"),
@@ -348,6 +333,7 @@ def test_levels_built_once_per_solve(monkeypatch):
         return real_counts(*args, **kwargs)
 
     monkeypatch.setattr(cells_mod, "counts", counted_counts)
+    monkeypatch.setattr(moll_mod, "DELTA_GRID", (2.0**-2, 2.0**-3, 2.0**-4))
     Gamma = [
         circle((0.3, 0.0), 0.5),
         circle((-0.3, 0.1), 0.4),
@@ -361,7 +347,6 @@ def test_levels_built_once_per_solve(monkeypatch):
         iters=60,
         seed=2,
         objective="smooth",
-        delta_grid=(2.0**-2, 2.0**-3, 2.0**-4),
         mc_count=256,
         sampling=SamplingConfig(R=2.0, count=128),
     )
@@ -413,7 +398,7 @@ def test_certified_levels_score_exactly_zero(n, s, size, seed):
     rng = np.random.default_rng(seed)
     Gamma = random_family(rng, n, size)
     bases = [monomial_basis(n, D) for D in degree_schedule(n, s)]
-    for level, delta in enumerate(SolveConfig(s=s, n=n).delta_grid):
+    for level, delta in enumerate(moll_mod.DELTA_GRID):
         mcfg = schedule(delta, bases, mc_count=64, seed=(seed, level))
         if not _certified_zero(mcfg, bases):
             continue
@@ -464,7 +449,7 @@ def test_default_grid_skips_the_certified_levels(monkeypatch):
         sampling=SamplingConfig(R=2.0, count=128),
     )
     rep = partition_varieties(Gamma, cfg)
-    assert calls == list(cfg.delta_grid[3:])
+    assert calls == list(moll_mod.DELTA_GRID[3:])
     assert rep.meta["levels_skipped"] == [0.5, 0.25, 0.125]
     assert rep.counts.table.tolist() == [3, 2, 4, 0, 2, 3, 5, 3]
     assert rep.trace[:5] == [(-1, 0.0), (0, 0.0), (20, 0.0), (40, 0.0), (60, 0.0)]

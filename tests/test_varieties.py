@@ -6,6 +6,7 @@ import pytest
 
 from oracles import distance_to, region_measure
 from polypart.varieties import (
+    LineSampler,
     build,
     circle,
     kplane,
@@ -89,7 +90,7 @@ def test_point_variety_k0():
 
 def test_build_dispatch():
     spec = build("line", {"point": [0.0, 1.0], "dir": [1.0, 0.0]})
-    assert spec.kind == "line"
+    assert isinstance(spec.sampler, LineSampler)
     # only kinds with a sampler are built: there is no implicit-only variety
     for kind in ("implicit", "torus"):
         with pytest.raises(ValueError, match=f"unsupported variety kind '{kind}'"):
@@ -203,7 +204,7 @@ def test_tube_sample_reuses_the_normals_of_the_variety(monkeypatch):
     ]
     for spec in specs:
         s = spec.sampler
-        span = s.direction[None, :] if spec.kind == "line" else s.frame
+        span = s.direction[None, :] if isinstance(s, LineSampler) else s.frame
         assert np.array_equal(s.normals, varieties._complement(span, 3))
     before = [tube_sample(spec, 0.05, 1.5, 64, seed=3) for spec in specs]
 
