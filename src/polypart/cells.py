@@ -3,14 +3,15 @@
 A sign vector w assigns bit w_j = 0 where P_j > 0 and w_j = 1 where P_j < 0;
 points with any |P_j| at or below tolerance sit on the boundary and belong to
 no cell. Cell entry is decided by sampling for general varieties and exactly
-for lines from the real roots of the univariate restrictions: companion-matrix
-eigenvalues certified by Sturm counts, with Sturm-count bisection for the rows
-that certification rejects, and in closed form for linear restrictions. A
-line's cells follow from root parity rather than from evaluating the blocks
-at the gaps: each restriction gives the line's bit at t -> -inf from its
-trimmed leading coefficient, and crossing a root of P_j flips bit j.
-Certified roots are simple; a bisected row keeps only the roots it changes
-sign at.
+for lines from the real roots of the univariate restrictions: candidate roots
+certified by Sturm counts, with Sturm-count bisection for the rows that
+certification rejects. Candidates come in closed form at degrees 1 to 3 and
+as companion-matrix eigenvalues above, and for the degree-2 and degree-3 rows
+whose closed-form candidates are rejected. A line's cells follow from root
+parity rather than from evaluating the blocks at the gaps: each restriction
+gives the line's bit at t -> -inf from its trimmed leading coefficient, and
+crossing a root of P_j flips bit j. Certified roots are simple; a bisected
+row keeps only the roots it changes sign at.
 """
 
 from __future__ import annotations
@@ -81,7 +82,7 @@ class CellCounts:
 class SamplingConfig:
     """Ball radius, per-variety sample count (None = density default), seed."""
 
-    R: float
+    R: float = 4.0
     count: int | None = None
     seed: int | object = 0
 
@@ -404,22 +405,80 @@ def _sturm_chains_of_degree(P: np.ndarray):
     return pad, bad
 
 
-def _certified_roots(P: np.ndarray):
-    """Real companion eigenvalues r of the rows of one degree d >= 1, certified
-    by Sturm counts: V(-M) - V(M) must equal their number (M the Cauchy bound),
-    and the brackets [r-h, r+h], h = 0.5e-12*max(1, M), must be disjoint, hold
-    one root each and not end on an exact zero.
-
-    Returns (bad, rows, roots): bad flags the rows that fail, and rows, roots
-    list every root of the other rows, by row and ascending within a row."""
+def _companion_roots(P: np.ndarray) -> np.ndarray:
+    """Eigenvalues of the companion matrices of the rows of one degree d >= 1,
+    as (m, d) with +inf in place of each non-real one."""
     m, d = P.shape[0], P.shape[1] - 1
     comp = np.zeros((m, d, d))
     comp[:, 0] = -P[:, 1:] / P[:, :1]
     comp[:, np.arange(1, d), np.arange(d - 1)] = 1.0
-    cand = np.linalg.eigvals(comp) if d > 1 else comp[:, :, 0]
-    real = cand.imag == 0.0
-    cand = np.sort(np.where(real, cand.real, np.inf), axis=1)
-    nreal = real.sum(axis=1)
+    if d == 1:
+        return comp[:, :, 0]
+    cand = np.linalg.eigvals(comp)
+    return np.where(cand.imag == 0.0, cand.real, np.inf)
+
+
+def _quadratic_roots(a, b, c):
+    """Both roots of a t^2 + b t + c by q = -(b + sign(b) sqrt(b^2 - 4ac))/2,
+    as q/a and c/q: NaN where they are not real."""
+    q = -0.5 * (b + np.copysign(np.sqrt(b * b - 4.0 * a * c), b))
+    return q / a, c / q
+
+
+def _closed_form_roots(P: np.ndarray) -> np.ndarray:
+    """Real roots of the rows of degree 2 or 3 by formula, as (m, d) with a
+    non-finite entry in place of each missing one.
+
+    Degree 2 takes the stable quadratic formula. Degree 3 takes one real root,
+    by Cardano's formula when the depressed cubic has one real root and as the
+    largest in magnitude by the trigonometric formula when it has three, then
+    one Newton step on the row; the stable quadratic formula on the row with
+    that root deflated gives the other two.
+
+    The formulas run with floating-point warnings off: a row with no real root
+    or a multiple one divides by zero or takes the root of a negative number,
+    and the non-finite or wrong candidates it gets are certification's to reject.
+    """
+    with np.errstate(all="ignore"):
+        if P.shape[1] == 3:
+            return np.stack(_quadratic_roots(*P.T), axis=1)
+        a, b, c, d = P.T
+        B, C, D = b / a, c / a, d / a
+        p = C - B * B / 3.0  # x^3 + p x + q at t = x - B/3
+        q = (2.0 * B * B * B - 9.0 * B * C + 27.0 * D) / 27.0
+        disc = 0.25 * q * q + p * p * p / 27.0
+        phi = np.arccos(np.clip(1.5 * q / p * np.sqrt(-3.0 / p), -1.0, 1.0)) / 3.0
+        three = 2.0 * np.sqrt(-p / 3.0)[:, None] * np.cos(
+            phi[:, None] - 2.0 * np.pi / 3.0 * np.arange(3)
+        ) - (B / 3.0)[:, None]
+        big = three[np.arange(len(P)), np.abs(three).argmax(axis=1)]
+        u = np.cbrt(-0.5 * q - np.copysign(np.sqrt(disc), q))
+        t = np.where(disc < 0.0, big, u - p / (3.0 * u) - B / 3.0)
+        step = (((a * t + b) * t + c) * t + d) / ((3.0 * a * t + 2.0 * b) * t + c)
+        t = np.where(np.isfinite(step), t - step, t)
+        # the row is (t - root)(a t^2 + beta t + gamma); deflating from the
+        # constant term is stable for a root above the geometric mean of the
+        # roots' magnitudes, from the leading coefficient for one below it
+        g = -d / t
+        back = np.stack(_quadratic_roots(a, (g - c) / t, g), axis=1)
+        beta = b + a * t
+        fwd = np.stack(_quadratic_roots(a, beta, c + beta * t), axis=1)
+        large = np.abs(a * t * t * t) >= np.abs(d)
+        return np.column_stack([t, np.where(large[:, None], back, fwd)])
+
+
+def _certify(P: np.ndarray, cand: np.ndarray):
+    """Sturm-count certification of candidate roots cand (m, d) of the rows of
+    one degree d >= 1, non-finite entries standing for none: V(-M) - V(M) must
+    equal the number of finite candidates (M the Cauchy bound), and the
+    brackets [r-h, r+h], h = 0.5e-12*max(1, M), must be disjoint, hold one
+    root each and not end on an exact zero.
+
+    Returns (bad, rows, roots): bad flags the rows that fail, and rows, roots
+    list every root of the other rows, by row and ascending within a row."""
+    m, d = P.shape[0], P.shape[1] - 1
+    cand = np.sort(np.where(np.isfinite(cand), cand, np.inf), axis=1)
+    nreal = np.isfinite(cand).sum(axis=1)
     ri, ki = np.nonzero(np.arange(d) < nreal[:, None])
     t = cand[ri, ki]
     M = 1.0 + np.abs(P[:, 1:]).max(axis=1) / np.abs(P[:, 0])
@@ -434,6 +493,24 @@ def _certified_roots(P: np.ndarray):
     bad[ri[1:][(ri[1:] == ri[:-1]) & (np.diff(t) <= 2.0 * h[1:])]] = True
     ok = ~bad[ri]
     return bad, ri[ok], t[ok]
+
+
+def _certified_roots(P: np.ndarray):
+    """_certify's (bad, rows, roots) for the rows of one degree d >= 1 in
+    descending order. Rows of degree 2 and 3 are certified on their closed-form
+    roots, and the rows that fail are certified again on their companion
+    eigenvalues; the other degrees take companion eigenvalues at once. A row is
+    bad only when every source it met was rejected."""
+    if P.shape[1] not in (3, 4):
+        return _certify(P, _companion_roots(P))
+    bad, ri, t = _certify(P, _closed_form_roots(P))
+    if bad.any():
+        redo = np.flatnonzero(bad)
+        bad[redo], ri_redo, t_redo = _certify(P[redo], _companion_roots(P[redo]))
+        ri, t = np.concatenate([ri, redo[ri_redo]]), np.concatenate([t, t_redo])
+        order = np.argsort(ri, kind="stable")  # each row's roots stay one ascending run
+        ri, t = ri[order], t[order]
+    return bad, ri, t
 
 
 def _degrees(C: np.ndarray) -> np.ndarray:
@@ -471,11 +548,13 @@ def isolate_real_roots_flat(coeff_rows) -> tuple[np.ndarray, np.ndarray]:
     order and ascending within a row.
 
     Takes an (m, w) array or a list of rows. Rows grouped by trimmed degree
-    (as _trim_desc trims) get their roots in closed form at degree 1 and as
-    certified companion eigenvalues above it; the rows that certification
-    rejects get Sturm-count bisection, which raises RootIsolationError rather
-    than return uncertain roots. Each root is within 0.5e-12*max(1, M) of a
-    true root.
+    (as _trim_desc trims) get their roots in closed form at degree 1; above
+    it, _certified_roots certifies closed-form candidates at degrees 2 and 3,
+    companion eigenvalues at higher degrees and for the degree-2 and -3 rows
+    it rejected on the closed form. The rows that certification rejects get
+    Sturm-count bisection, which raises RootIsolationError rather than return
+    uncertain roots. Each root is within 0.5e-12*max(1, M) of a true root as
+    far as float Sturm counts can tell; near a double root they can be off.
     """
     C = _as_rows(coeff_rows)
     owners, roots, _ = _isolate(C, _degrees(C))
@@ -578,13 +657,12 @@ _MERGE_TOL = 1e-9
 
 
 def _owner_value_order(owners, vals):
-    """np.lexsort((vals, owners)) by one integer argsort: the stable rank of
-    each value keeps ties in input order, so the keys owners * N + rank are
-    distinct and any sort kind returns lexsort's permutation."""
-    N = len(vals)
-    rank = np.empty(N, dtype=np.int64)
-    rank[np.argsort(vals, kind="stable")] = np.arange(N)
-    return np.argsort(owners * N + rank)
+    """np.lexsort((vals, owners)) as two stable argsorts: of the values, then
+    of the owners in that order, cast to np.min_scalar_type so that numpy
+    radix-sorts owner ids up to 16 bits."""
+    order = np.argsort(vals, kind="stable")
+    key = owners[order].astype(np.min_scalar_type(owners.max(initial=0)))
+    return order[np.argsort(key, kind="stable")]
 
 
 def _line_cells(restrictions):

@@ -472,7 +472,7 @@ def main(argv=None) -> int:
     p.add_argument("--objective", choices=("discrete", "smooth"), default="discrete")
     p.add_argument("--restarts", type=int, default=SolveConfig.restarts)
     p.add_argument("--iters", type=int, default=SolveConfig.iters)
-    p.add_argument("--radius", type=float, default=4.0)
+    p.add_argument("--radius", type=float, default=SamplingConfig.R)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_partition)
 

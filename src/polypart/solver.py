@@ -187,7 +187,7 @@ def partition_varieties(Gamma: list[VarietySpec], cfg: SolveConfig) -> Partition
     k = ks.pop()
     sched = degree_schedule(n, cfg.s)
     D = sum(sched)
-    sampling = cfg.sampling or SamplingConfig(R=4.0, seed=cfg.seed)
+    sampling = cfg.sampling or SamplingConfig(seed=cfg.seed)
     bases = [monomial_basis(n, Dj) for Dj in sched]
 
     # each level is built once and every restart anneals through it, since no

@@ -79,6 +79,15 @@ def lemma_identity_check(counts: CellCounts, u) -> tuple:
 
 
 def spectral_power(table: np.ndarray) -> float:
-    """Sum of squared balance functionals over nonzero frequencies."""
+    """Sum of squared balance functionals over nonzero frequencies.
+
+    An integer table N takes Parseval's identity, 2^s * sum(N^2) - sum(N)^2,
+    in exact integers (while sum(N^2) fits int64); it equals the transform's
+    float sum bit for bit while that sum is below 2^53. A float table sums its
+    squared transform."""
+    table = np.asarray(table)
+    if np.issubdtype(table.dtype, np.integer):
+        N = table.astype(np.int64)
+        return float(2 ** _check_table(N) * int(N @ N) - int(N.sum()) ** 2)
     vals = wht_table(table)
     return float(np.sum(vals[1:].astype(np.float64) ** 2))

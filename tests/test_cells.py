@@ -1,5 +1,6 @@
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -231,7 +232,7 @@ def _endpoint_on_root(h):
 @pytest.mark.parametrize(
     "cands",
     [
-        [-1.0 + 0.5j, 1.0],  # a real root is missing: the Sturm count is 2
+        [np.inf, 1.0],  # a real root is missing: the Sturm count is 2
         [-1.0, 1.0 + 1e-6],  # a bracket holds no root
         [1.0, 1.0 + 1e-13],  # overlapping brackets around one root
         [-1.0, _endpoint_on_root(1e-12)],  # a bracket ends on the root t = 1
@@ -241,9 +242,40 @@ def test_certification_rejects_wrong_candidates(monkeypatch, cands):
     P = np.array([[1.0, 0.0, -1.0]])  # t^2 - 1, Cauchy bound 2, h = 1e-12
     bad, rows, roots = cells._certified_roots(P)
     assert not bad.any() and rows.tolist() == [0, 0] and roots.tolist() == [-1.0, 1.0]
-    monkeypatch.setattr(np.linalg, "eigvals", lambda comp: np.array([cands]))
+    # only the closed form is wrong: the companion retry certifies the row
+    monkeypatch.setattr(cells, "_closed_form_roots", lambda P: np.array([cands]))
+    bad, rows, roots = cells._certified_roots(P)
+    assert not bad.any() and rows.tolist() == [0, 0] and roots.tolist() == [-1.0, 1.0]
+    assert not cells._isolate(P[:, ::-1], np.array([2]))[2].any()  # nothing bisected
+    # both sources are wrong: the row is rejected
+    monkeypatch.setattr(cells, "_companion_roots", lambda P: np.array([cands]))
     bad, rows, roots = cells._certified_roots(P)
     assert bad.tolist() == [True] and len(rows) == len(roots) == 0
+
+
+@pytest.mark.parametrize(
+    "P, want",
+    [
+        ([1.0, 0.0, 1.0], []),  # t^2 + 1: a negative discriminant
+        ([1.0, 0.0, 0.0], None),  # t^2: a double root, q = 0
+        ([1.0, 0.0, 0.0, 0.0], None),  # t^3: a triple root, q = 0 and p = 0
+        ([1.0, -3.0, 3.0, -1.0], None),  # (t - 1)^3: a triple root off zero
+        ([1.0, 0.0, 1.0, 0.0], [0.0]),  # t^3 + t: one real root, q = 0
+        ([1.0, 0.0, -1.0, 0.0], [-1.0, 0.0, 1.0]),  # three real roots, q = 0
+        ([1.0, 0.0, 1.0, 1.0], [-0.6823278038280193]),  # Cardano's branch
+        ([2.0, 0.0, 0.0, 1.0], None),  # Cardano's branch with p = 0; the chain drops a degree
+    ],
+)
+def test_closed_form_roots_warn_nothing(P, want):
+    # pyproject turns any RuntimeWarning into an error; None marks a row
+    # that certification rejects on both sources
+    P = np.array([P])
+    assert cells._closed_form_roots(P).shape == (1, P.shape[1] - 1)
+    bad, rows, roots = cells._certified_roots(P)
+    if want is None:
+        assert bad.tolist() == [True] and len(roots) == 0
+    else:
+        assert not bad.any() and np.allclose(roots, want, rtol=0.0, atol=1e-15)
 
 
 def test_isolation_errors_still_raise(monkeypatch):
@@ -288,6 +320,65 @@ def test_linear_rows_certify_to_the_closed_form(rows):
     owners, roots = isolate_real_roots_flat(C)
     assert owners.tolist() == ri.tolist()
     assert np.array_equal(roots.view(np.int64), closed.view(np.int64))
+
+
+_signed_mag = st.tuples(st.sampled_from([-1.0, 1.0]), st.floats(-8.0, 8.0)).map(
+    lambda sm: sm[0] * 10.0 ** sm[1]
+)
+
+
+@st.composite
+def low_degree_row(draw):
+    """Ascending coefficients of degree 2 or 3: magnitudes 1e-8 to 1e8 with
+    zero c or b, near-double roots, or a leading coefficient near the trim."""
+    d = draw(st.sampled_from([2, 3]))
+    kind = draw(st.sampled_from(["coeffs", "near_double", "near_trim"]))
+    if kind == "near_double":
+        r = draw(st.floats(-10.0, 10.0))
+        gap = draw(st.sampled_from([0.0, 1e-13, 1e-10, 1e-7, 1e-4]))
+        rest = [draw(st.floats(-10.0, 10.0)) for _ in range(d - 2)]
+        row = np.poly([r, r + gap, *rest])[::-1] * draw(_signed_mag)
+    else:
+        row = np.array([draw(st.one_of(st.just(0.0), _signed_mag)) for _ in range(d + 1)])
+        row[d] = draw(_signed_mag)
+        if kind == "near_trim":
+            row[d] = draw(st.sampled_from([-1.0, 1.0])) * draw(
+                st.sampled_from([0.9, 1.0001, 1.5, 10.0])
+            ) * cells._TRIM_TOL * np.abs(row[:d]).max(initial=1.0)
+    return row
+
+
+@settings(max_examples=300)
+@given(st.lists(low_degree_row(), min_size=1, max_size=6))
+@example([np.array([-1.0, 0.0, 1.0]), np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0, 1.0])])
+@example(  # a near-double root whose closed-form candidates only eigvals' retry certifies
+    [np.array([-0.15014045870797615, -1.5677092121086844, -4.710519573927404, -3.0941877836667])]
+)
+def test_closed_form_candidates_agree_with_eigvals(rows):
+    C = cells._as_rows(rows)
+    deg = cells._degrees(C)
+
+    def isolate():
+        try:
+            return cells._isolate(C, deg)
+        except RootIsolationError:
+            return None
+
+    got = isolate()
+    with mock.patch.object(cells, "_closed_form_roots", cells._companion_roots):
+        want = isolate()  # eigvals candidates only, as before closed forms
+    if want is None:
+        return  # bisection of a row that eigvals rejected raised
+    assert got is not None
+    (o1, r1, b1), (o2, r2, b2) = got, want
+    assert np.array_equal(o1, o2) and not (b1 & ~b2).any()
+    # roots are compared on the rows that eigvals certifies; on a row it
+    # rejects, bisection and the closed form each rest on float Sturm
+    # readings, which near a double root can stray past the bracket
+    desc = map(cells._trim_desc, C[:, ::-1])
+    M = np.array([1.0 + np.abs(r[1:]).max(initial=0.0) / abs(r[0]) for r in desc])
+    near = np.abs(r1 - r2) <= 0.5e-12 * np.maximum(1.0, M[o1])
+    assert (near | b2[o1]).all()
 
 
 _coeff = st.one_of(
@@ -568,6 +659,17 @@ def test_seeded_line_solve_pinned_table():
     assert rep.counts.table.tolist() == pinned
 
 
+def test_seeded_line_solve_bisects_no_row(monkeypatch):
+    # the pinned solve above, with every row that reaches Sturm bisection counted
+    bisected = []
+    real = cells._isolate_by_bisection
+    monkeypatch.setattr(
+        cells, "_isolate_by_bisection", lambda rows: bisected.append(len(rows)) or real(rows)
+    )
+    test_seeded_line_solve_pinned_table()
+    assert bisected and sum(bisected) == 0
+
+
 def test_sampled_counts_pinned_tables():
     # recorded from the per-variety sampled counts that the count frame
     # replaced: a mixed R^2 family (lines, circles, 0-planes) with lines
@@ -633,6 +735,19 @@ def test_owner_value_order_is_lexsort(blocks):
     runs = [sorted(b) for b in blocks]
     owners = np.array([o for run in runs for o, _ in run], dtype=np.int64)
     vals = np.array([v for run in runs for _, v in run], dtype=np.float64)
+    got = cells._owner_value_order(owners, vals)
+    assert np.array_equal(got, np.lexsort((vals, owners)))
+
+
+@settings(max_examples=60)
+@given(
+    st.lists(st.tuples(st.integers(0, 5), _tied_root), max_size=30),
+    st.sampled_from([2**16 - 6, 2**16, 2**31, 2**32]),
+)
+def test_owner_value_order_is_lexsort_on_wide_owner_ids(pairs, base):
+    # ids from 2^16 up are no longer uint16: the uint32 and uint64 casts
+    owners = np.array([base + o for o, _ in pairs], dtype=np.int64)
+    vals = np.array([v for _, v in pairs], dtype=np.float64)
     got = cells._owner_value_order(owners, vals)
     assert np.array_equal(got, np.lexsort((vals, owners)))
 

@@ -391,6 +391,19 @@ def test_verify_mollifier_bad_grid_exit_2(capsys, grid, message):
     assert "--delta-grid" in err and re.search(message, err)
 
 
+def test_partition_radius_defaults_to_the_solvers(tmp_path):
+    from polypart.solver import SolveConfig, partition_varieties
+
+    inst = lines_instance(tmp_path, num=3)
+    out = tmp_path / "out"
+    assert main(["partition", "--input", inst, "--s", "1", "--iters", "2", "--out", str(out)]) == 0
+    cli_meta = json.loads((out / "report.json").read_text())["meta"]
+    cfg = SolveConfig(s=1, n=2, iters=2)  # no sampling config: the solver's fallback
+    lib_meta = partition_varieties(load_instance(inst).varieties, cfg).meta
+    assert cli_meta["sampling"] == lib_meta["sampling"]
+    assert cli_meta["sampling"]["R"] == SamplingConfig.R == SamplingConfig().R
+
+
 def test_verify_mollifier_defaults_to_the_solver_grid(monkeypatch):
     grids = []
     monkeypatch.setattr(cli, "verify_mollifier", lambda grid: grids.append(grid) or [])

@@ -1,8 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polypart import spectrum
 from polypart.cells import CellCounts, index_w
 from polypart.spectrum import (
     Spectrum,
@@ -141,3 +144,22 @@ def test_flip_equivariance_bridge():
 def test_spectral_power():
     assert spectral_power(np.array([2, 1, 1, 0])) == 8.0
     assert spectral_power(np.array([5, 5, 5, 5])) == 0.0
+
+
+@settings(max_examples=150)
+@given(st.integers(1, 12), st.data())
+def test_spectral_power_of_an_integer_table_is_parseval(s, data):
+    # entries up to 2^((52 - 3s) // 2) keep the transform's squared sum within 2^52
+    bound = 2 ** ((52 - 3 * s) // 2)
+    table = np.array(
+        data.draw(st.lists(st.integers(-bound, bound), min_size=2**s, max_size=2**s)),
+        dtype=np.int64,
+    )
+    want = float(np.sum(wht_table(table)[1:].astype(float) ** 2))
+    with mock.patch.object(spectrum, "wht_table", wraps=wht_table) as transform:
+        got = spectral_power(table)
+        assert got.hex() == want.hex() and transform.call_count == 0
+        floats = table * 0.37
+        got = spectral_power(floats)  # a float table keeps the transform
+        assert transform.call_count == 1
+    assert got == float(np.sum(wht_table(floats)[1:] ** 2))
