@@ -24,10 +24,10 @@ import numpy as np
 from . import equivariant as eq
 from .cells import MAX_S, CellCounts, SamplingConfig, index_w, line_cell_sets
 from .mollifier import DELTA_GRID, check_delta_grid, i_delta, schedule
-from .polyalg import (
-    MAX_BASIS_DIM, MonomialBasis, Polynomial, basis_dim, degree_schedule, grad_bound
+from .polyalg import MonomialBasis, Polynomial, degree_schedule, grad_bound
+from .solver import (
+    PartitionReport, SolveConfig, family_dims, partition_points, partition_varieties
 )
-from .solver import PartitionReport, SolveConfig, partition_points, partition_varieties
 from .spectrum import is_equidistributed, lemma_identity_check, wht_table
 from .sphereprod import retract
 from .varieties import VarietySpec, build, line
@@ -373,77 +373,44 @@ def verify_mollifier(delta_grid):
 # commands
 
 
-def _check_solve_flags(args) -> None:
-    """Reject out-of-range solver flags before anything is loaded or allocated."""
-    _check_s(args.s)
-    if args.restarts < 1:
-        raise InstanceError(f"--restarts must be >= 1, got {args.restarts}")
-    if args.iters < 0:
-        raise InstanceError(f"--iters must be >= 0, got {args.iters}")
-    if args.seed < 0:
-        raise InstanceError(f"--seed must be >= 0, got {args.seed}")
+def _translated(call, *args, prefix="--", **kwargs):
+    """call(*args, **kwargs), a ValueError re-raised as an InstanceError of
+    prefix + its message: a SolveConfig message starts with the field it
+    rejects, which is the flag's name without its dashes."""
+    try:
+        return call(*args, **kwargs)
+    except ValueError as err:
+        raise InstanceError(f"{prefix}{err}")
 
 
-def _check_basis_budget(n: int, s: int) -> None:
-    """Reject an --s whose largest block basis (the last, as the degree
-    schedule never decreases) exceeds MAX_BASIS_DIM, by arithmetic alone."""
-    D = degree_schedule(n, s)[-1]
-    dim = basis_dim(n, D)
-    if dim > MAX_BASIS_DIM:
-        raise InstanceError(
-            f"--s {s} needs a degree-{D} block with {dim} monomials in R^{n}; "
-            f"at most {MAX_BASIS_DIM} are supported"
-        )
-
-
-def _check_family(varieties) -> None:
-    """Reject a family whose varieties differ in dimension k, before solving."""
-    for i, g in enumerate(varieties):
-        if g.k != varieties[0].k:
-            raise InstanceError(
-                f"varieties[{i}]: dimension k = {g.k} differs from k = {varieties[0].k}"
-                " of varieties[0]; a family must share k"
-            )
+def _solve_config(args, n: int, **extra) -> SolveConfig:
+    return _translated(
+        SolveConfig,
+        s=args.s, n=n, restarts=args.restarts, iters=args.iters, seed=args.seed, **extra
+    )
 
 
 def cmd_partition(args) -> int:
-    _check_solve_flags(args)
-    try:
-        sampling = SamplingConfig(R=args.radius, seed=args.seed)
-    except ValueError as err:
-        raise InstanceError(f"--radius: {err}")
+    sampling = _translated(SamplingConfig, R=args.radius, seed=args.seed, prefix="--radius: ")
     inst = load_instance(args.input)
-    _check_basis_budget(inst.n, args.s)
-    _check_family(inst.varieties)
+    cfg = _solve_config(args, inst.n, objective=args.objective, sampling=sampling)
     if not inst.varieties:
         # empty families still produce a valid all-zero report
         meta = {"s": args.s, "n": inst.n, "num_varieties": 0, "seed": args.seed}
         rep = PartitionReport.from_counts([], CellCounts.zeros(args.s), 0.0, [], meta)
         write_report(args.out, rep, "partition", {"input": args.input})
         return 0
-    cfg = SolveConfig(
-        s=args.s,
-        n=inst.n,
-        restarts=args.restarts,
-        iters=args.iters,
-        seed=args.seed,
-        objective=args.objective,
-        sampling=sampling,
-    )
+    _translated(family_dims, inst.varieties, prefix="")
     rep = partition_varieties(inst.varieties, cfg)
     write_report(args.out, rep, "partition", {"input": args.input})
     return 0
 
 
 def cmd_partition_points(args) -> int:
-    _check_solve_flags(args)
     inst = load_instance(args.input)
-    _check_basis_budget(inst.n, args.s)
+    cfg = _solve_config(args, inst.n)
     if inst.points is None:
         raise InstanceError("field 'points': required for partition-points")
-    cfg = SolveConfig(
-        s=args.s, n=inst.n, restarts=args.restarts, iters=args.iters, seed=args.seed
-    )
     rep = partition_points(inst.points, args.s, cfg)
     write_report(args.out, rep, "partition-points", {"input": args.input})
     return 0

@@ -40,10 +40,6 @@ class MonomialBasis:
     """All monomials of degree <= D in n variables, graded-lex ordered."""
 
     def __init__(self, n: int, D: int):
-        if n < 1:
-            raise ValueError(f"need n >= 1, got {n}")
-        if D < 0:
-            raise ValueError(f"need D >= 0, got {D}")
         dim = basis_dim(n, D)
         if dim > MAX_BASIS_DIM:
             raise ValueError(
@@ -90,10 +86,19 @@ def basis_dim(n: int, D: int) -> int:
 def degree_schedule(n: int, s: int) -> list[int]:
     """Smallest degrees D_1..D_s with basis_dim(n, D_j) > 2^(j-1).
 
-    The schedule is nondecreasing and the total sum grows like 2^(s/n).
+    The schedule is nondecreasing and the total sum grows like 2^(s/n). It
+    owns the basis budget of every solve: ValueError, with a message that
+    starts with "s", unless s >= 1 and the last (largest) block's basis has
+    at most MAX_BASIS_DIM monomials. That block needs more than 2^(s-1), so
+    a too-large s is rejected before the schedule is walked.
     """
     if s < 1:
-        raise ValueError(f"need s >= 1, got {s}")
+        raise ValueError(f"s must be >= 1, got {s}")
+    if s > (MAX_BASIS_DIM - 1).bit_length():
+        raise ValueError(
+            f"s {s} needs a block with more than 2^{s - 1} monomials; "
+            f"at most {MAX_BASIS_DIM} are supported"
+        )
     out = []
     D = 1
     for j in range(1, s + 1):
@@ -101,6 +106,12 @@ def degree_schedule(n: int, s: int) -> list[int]:
         while basis_dim(n, D) <= need:
             D += 1
         out.append(D)
+    dim = basis_dim(n, D)
+    if dim > MAX_BASIS_DIM:
+        raise ValueError(
+            f"s {s} needs a degree-{D} block with {dim} monomials in R^{n}; "
+            f"at most {MAX_BASIS_DIM} are supported"
+        )
     return out
 
 

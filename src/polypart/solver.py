@@ -48,6 +48,11 @@ class SelfCheckError(RuntimeError):
 
 @dataclass
 class SolveConfig:
+    """One solve's settings. ValueError, with a message that starts with the
+    field it rejects, unless s, n and restarts are >= 1, iters and seed
+    >= 0, objective is "discrete" or "smooth", mc_count >= 1 and the degree
+    schedule of (n, s) fits the basis budget (polyalg.degree_schedule)."""
+
     s: int
     n: int
     restarts: int = 3
@@ -58,13 +63,13 @@ class SolveConfig:
     sampling: SamplingConfig | None = None
 
     def __post_init__(self):
-        for name, low in (("s", 1), ("n", 1), ("restarts", 1), ("iters", 0), ("seed", 0)):
+        bounds = (("s", 1), ("n", 1), ("restarts", 1), ("iters", 0), ("seed", 0), ("mc_count", 1))
+        for name, low in bounds:
             if getattr(self, name) < low:
-                raise ValueError(f"need {name} >= {low}, got {getattr(self, name)}")
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
         if self.objective not in ("discrete", "smooth"):
-            raise ValueError(f"unknown objective kind {self.objective!r}")
-        if self.mc_count < 1:
-            raise ValueError(f"need mc_count >= 1, got {self.mc_count}")
+            raise ValueError(f"objective must be 'discrete' or 'smooth', got {self.objective!r}")
+        degree_schedule(self.n, self.s)
 
 
 @dataclass
@@ -96,13 +101,20 @@ class PartitionReport:
         )
 
 
-def _ambient(Gamma) -> int:
+def family_dims(Gamma) -> tuple[int, int]:
+    """(n, k) of a family, which every variety must share: ValueError names
+    the first variety that differs from varieties[0]."""
     if not Gamma:
         raise ValueError("need at least one variety")
-    n = Gamma[0].n
-    if any(g.n != n for g in Gamma):
-        raise ValueError("varieties must share the ambient dimension")
-    return n
+    n, k = Gamma[0].n, Gamma[0].k
+    for i, g in enumerate(Gamma):
+        if g.n != n or g.k != k:
+            what, mine, first = ("n", g.n, n) if g.n != n else ("k", g.k, k)
+            raise ValueError(
+                f"varieties[{i}]: dimension {what} = {mine} differs from {what} = {first}"
+                f" of varieties[0]; a family must share {what}"
+            )
+    return n, k
 
 
 def _step_block(x: XsPoint, j: int, direction: np.ndarray, h: float) -> XsPoint:
@@ -178,13 +190,9 @@ def _anneal(frame, cols, x, obj, n, iters, rng, trace, it_offset):
 
 def partition_varieties(Gamma: list[VarietySpec], cfg: SolveConfig) -> PartitionReport:
     """Best-of-restarts annealed search; the report always uses discrete counts."""
-    n = _ambient(Gamma)
+    n, k = family_dims(Gamma)
     if n != cfg.n:
         raise ValueError(f"config n = {cfg.n} but varieties live in R^{n}")
-    ks = {g.k for g in Gamma}
-    if len(ks) != 1:
-        raise ValueError("varieties must share their dimension k")
-    k = ks.pop()
     sched = degree_schedule(n, cfg.s)
     D = sum(sched)
     sampling = cfg.sampling or SamplingConfig(seed=cfg.seed)
@@ -248,7 +256,10 @@ def partition_varieties(Gamma: list[VarietySpec], cfg: SolveConfig) -> Partition
 # Point partitioning by sequential bisection.
 
 
-TAU = 1e-9  # a point with |value| <= TAU lies on the polynomial's boundary
+# a point with |value| <= TAU lies on the polynomial's boundary: blocks are
+# unit vectors, so this is the tolerance sign_vector_many reads the reported
+# table with, and the points bisection drops are its boundary points
+TAU = cells_mod.DEFAULT_SIGN_TOL_SCALE
 _CHUNK = 16  # polish proposals scored by one matrix product
 SIGMA_LEVELS = 9  # tanh widths _smooth_descent sharpens through
 NEWTON_ITERS = 12  # most damped Newton steps per width

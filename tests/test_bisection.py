@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polypart import solver
+from polypart.cells import sign_vector_many
 from polypart.polyalg import degree_schedule, monomial_basis, monomial_matrix
 from polypart.solver import (
     TAU,
@@ -72,6 +73,25 @@ def test_partition_points_pinned_bits(case):
     assert [r["imbalance"] for r in rep.trace] == case["imbalances"]
     digest = hashlib.sha256(b"".join(p.coeffs.tobytes() for p in rep.pvec)).hexdigest()
     assert digest == case["pvec_sha256"]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_dropped_points_are_the_reported_boundary(seed):
+    # a point bisection drops (|M c| <= TAU at some step) is exactly one the
+    # reported table leaves out, since both read the same threshold; each
+    # seed has a few such points, as the cuts pass through points to balance
+    X = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(1000, 2))
+    rep = partition_points(X, 6, SolveConfig(s=6, n=2, seed=seed))
+    dropped = np.zeros(len(X), dtype=bool)
+    for j, p in enumerate(rep.pvec, start=1):
+        # the points alive at step j are those the trace's parts hold
+        alive = sum(r["size"] for r in rep.trace if r["step"] == j)
+        assert alive == len(X) - dropped.sum()
+        M = monomial_matrix(X, p.basis)[:, : block_size(j)]
+        dropped |= np.abs(M @ p.coeffs[: block_size(j)]) <= TAU
+    _, boundary = sign_vector_many(rep.pvec, X)
+    assert dropped.any()
+    assert np.array_equal(dropped, boundary)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

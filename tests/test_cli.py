@@ -181,7 +181,8 @@ def test_console_script_runs():
     [("--s", "0"), ("--s", "21"), ("--restarts", "0"), ("--iters", "-1"), ("--seed", "-1")],
 )
 def test_bad_solver_flags_exit_2(tmp_path, capsys, command, flag, value):
-    # checked before the instance is read, so a large --s allocates nothing
+    # checked by SolveConfig once the instance's n is known, before anything
+    # sized by s is allocated
     inst = write_instance(tmp_path, {"n": 2, "points": [[0.1, 0.2]]})
     argv = [command, "--input", inst, "--s", "2", "--out", str(tmp_path / "o")]
     rc = main(argv + [f"{flag}={value}"])
@@ -193,8 +194,9 @@ def test_bad_solver_flags_exit_2(tmp_path, capsys, command, flag, value):
 
 @pytest.mark.parametrize("command", ["partition", "partition-points"])
 def test_basis_budget_exit_2(tmp_path, capsys, monkeypatch, command):
-    # --s 20 in R^2 needs a degree-1023 block with 524,800 monomials; the guard
-    # reads that from the degree schedule before any basis is enumerated
+    # the last block at --s needs more than 2^(s-1) monomials, so 13 is the
+    # smallest s over the 4096 budget in R^2 (and in any R^n); the guard
+    # rejects it before the schedule is walked or any basis is enumerated
     inst = write_instance(
         tmp_path,
         {
@@ -208,12 +210,13 @@ def test_basis_budget_exit_2(tmp_path, capsys, monkeypatch, command):
         raise AssertionError("a basis was enumerated past the budget guard")
 
     monkeypatch.setattr(polyalg, "_grlex_exponents", enumerated)
-    rc = main([command, "--input", inst, "--s", "20", "--out", str(tmp_path / "o")])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert "--s 20" in err and str(polyalg.MAX_BASIS_DIM) in err
-    assert len(err.strip().splitlines()) == 1
-    assert not (tmp_path / "o").exists()
+    for s in (13, 20):
+        rc = main([command, "--input", inst, "--s", str(s), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"--s {s} " in err and str(polyalg.MAX_BASIS_DIM) in err
+        assert len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "o").exists()
     with pytest.raises(ValueError, match="524800 monomials"):
         polyalg.MonomialBasis(2, 1023)
 

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -17,7 +18,9 @@ from oracles import (
     restrict_to_line,
     restrict_to_line_exact,
 )
+from polypart import polyalg
 from polypart.polyalg import (
+    MAX_BASIS_DIM,
     MonomialBasis,
     Polynomial,
     basis_dim,
@@ -28,6 +31,7 @@ from polypart.polyalg import (
     monomial_matrix,
     restrict_to_line_batch,
 )
+from polypart.solver import SolveConfig
 
 
 def enumerate_dim(n, D):
@@ -72,6 +76,34 @@ def test_degree_schedule_properties():
                 assert basis_dim(n, Dj) > 2 ** (j - 1)
                 if Dj > 1:
                     assert basis_dim(n, Dj - 1) <= 2 ** (j - 1)
+
+
+@pytest.mark.parametrize(
+    "s, build",
+    [
+        (13, lambda: degree_schedule(2, 13)),
+        (20, lambda: degree_schedule(1, 20)),
+        (10**6, lambda: SolveConfig(s=10**6, n=2)),
+        (12, lambda: degree_schedule(20, 12)),
+    ],
+    ids=["R2-s13", "R1-s20", "config-s1e6", "R20-s12"],
+)
+def test_basis_budget_fails_fast(monkeypatch, s, build):
+    # the last block needs more than 2^(s-1) monomials, so s >= 13 is refused
+    # without walking the schedule (2^19 degrees at n = 1, s = 20) or writing
+    # out 2^(s-1); in R^20 a degree-4 block already holds 10,626 at s = 12
+    def enumerated(*args):
+        raise AssertionError("a basis was enumerated past the budget guard")
+
+    monkeypatch.setattr(polyalg, "_grlex_exponents", enumerated)
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError) as err:
+        build()
+    assert time.perf_counter() - t0 < 0.05
+    message = str(err.value)
+    assert message.startswith(f"s {s} ") and str(MAX_BASIS_DIM) in message
+    assert "\n" not in message
+    assert degree_schedule(2, 12)[-1] == 63  # the largest s that fits in R^2
 
 
 def test_monomial_order_constant_first():

@@ -173,10 +173,10 @@ def test_solve_config_rejects_mc_count_below_one(mc_count):
 @pytest.mark.parametrize(
     "field, value, message",
     [
-        ("iters", -3, "iters >= 0"),
-        ("s", 0, "s >= 1"),
-        ("n", 0, "n >= 1"),
-        ("seed", -1, "seed >= 0"),
+        ("iters", -3, "^iters must be >= 0"),
+        ("s", 0, "^s must be >= 1"),
+        ("n", 0, "^n must be >= 1"),
+        ("seed", -1, "^seed must be >= 0"),
     ],
 )
 def test_solve_config_rejects_what_the_cli_rejects(field, value, message):

@@ -6,6 +6,8 @@ module's calls; a traced run stops when one is missing. perfbench/workloads.py
 and run.py call polypart as `pp.<module>.<name>(...)`, which must bind to the
 callable's signature, and count the calls of solver functions they name as
 strings. All three files are read with `ast`, without importing the benchmark.
+A polypart module imports no name it does not use, unless REQUIRED_BINDINGS
+lists that name for it.
 """
 
 import ast
@@ -14,6 +16,7 @@ import inspect
 from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+SRC = Path(__file__).resolve().parents[1] / "src" / "polypart"
 TRACER = PERFBENCH / "tracer.py"
 CALLERS = (PERFBENCH / "workloads.py", PERFBENCH / "run.py")
 
@@ -37,6 +40,25 @@ def test_every_required_binding_is_bound():
         if not callable(getattr(importlib.import_module(f"polypart.{layer}"), name, None))
     ]
     assert missing == []
+
+
+def unused_imports(path: Path) -> set:
+    """The names a module binds by import and never reads."""
+    tree = ast.parse(path.read_text())
+    imports = [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    imported = {
+        alias.asname or alias.name.split(".")[0]
+        for node in imports
+        if getattr(node, "module", None) != "__future__"
+        for alias in node.names
+    }
+    return imported - {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+
+
+def test_every_import_is_used_or_required():
+    required = {(layer, name) for name, layers in required_bindings().items() for layer in layers}
+    unused = {(path.stem, name) for path in SRC.glob("*.py") for name in unused_imports(path)}
+    assert unused - required == set()
 
 
 def _string_arg(call: ast.Call, index: int, keyword: str):
