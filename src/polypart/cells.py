@@ -4,14 +4,17 @@ A sign vector w assigns bit w_j = 0 where P_j > 0 and w_j = 1 where P_j < 0;
 points with any |P_j| at or below tolerance sit on the boundary and belong to
 no cell. Cell entry is decided by sampling for general varieties and exactly
 for lines from the real roots of the univariate restrictions: candidate roots
-certified by Sturm counts, with Sturm-count bisection for the rows that
-certification rejects. Candidates come in closed form at degrees 1 to 3 and
-as companion-matrix eigenvalues above, and for the degree-2 and degree-3 rows
-whose closed-form candidates are rejected. A line's cells follow from root
-parity rather than from evaluating the blocks at the gaps: each restriction
-gives the line's bit at t -> -inf from its trimmed leading coefficient, and
-crossing a root of P_j flips bit j. Certified roots are simple; a bisected
-row keeps only the roots it changes sign at.
+certified by Sturm counts, with Sturm-count bisection, one degree at a time,
+for the rows that certification rejects. Candidates come in closed form at
+degrees 1 to 3 and as companion-matrix eigenvalues above, and for the
+degree-2 and degree-3 rows whose closed-form candidates are rejected. Every
+row gets one Sturm chain, which certification and its retry share: a
+remainder that drops more than one degree is trimmed and the chain goes on,
+and only a chain that meets a nontrivial gcd rejects its row. A line's cells
+follow from root parity rather than from evaluating the blocks at the gaps:
+each restriction gives the line's bit at t -> -inf from its trimmed leading
+coefficient, and crossing a root of P_j flips bit j. Certified roots are
+simple; a bisected row keeps only the roots it changes sign at.
 """
 
 from __future__ import annotations
@@ -216,54 +219,56 @@ def point_counts(points, pvec) -> CellCounts:
 
 # ---------------------------------------------------------------------------
 # Exact cell enumeration along lines via certified real root isolation.
-# Chains are stored descending (np.polyval order), normalized to max |coef| 1.
+# A row of degree d has its Sturm chain as one (d+1, d+1) block: element l in
+# row l, descending (np.polyval order) and right-aligned, scaled to max |coef|
+# 1. A chain that ends early leaves zero rows, which count no variation.
 
 
-def _trim_desc(c):
-    scale = np.abs(c).max()
-    if scale == 0.0:
-        return np.zeros(1)
-    keep = np.abs(c) > _TRIM_TOL * scale
-    first = int(np.argmax(keep))
-    return c[first:]
+def _sturm_chains(P: np.ndarray):
+    """Sturm chains of the rows of one degree d >= 1, padded to (m, d+1, d+1),
+    and a mask of the rows whose chain stopped at a nontrivial gcd.
 
-
-def _rem_desc(f: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Remainder of f modulo g, descending coefficients, lead(g) != 0."""
-    r = f.copy()
-    dg = len(g) - 1
-    while len(r) - 1 >= dg:
-        q = r[0] / g[0]
-        r[: dg + 1] -= q * g
-        r = r[1:]  # the leading term cancels by construction
-    return r
-
-
-def _sturm_chain(c_desc: np.ndarray) -> list[np.ndarray]:
-    p = _trim_desc(c_desc)
-    p = p / np.abs(p).max()
-    chain = [p]
-    if len(p) > 1:
-        dp = p[:-1] * np.arange(len(p) - 1, 0, -1)
-        chain.append(dp / np.abs(dp).max())
-    while len(chain[-1]) > 1:
-        r = _trim_desc(-_rem_desc(chain[-2], chain[-1]))
-        scale = np.abs(r).max()
-        if scale <= _DEGENERATE_TOL:
-            break  # nontrivial gcd; the chain still counts distinct roots
-        chain.append(r / scale)
-    return chain
-
-
-def _pad_chains(chains: list[list[np.ndarray]]):
-    m = len(chains)
-    L = max(len(ch) for ch in chains)
-    width = max(len(el) for ch in chains for el in ch)
-    pad = np.zeros((m, L, width))
-    for i, ch in enumerate(chains):
-        for l, el in enumerate(ch):
-            pad[i, l, width - len(el) :] = el
-    return pad
+    Each chain starts at the row and its derivative, each scaled to max |coef|
+    1; each next element is minus the remainder of the two before it, with its
+    leading coefficients at or below _TRIM_TOL times its largest dropped, scaled
+    to max |coef| 1. A chain ends at a constant, or at a remainder whose largest
+    coefficient is at most _DEGENERATE_TOL: the gcd, where the chain still
+    counts distinct roots. Rows go on in groups of equal (deg f, deg g): until
+    some row drops a degree or meets a gcd, all rows are one group, read as
+    slices of the padded array, and each step eliminates twice."""
+    m, w = P.shape
+    pad = np.zeros((m, w, w))
+    pad[:, 0] = P / np.abs(P).max(axis=1, keepdims=True)
+    g = pad[:, 0, :-1] * np.arange(w - 1, 0, -1)
+    pad[:, 1, 1:] = g / np.abs(g).max(axis=1, keepdims=True)
+    key = np.full(m, (w - 1) * w + w - 2)  # deg f * w + deg g; deg g 0 once a chain ends
+    gcd = np.zeros(m, dtype=bool)
+    mixed = False  # whether some row has dropped a degree or met a gcd
+    for level in range(2, w):
+        now = key.copy()  # the groups of this level, as key moves on
+        for k in np.unique(now) if mixed else now[:1]:
+            df, dg = divmod(int(k), w)
+            if dg == 0:
+                continue
+            rows = np.flatnonzero(now == k) if mixed else slice(None)
+            r = pad[rows, level - 2, w - 1 - df :].copy()
+            g = pad[rows, level - 1, w - 1 - dg :]
+            for _ in range(df - dg + 1):
+                r[:, : dg + 1] -= (r[:, 0] / g[:, 0])[:, None] * g
+                r = r[:, 1:]
+            # a scale at or below _DEGENERATE_TOL marks the gcd; clamped, it divides safely
+            scale = np.maximum(np.abs(r).max(axis=1), _DEGENERATE_TOL)
+            stop = scale <= _DEGENERATE_TOL
+            el = -r / scale[:, None]
+            key[rows] = dg * w + dg - 1  # the new (deg f, deg g) without a drop
+            if (stop | (np.abs(r[:, 0]) <= _TRIM_TOL * scale)).any():  # a gcd or a degree drop
+                mixed = True
+                first = np.argmax(np.abs(r) > _TRIM_TOL * scale[:, None], axis=1)
+                el = np.where((np.arange(dg) >= first[:, None]) & ~stop[:, None], el, 0.0)
+                key[rows] = np.where(stop, 0, dg * w + dg - 1 - first)
+                gcd[rows] = stop
+            pad[rows, level, w - dg :] = el
+    return pad, gcd
 
 
 def _variations(pad, rows, ts):
@@ -294,26 +299,14 @@ def _variations_safe(pad, rows, ts, widths):
     return v, ts
 
 
-def _isolate_by_bisection(coeff_rows) -> list[np.ndarray]:
-    """Sturm-count bisection, batched level-synchronously across rows; raises
+def _isolate_by_bisection(P: np.ndarray):
+    """Sturm-count bisection of the rows of one degree d >= 1 (descending
+    coefficients), batched level-synchronously across rows: (rows, roots),
+    every distinct real root by row and ascending within a row. Raises
     RootIsolationError instead of returning uncertain output."""
-    m = len(coeff_rows)
-    roots: list[list[float]] = [[] for _ in range(m)]
-    chains = []
-    bounds = []
-    live = []
-    for i, asc in enumerate(coeff_rows):
-        desc = _trim_desc(np.asarray(asc, dtype=np.float64)[::-1])
-        if len(desc) <= 1:
-            continue  # constants have no roots; all-zero rows are the caller's job
-        chains.append(_sturm_chain(desc))
-        bounds.append(1.0 + np.abs(desc[1:]).max() / abs(desc[0]))
-        live.append(i)
-    if not chains:
-        return [np.array(r) for r in roots]
-    pad = _pad_chains(chains)
-    M = np.array(bounds)
-    rows = np.arange(len(live))
+    pad, _ = _sturm_chains(P)
+    M = 1.0 + np.abs(P[:, 1:]).max(axis=1) / np.abs(P[:, 0])
+    rows = np.arange(len(P))
     lo, hi = -M, M
     vlo, _ = _variations(pad, rows, lo)
     vhi, _ = _variations(pad, rows, hi)
@@ -366,9 +359,8 @@ def _isolate_by_bisection(coeff_rows) -> list[np.ndarray]:
         raise RootIsolationError("root refinement did not converge")
 
     centers = 0.5 * (a + b)
-    for row, t in zip(r, centers):
-        roots[live[row]].append(float(t))
-    return [np.array(sorted(rs)) for rs in roots]
+    order = np.lexsort((centers, r))
+    return r[order], centers[order]
 
 
 def _as_rows(coeff_rows) -> np.ndarray:
@@ -380,29 +372,6 @@ def _as_rows(coeff_rows) -> np.ndarray:
     for i, r in enumerate(rows):
         C[i, : len(r)] = r
     return C
-
-
-def _sturm_chains_of_degree(P: np.ndarray):
-    """_sturm_chain of rows of one degree d >= 1, padded as by _pad_chains to
-    (m, d+1, d+1), and a mask of rows whose chain dropped a degree or met a gcd."""
-    m, w = P.shape
-    f = P / np.abs(P).max(axis=1, keepdims=True)
-    g = f[:, :-1] * np.arange(w - 1, 0, -1)
-    g /= np.abs(g).max(axis=1, keepdims=True)
-    pad = np.zeros((m, w, w))
-    pad[:, 0], pad[:, 1, 1:] = f, g
-    bad = np.zeros(m, dtype=bool)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # bad rows carry junk
-        for level in range(2, w):
-            r = f.copy()
-            for _ in range(2):  # deg f = deg g + 1
-                r[:, : g.shape[1]] -= (r[:, 0] / g[:, 0])[:, None] * g
-                r = r[:, 1:]
-            scale = np.abs(r).max(axis=1)
-            bad |= (scale <= _DEGENERATE_TOL) | (np.abs(r[:, 0]) <= _TRIM_TOL * scale)
-            f, g = g, -r / scale[:, None]
-            pad[:, level, level:] = g
-    return pad, bad
 
 
 def _companion_roots(P: np.ndarray) -> np.ndarray:
@@ -467,12 +436,13 @@ def _closed_form_roots(P: np.ndarray) -> np.ndarray:
         return np.column_stack([t, np.where(large[:, None], back, fwd)])
 
 
-def _certify(P: np.ndarray, cand: np.ndarray):
+def _certify(P: np.ndarray, pad: np.ndarray, gcd: np.ndarray, cand: np.ndarray):
     """Sturm-count certification of candidate roots cand (m, d) of the rows of
-    one degree d >= 1, non-finite entries standing for none: V(-M) - V(M) must
-    equal the number of finite candidates (M the Cauchy bound), and the
-    brackets [r-h, r+h], h = 0.5e-12*max(1, M), must be disjoint, hold one
-    root each and not end on an exact zero.
+    one degree d >= 1 on their _sturm_chains (pad, gcd), non-finite entries
+    standing for none: the chain must meet no gcd, V(-M) - V(M) must equal the
+    number of finite candidates (M the Cauchy bound), and the brackets
+    [r-h, r+h], h = 0.5e-12*max(1, M), must be disjoint, hold one root each
+    and not end on an exact zero.
 
     Returns (bad, rows, roots): bad flags the rows that fail, and rows, roots
     list every root of the other rows, by row and ascending within a row."""
@@ -483,7 +453,7 @@ def _certify(P: np.ndarray, cand: np.ndarray):
     t = cand[ri, ki]
     M = 1.0 + np.abs(P[:, 1:]).max(axis=1) / np.abs(P[:, 0])
     h = 0.5e-12 * np.maximum(1.0, M[ri])
-    pad, bad = _sturm_chains_of_degree(P)
+    bad = gcd.copy()
     at = np.concatenate([np.arange(m), np.arange(m), ri, ri])
     v, zero = _variations(pad, at, np.concatenate([-M, M, t - h, t + h]))
     v_lo, v_hi, v_a, v_b = np.split(v, np.cumsum([m, m, len(ri)]))
@@ -499,14 +469,18 @@ def _certified_roots(P: np.ndarray):
     """_certify's (bad, rows, roots) for the rows of one degree d >= 1 in
     descending order. Rows of degree 2 and 3 are certified on their closed-form
     roots, and the rows that fail are certified again on their companion
-    eigenvalues; the other degrees take companion eigenvalues at once. A row is
-    bad only when every source it met was rejected."""
+    eigenvalues; the other degrees take companion eigenvalues at once. Both
+    sources share one chain per row. A row is bad only when every source it
+    met was rejected."""
+    pad, gcd = _sturm_chains(P)
     if P.shape[1] not in (3, 4):
-        return _certify(P, _companion_roots(P))
-    bad, ri, t = _certify(P, _closed_form_roots(P))
+        return _certify(P, pad, gcd, _companion_roots(P))
+    bad, ri, t = _certify(P, pad, gcd, _closed_form_roots(P))
     if bad.any():
         redo = np.flatnonzero(bad)
-        bad[redo], ri_redo, t_redo = _certify(P[redo], _companion_roots(P[redo]))
+        bad[redo], ri_redo, t_redo = _certify(
+            P[redo], pad[redo], gcd[redo], _companion_roots(P[redo])
+        )
         ri, t = np.concatenate([ri, redo[ri_redo]]), np.concatenate([t, t_redo])
         order = np.argsort(ri, kind="stable")  # each row's roots stay one ascending run
         ri, t = ri[order], t[order]
@@ -514,8 +488,9 @@ def _certified_roots(P: np.ndarray):
 
 
 def _degrees(C: np.ndarray) -> np.ndarray:
-    """Degree of each row of C trimmed as _trim_desc trims: its last
-    coefficient above _TRIM_TOL times the row's largest; 0 for an all-zero row."""
+    """Degree of each row of C with its leading coefficients at or below
+    _TRIM_TOL times the row's largest dropped, as _sturm_chains drops them from
+    a remainder; 0 for an all-zero row."""
     keep = np.abs(C) > _TRIM_TOL * np.abs(C).max(axis=1, keepdims=True)
     return np.where(keep.any(axis=1), C.shape[1] - 1 - np.argmax(keep[:, ::-1], axis=1), 0)
 
@@ -528,15 +503,18 @@ def _isolate(C: np.ndarray, deg: np.ndarray):
     for d in np.unique(deg[deg > 0]):
         rows = np.flatnonzero(deg == d)
         if d == 1:  # _certified_roots' own bits; its checks pass on every trimmed linear row
-            ri, t = np.arange(len(rows)), -C[rows, 0] / C[rows, 1]
-        else:
-            bad, ri, t = _certified_roots(C[rows, d::-1])
-            bisected[rows[bad]] = True
+            owners.append(rows)
+            roots.append(-C[rows, 0] / C[rows, 1])
+            continue
+        P = C[rows, d::-1]
+        bad, ri, t = _certified_roots(P)
         owners.append(rows[ri])
         roots.append(t)
-    for i, r in zip(np.flatnonzero(bisected), _isolate_by_bisection(C[bisected])):
-        owners.append(np.full(len(r), i))
-        roots.append(r)
+        if bad.any():
+            bisected[rows[bad]] = True
+            ri, t = _isolate_by_bisection(P[bad])
+            owners.append(rows[bad][ri])
+            roots.append(t)
     owners, roots = np.concatenate(owners), np.concatenate(roots)
     order = np.argsort(owners, kind="stable")  # each row's roots are one run
     return owners[order], roots[order], bisected
@@ -548,13 +526,14 @@ def isolate_real_roots_flat(coeff_rows) -> tuple[np.ndarray, np.ndarray]:
     order and ascending within a row.
 
     Takes an (m, w) array or a list of rows. Rows grouped by trimmed degree
-    (as _trim_desc trims) get their roots in closed form at degree 1; above
-    it, _certified_roots certifies closed-form candidates at degrees 2 and 3,
+    (as _degrees trims) get their roots in closed form at degree 1; above it,
+    _certified_roots certifies closed-form candidates at degrees 2 and 3,
     companion eigenvalues at higher degrees and for the degree-2 and -3 rows
-    it rejected on the closed form. The rows that certification rejects get
-    Sturm-count bisection, which raises RootIsolationError rather than return
-    uncertain roots. Each root is within 0.5e-12*max(1, M) of a true root as
-    far as float Sturm counts can tell; near a double root they can be off.
+    it rejected on the closed form, on one Sturm chain per row. The rows of
+    each degree that certification rejects get Sturm-count bisection, which
+    raises RootIsolationError rather than return uncertain roots. Each root
+    is within 0.5e-12*max(1, M) of a true root as far as float Sturm counts
+    can tell; near a double root they can be off.
     """
     C = _as_rows(coeff_rows)
     owners, roots, _ = _isolate(C, _degrees(C))

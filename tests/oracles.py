@@ -4,7 +4,9 @@ No `src/` path calls these. `eval_poly`, `grad` and `restrict_to_line` are
 the one-point forms of the batched kernels, compared within a tolerance.
 `monomial_table_py` and `line_factors_py` spell out, in Python floats, the
 multiplication order `polyalg` fixes, so the kernels must match them bit for
-bit. `restrict_to_line_exact` expands a restriction in exact rationals.
+bit. `restrict_to_line_exact` expands a restriction in exact rationals, and
+`sturm_chain_exact` and `sturm_count_exact` give a row's Sturm chain and its
+count of distinct real roots in them.
 `chart_fd_jacobian` is the central-difference Jacobian the analytic chart
 Jacobian is checked against. `xs_dim`, `region_measure`, `distance_to` and
 `f_delta_v` are closed forms and functionals only the tests read.
@@ -146,6 +148,42 @@ def restrict_to_line_exact(p: Polynomial, point, direction, absolute: bool = Fal
         for k, v in enumerate(poly):
             out[k] += v
     return out
+
+
+def sturm_chain_exact(asc) -> list[list[Fraction]]:
+    """Sturm chain of the ascending coefficients asc (not all zero) in exact
+    rationals, each element descending: the row, its derivative, then minus
+    each remainder, ending at a constant or, for a row with a repeated root,
+    at the gcd of the row and its derivative."""
+    f = [Fraction(float(c)) for c in asc[::-1]]
+    while f[0] == 0:
+        f.pop(0)
+    chain = [f, [c * (len(f) - 1 - i) for i, c in enumerate(f[:-1])]]
+    while len(chain[-1]) > 1:
+        r, g = list(chain[-2]), chain[-1]
+        while len(r) >= len(g):
+            q = r[0] / g[0]
+            r = [a - q * b for a, b in zip(r[1:], g[1:] + [0] * (len(r) - len(g)))]
+        while r and r[0] == 0:
+            r.pop(0)
+        if not r:
+            break
+        chain.append([-c for c in r])
+    return [e for e in chain if e]  # a constant row's derivative is empty
+
+
+def sturm_count_exact(asc) -> int:
+    """Number of distinct real roots of the ascending coefficients asc (not
+    all zero): V(-inf) - V(+inf) of sturm_chain_exact, read from the leading
+    coefficients and degrees of its elements."""
+    chain = sturm_chain_exact(asc)
+    at_plus = [e[0] > 0 for e in chain]
+    at_minus = [(e[0] > 0) == (len(e) % 2 == 1) for e in chain]
+
+    def changes(signs):
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    return changes(at_minus) - changes(at_plus)
 
 
 def chart_fd_jacobian(fun, y, drops, signs, h: float) -> np.ndarray:

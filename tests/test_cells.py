@@ -20,7 +20,7 @@ from polypart.cells import (
     sign_vector_many,
     w_index,
 )
-from oracles import from_terms, restrict_to_line
+from oracles import from_terms, restrict_to_line, sturm_chain_exact, sturm_count_exact
 from polypart.polyalg import MonomialBasis, Polynomial, degree_schedule, restrict_to_line_batch
 from polypart.sphereprod import flip, random_point, to_polys
 from polypart.varieties import circle, kplane, line
@@ -169,6 +169,20 @@ def test_isolation_multiple_roots():
     assert np.allclose(roots, [-2.0, 1.0], atol=1e-9)
 
 
+def bisect_rows(coeff_rows):
+    """_isolate_by_bisection one trimmed degree at a time, split into one
+    array of roots per row; constant and all-zero rows have none."""
+    C = cells._as_rows(coeff_rows)
+    deg = cells._degrees(C)
+    out = [np.zeros(0) for _ in C]
+    for d in np.unique(deg[deg > 0]):
+        rows = np.flatnonzero(deg == d)
+        ri, t = cells._isolate_by_bisection(C[rows, d::-1])
+        for i, r in zip(rows, np.split(t, np.searchsorted(ri, np.arange(1, len(rows))))):
+            out[i] = r
+    return out
+
+
 def cauchy_bound(asc):
     c = np.trim_zeros(np.asarray(asc, dtype=float)[::-1], "f")
     return 1.0 + np.abs(c[1:]).max() / abs(c[0])
@@ -189,7 +203,7 @@ def test_isolation_batched_agrees_with_bisection():
     padded = np.zeros((len(rows), 9))
     for i, r in enumerate(rows):
         padded[i, : len(r)] = r
-    expected = cells._isolate_by_bisection(rows)
+    expected = bisect_rows(rows)
     got_list = isolate_rows(rows)
     got_array = isolate_rows(padded)
     for asc, want, a, b in zip(rows, expected, got_list, got_array):
@@ -211,15 +225,71 @@ def isolation_outcome(fn, rows):
     [
         np.array([1.0 + 1e-10, -(2.0 + 1e-10), 1.0]),  # (t-1)(t-1-1e-10): clustered
         np.array([2.0, -3.0, 0.0, 1.0]),  # (t-1)^2 (t+2): even multiplicity
-        np.array([-1.0, 3.0, 3.0, 1.0]),  # (t+1)^3 - 2: the chain drops a degree
     ],
 )
 def test_isolation_uncertified_rows_take_bisection(asc):
     bad, rows, roots = cells._certified_roots(asc[None, ::-1])
     assert bad.tolist() == [True] and len(rows) == len(roots) == 0
-    assert isolation_outcome(isolate_rows, [asc]) == isolation_outcome(
-        cells._isolate_by_bisection, [asc]
-    )
+    assert isolation_outcome(isolate_rows, [asc]) == isolation_outcome(bisect_rows, [asc])
+
+
+def test_degree_drops_are_certified():
+    # each row's remainder sequence drops more than one degree in a step,
+    # and each row has simple real roots only
+    rows = [
+        ([1.0, 0.0, 0.0, 1.0], [-1.0]),  # t^3 + 1
+        ([1.0, 0.0, 0.0, 2.0], [-(2.0 ** (-1 / 3))]),  # 2t^3 + 1
+        ([-8.0, 0.0, 0.0, 1.0], [2.0]),  # t^3 - 8
+        ([-1.0, 3.0, 3.0, 1.0], [2.0 ** (1 / 3) - 1.0]),  # (t + 1)^3 - 2
+        ([0.0, -1.0, 0.0, 0.0, 0.0, 1.0], [-1.0, 0.0, 1.0]),  # t^5 - t
+        ([-1.0, 0.0, 0.0, 0.0, 1.0], [-1.0, 1.0]),  # t^4 - 1
+    ]
+    for asc, _ in rows:
+        pad, gcd = cells._sturm_chains(np.array([asc[::-1]]))
+        assert not gcd.any() and (np.abs(pad[0]).max(axis=1) > 0).sum() < len(asc)
+    C = cells._as_rows([asc for asc, _ in rows])
+    owners, roots, bisected = cells._isolate(C, cells._degrees(C))
+    assert not bisected.any()
+    for i, (asc, want) in enumerate(rows):
+        h = 0.5e-12 * max(1.0, cauchy_bound(asc))
+        got = roots[owners == i]
+        assert len(got) == len(want) and np.abs(got - want).max() <= h
+
+
+@st.composite
+def sparse_integer_rows(draw):
+    """Rows of one degree d in 2..8, as descending coefficients: small
+    integers, most of them zero, so that remainder sequences drop degrees."""
+    d = draw(st.integers(2, 8))
+    coeff = st.one_of(st.just(0), st.just(0), st.integers(-4, 4))
+    row = st.tuples(st.sampled_from([-3, -2, -1, 1, 2, 3]), st.lists(coeff, min_size=d, max_size=d))
+    rows = draw(st.lists(row, min_size=1, max_size=6))
+    return np.array([[lead, *rest] for lead, rest in rows], dtype=float)
+
+
+@settings(max_examples=300)
+@given(sparse_integer_rows())
+@example(np.array([[1.0, 0, 0, 1], [1, 3, 3, -1], [1, 0, -3, 2]]))  # two drops and a gcd
+def test_sturm_chains_count_as_exact_chains(P):
+    pad, gcd = cells._sturm_chains(P)
+    for i in range(len(P)):  # a row's chain does not depend on its batch
+        alone, gcd_alone = cells._sturm_chains(P[i : i + 1])
+        assert np.array_equal(alone[0], pad[i]) and gcd_alone[0] == gcd[i]
+    # a row with a repeated root can leave a last remainder of rounding noise
+    # above the gcd threshold, so only rows without one are held to the
+    # exact chain's degrees and count
+    exact = [sturm_chain_exact(r[::-1]) for r in P]
+    squarefree = np.array([len(chain[-1]) == 1 for chain in exact])
+    rows = np.flatnonzero(~gcd & squarefree)
+    for i in rows:
+        levels = pad[i][np.abs(pad[i]).max(axis=1) > 0]
+        degrees = P.shape[1] - 1 - np.argmax(levels != 0, axis=1)
+        assert degrees.tolist() == [len(e) - 1 for e in exact[i]]
+    M = 1.0 + np.abs(P[:, 1:]).max(axis=1) / np.abs(P[:, 0])
+    v, zero = cells._variations(pad, np.r_[rows, rows], np.r_[-M[rows], M[rows]])
+    assert not zero.any()
+    want = [sturm_count_exact(P[i, ::-1]) for i in rows]
+    assert (v[: len(rows)] - v[len(rows) :]).tolist() == want
 
 
 def _endpoint_on_root(h):
@@ -263,7 +333,8 @@ def test_certification_rejects_wrong_candidates(monkeypatch, cands):
         ([1.0, 0.0, 1.0, 0.0], [0.0]),  # t^3 + t: one real root, q = 0
         ([1.0, 0.0, -1.0, 0.0], [-1.0, 0.0, 1.0]),  # three real roots, q = 0
         ([1.0, 0.0, 1.0, 1.0], [-0.6823278038280193]),  # Cardano's branch
-        ([2.0, 0.0, 0.0, 1.0], None),  # Cardano's branch with p = 0; the chain drops a degree
+        # Cardano's branch with p = 0; the chain drops a degree
+        ([2.0, 0.0, 0.0, 1.0], [-(2.0 ** (-1 / 3))]),
     ],
 )
 def test_closed_form_roots_warn_nothing(P, want):
@@ -282,7 +353,7 @@ def test_isolation_errors_still_raise(monkeypatch):
     monkeypatch.setattr(cells, "_REFINE_MAX_ITERS", 1)
     asc = np.array([2.0, -3.0, 0.0, 1.0])
     with pytest.raises(RootIsolationError):
-        cells._isolate_by_bisection([asc])
+        bisect_rows([asc])
     with pytest.raises(RootIsolationError):
         isolate_rows([np.array([1.0, -1.0]), asc])
 
@@ -375,8 +446,8 @@ def test_closed_form_candidates_agree_with_eigvals(rows):
     # roots are compared on the rows that eigvals certifies; on a row it
     # rejects, bisection and the closed form each rest on float Sturm
     # readings, which near a double root can stray past the bracket
-    desc = map(cells._trim_desc, C[:, ::-1])
-    M = np.array([1.0 + np.abs(r[1:]).max(initial=0.0) / abs(r[0]) for r in desc])
+    lead = np.abs(C[np.arange(len(C)), deg])
+    M = 1.0 + np.where(np.arange(C.shape[1]) < deg[:, None], np.abs(C), 0.0).max(axis=1) / lead
     near = np.abs(r1 - r2) <= 0.5e-12 * np.maximum(1.0, M[o1])
     assert (near | b2[o1]).all()
 
@@ -664,10 +735,10 @@ def test_seeded_line_solve_bisects_no_row(monkeypatch):
     bisected = []
     real = cells._isolate_by_bisection
     monkeypatch.setattr(
-        cells, "_isolate_by_bisection", lambda rows: bisected.append(len(rows)) or real(rows)
+        cells, "_isolate_by_bisection", lambda P: bisected.append(len(P)) or real(P)
     )
     test_seeded_line_solve_pinned_table()
-    assert bisected and sum(bisected) == 0
+    assert sum(bisected) == 0
 
 
 def test_sampled_counts_pinned_tables():

@@ -7,7 +7,8 @@ and run.py call polypart as `pp.<module>.<name>(...)`, which must bind to the
 callable's signature, and count the calls of solver functions they name as
 strings. All three files are read with `ast`, without importing the benchmark.
 A polypart module imports no name it does not use, unless REQUIRED_BINDINGS
-lists that name for it.
+lists that name for it, and defines no top-level function or class that
+nothing in src/ or perfbench/ names, unless UNREFERENCED lists it.
 """
 
 import ast
@@ -59,6 +60,30 @@ def test_every_import_is_used_or_required():
     required = {(layer, name) for name, layers in required_bindings().items() for layer in layers}
     unused = {(path.stem, name) for path in SRC.glob("*.py") for name in unused_imports(path)}
     assert unused - required == set()
+
+
+# top-level definitions in src/polypart that no code in src/ or perfbench/ names yet
+UNREFERENCED = {
+    ("cli", "load_pvec"): "the README documents it; ROADMAP item 16 gives it a caller",
+    ("cells", "isolate_real_roots_flat"): "ROADMAP item 13 gives it a caller",
+}
+
+
+def test_every_definition_is_referenced():
+    names = set()
+    for path in [*SRC.glob("*.py"), *PERFBENCH.glob("*.py")]:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+    unreferenced = {
+        (path.stem, node.name)
+        for path in SRC.glob("*.py")
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in names
+    }
+    assert unreferenced == set(UNREFERENCED)
 
 
 def _string_arg(call: ast.Call, index: int, keyword: str):
