@@ -25,11 +25,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .polyalg import Polynomial, eval_poly_many, restrict_to_line_batch
+from .polyalg import (
+    Polynomial, _powers, basis_dim, eval_poly_many, line_restriction_tensor, restrict_to_line_batch
+)
 from .varieties import LineSampler, UnsupportedVarietyError, VarietySpec, sample_in_ball
 
 DEFAULT_SIGN_TOL_SCALE = 1e-9
 MAX_S = 20  # most polynomials a cell table (of size 2^s) supports
+# most floats the line-restriction tensors of one CountFrame hold: 64 MiB
+MAX_TENSOR_FLOATS = 2**23
 _DEGENERATE_TOL = 1e-12
 _TRIM_TOL = 1e-14  # a coefficient at or below this times its row's largest is dropped
 _ISOLATION_MAX_SPLITS = 200
@@ -146,19 +150,38 @@ def _entry_table(owners: np.ndarray, idx: np.ndarray, s: int) -> np.ndarray:
     return np.bincount(entered, minlength=2**s).astype(np.int64)
 
 
+def check_line_tensors(Gamma, degrees) -> None:
+    """ValueError, with a message that starts with "s", when the
+    line-restriction tensors of a tuple with these block degrees on the lines
+    of Gamma would hold more than MAX_TENSOR_FLOATS floats: a CountFrame keeps
+    one (dim, m·(D+1)) tensor per distinct degree D for its m lines. Gamma
+    is nonempty; partition_varieties applies it before building any basis or
+    frame."""
+    m = sum(isinstance(g.sampler, LineSampler) for g in Gamma)
+    floats = m * sum(basis_dim(Gamma[0].n, D) * (D + 1) for D in set(degrees))
+    if floats > MAX_TENSOR_FLOATS:
+        raise ValueError(
+            f"s {len(degrees)} on {m} lines needs {floats * 8 / 2**20:.1f} MiB of "
+            f"line-restriction tensors; at most {MAX_TENSOR_FLOATS * 8 // 2**20} MiB are supported"
+        )
+
+
 class CountFrame:
     """A family's count table minus the polynomials: with exact_lines its
-    lines as one stacked frame, whose restrictions share the frame's own
-    binomial-factor cache, and a fixed sample in B_R of every other variety
-    i, on seed (sampling.seed, i), of sampling.count points or the density
-    default at product degree D. column(p) is one polynomial's part of the
-    table, and table(cols) the 2^s table."""
+    lines as one stacked frame, and a fixed sample in B_R of every other
+    variety i, on seed (sampling.seed, i), of sampling.count points or the
+    density default at product degree D. column(p) is one polynomial's part
+    of the table, and table(cols) the 2^s table.
+
+    tensors maps each block basis the frame has served to its
+    line_restriction_tensor and its degenerate scale, filled on first use, so
+    a column restricts p to every line by one matrix product."""
 
     def __init__(self, Gamma, sampling, D, exact_lines=False):
         exact = [exact_lines and isinstance(g.sampler, LineSampler) for g in Gamma]
         lines = [g for g, e in zip(Gamma, exact) if e]
         self.lines = line_frames(lines) if lines else None
-        self.facs = {}
+        self.tensors = {}
         R, count = sampling.R, sampling.count
         samples = [
             sample_in_ball(g, R, count or _auto_count(g, R, D), (sampling.seed, i))
@@ -172,7 +195,7 @@ class CountFrame:
     def column(self, p: Polynomial):
         """p's restriction to the lines, its values at the samples (one
         variety at a time, so each rounds as alone) and its sign tolerance."""
-        restriction = line_restriction_roots(*self.lines, p, self.facs) if self.lines else None
+        restriction = line_restriction_roots(*self.lines, p, self.tensors) if self.lines else None
         vals = [eval_poly_many(p, x) for x in self.samples]
         return restriction, np.concatenate(vals) if vals else None, _sign_tol(p)
 
@@ -491,8 +514,14 @@ def _degrees(C: np.ndarray) -> np.ndarray:
     """Degree of each row of C with its leading coefficients at or below
     _TRIM_TOL times the row's largest dropped, as _sturm_chains drops them from
     a remainder; 0 for an all-zero row."""
-    keep = np.abs(C) > _TRIM_TOL * np.abs(C).max(axis=1, keepdims=True)
-    return np.where(keep.any(axis=1), C.shape[1] - 1 - np.argmax(keep[:, ::-1], axis=1), 0)
+    mag = np.abs(C)
+    return _trimmed_degrees(mag, mag.max(axis=1))
+
+
+def _trimmed_degrees(mag: np.ndarray, top: np.ndarray) -> np.ndarray:
+    """_degrees of the rows whose coefficient magnitudes are mag, with row maxima top."""
+    keep = mag > _TRIM_TOL * top[:, None]
+    return np.where(keep.any(axis=1), mag.shape[1] - 1 - np.argmax(keep[:, ::-1], axis=1), 0)
 
 
 def _isolate(C: np.ndarray, deg: np.ndarray):
@@ -540,9 +569,11 @@ def isolate_real_roots_flat(coeff_rows) -> tuple[np.ndarray, np.ndarray]:
     return owners, roots
 
 
-def _restriction_scale(p: Polynomial, A: np.ndarray) -> np.ndarray:
-    reach = 1.0 + np.abs(A).max(axis=1)
-    return max(1.0, p.coeff_norm()) * np.maximum(1.0, reach) ** p.basis.D
+def _reach_power(A: np.ndarray, D: int) -> np.ndarray:
+    """(1 + max_i |A_ki|)^D per line, by repeated multiplication. A degree-D
+    restriction is degenerate where its largest coefficient is below
+    _DEGENERATE_TOL * max(1, |p|) times this."""
+    return _powers(1.0 + np.abs(A).max(axis=1), D)[:, D]
 
 
 def line_frames(lines: list[VarietySpec]) -> tuple[np.ndarray, np.ndarray]:
@@ -612,16 +643,28 @@ def _sign_changes(C, owners, roots):
 
 
 def line_restriction_roots(
-    A: np.ndarray, U: np.ndarray, p: Polynomial, facs: dict | None = None
+    A: np.ndarray, U: np.ndarray, p: Polynomial, tensors: dict | None = None
 ) -> LineRestriction:
     """Restrict p to the lines of the stacked frame (A, U), isolate the roots
-    and read the start bits; facs is restrict_to_line_batch's factor cache for
-    this frame. Certified roots are simple; a root of a bisected row is kept
-    only where the row changes sign, so no root of even multiplicity is kept."""
-    C = restrict_to_line_batch(p, A, U, facs)
-    degenerate = np.abs(C).max(axis=1) < _DEGENERATE_TOL * _restriction_scale(p, A)
+    and read the start bits. tensors is a CountFrame's cache for this frame,
+    which gains p's basis on first use: the restriction is then one product
+    with the cached tensor, whose last bits follow the BLAS kernel, and equals
+    restrict_to_line_batch's uncached one. Certified roots are simple; a root
+    of a bisected row is kept only where the row changes sign, so no root of
+    even multiplicity is kept."""
+    D = p.basis.D
+    if tensors is None:
+        C, reach = restrict_to_line_batch(p, A, U), _reach_power(A, D)
+    else:
+        if p.basis not in tensors:
+            tensors[p.basis] = line_restriction_tensor(p.basis, A, U), _reach_power(A, D)
+        T, reach = tensors[p.basis]
+        C = (p.coeffs @ T).reshape(-1, D + 1)
+    mag = np.abs(C)
+    top = mag.max(axis=1)
+    degenerate = top < _DEGENERATE_TOL * (max(1.0, p.coeff_norm()) * reach)
     C[degenerate] = 0.0
-    deg = _degrees(C)
+    deg = np.where(degenerate, 0, _trimmed_degrees(mag, top))
     owners, roots, bisected = _isolate(C, deg)
     check = bisected[owners]
     if check.any():

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import equivariant as eq
-from .cells import MAX_S, CellCounts, SamplingConfig, index_w, line_cell_sets
+from .cells import MAX_S, CellCounts, SamplingConfig, check_line_tensors, index_w, line_cell_sets
 from .mollifier import DELTA_GRID, check_delta_grid, i_delta, schedule
 from .polyalg import MonomialBasis, Polynomial, degree_schedule, grad_bound
 from .solver import (
@@ -401,6 +401,7 @@ def cmd_partition(args) -> int:
         write_report(args.out, rep, "partition", {"input": args.input})
         return 0
     _translated(family_dims, inst.varieties, prefix="")
+    _translated(check_line_tensors, inst.varieties, degree_schedule(inst.n, args.s))
     rep = partition_varieties(inst.varieties, cfg)
     write_report(args.out, rep, "partition", {"input": args.input})
     return 0

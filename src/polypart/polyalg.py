@@ -189,27 +189,23 @@ def grad_bound(basis: MonomialBasis, R: float) -> float:
     return math.sqrt(len(basis)) * basis.n * basis.D * max(1.0, R) ** (basis.D - 1)
 
 
-def restrict_to_line_batch(
-    p: Polynomial, A: np.ndarray, U: np.ndarray, facs: dict | None = None
-) -> np.ndarray:
-    """Ascending coefficients of t -> p(A_k + t U_k) for the m lines given by
-    the rows of A and U, shape (m, D+1).
+def line_restriction_tensor(basis: MonomialBasis, A: np.ndarray, U: np.ndarray) -> np.ndarray:
+    """The restriction of every monomial of `basis` to the m lines given by the
+    rows of A and U, shape (dim, m·(D+1)): row i holds monomial i's ascending
+    coefficients in t -> (A_k + t U_k)^e_i, line by line.
 
-    facs caches the ascending coefficients of (A_i + U_i t)^e per line under
-    (i, e) and gains what it lacks; only calls on the same A, U may share one.
-    Entry r is C(e, r) * A_i^(e-r) * U_i^r, multiplied left to right, with
-    the powers built as monomial_matrix builds them.
+    A monomial is the convolution, from 1.0 and coordinate by coordinate, of
+    its factors (A_i + U_i t)^e, whose entry r is C(e, r) * A_i^(e-r) * U_i^r,
+    multiplied left to right, with the powers built as monomial_matrix builds
+    them. Each factor is built once and shared by the monomials that use it.
     """
     A = np.asarray(A, dtype=np.float64)
     U = np.asarray(U, dtype=np.float64)
     m = A.shape[0]
-    out = np.zeros((m, p.basis.D + 1))
-    if facs is None:
-        facs = {}
-    for expo, c in zip(p.basis.monomials, p.coeffs):
-        if c == 0.0:
-            continue
-        conv = np.full((m, 1), c)
+    out = np.zeros((len(basis), m, basis.D + 1))
+    facs = {}
+    for row, expo in enumerate(basis.monomials):
+        conv = np.ones((m, 1))
         for i, e in enumerate(expo):
             if e == 0:
                 continue
@@ -222,5 +218,13 @@ def restrict_to_line_batch(
             for k in range(conv.shape[1]):
                 new[:, k : k + e + 1] += conv[:, k : k + 1] * fac
             conv = new
-        out[:, : conv.shape[1]] += conv
-    return out
+        out[row, :, : conv.shape[1]] = conv
+    return out.reshape(len(basis), -1)
+
+
+def restrict_to_line_batch(p: Polynomial, A: np.ndarray, U: np.ndarray) -> np.ndarray:
+    """Ascending coefficients of t -> p(A_k + t U_k) for the m lines given by
+    the rows of A and U, shape (m, D+1): one product of p's coefficients with
+    line_restriction_tensor, whose last bits follow the BLAS kernel, as
+    eval_poly_many's matrix-vector product does."""
+    return (p.coeffs @ line_restriction_tensor(p.basis, A, U)).reshape(-1, p.basis.D + 1)

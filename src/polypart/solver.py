@@ -194,6 +194,7 @@ def partition_varieties(Gamma: list[VarietySpec], cfg: SolveConfig) -> Partition
     if n != cfg.n:
         raise ValueError(f"config n = {cfg.n} but varieties live in R^{n}")
     sched = degree_schedule(n, cfg.s)
+    cells_mod.check_line_tensors(Gamma, sched)
     D = sum(sched)
     sampling = cfg.sampling or SamplingConfig(seed=cfg.seed)
     bases = [monomial_basis(n, Dj) for Dj in sched]

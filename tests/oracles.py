@@ -125,8 +125,8 @@ def monomial_table_py(X: np.ndarray, basis: MonomialBasis) -> np.ndarray:
 
 
 def line_factors_py(a: float, u: float, e: int) -> list[float]:
-    """Ascending coefficients of (a + u t)^e as restrict_to_line_batch caches
-    them in Python floats: C(e, r) * a^(e-r) * u^r, powers as above."""
+    """Ascending coefficients of (a + u t)^e as line_restriction_tensor builds
+    them, in Python floats: C(e, r) * a^(e-r) * u^r, powers as above."""
     pa, pu = _powers_py(a, e), _powers_py(u, e)
     return [float(math.comb(e, r)) * pa[e - r] * pu[r] for r in range(e + 1)]
 

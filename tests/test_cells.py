@@ -633,6 +633,37 @@ def test_line_restriction_rows_match_restrict_to_line_batch():
     assert cells.line_restriction_roots(A, U, X).degenerate.tolist() == [False] * 30 + [True]
 
 
+@settings(max_examples=40)
+@given(st.integers(2, 3), st.integers(1, 6), st.integers(1, 80), st.integers(0, 2**32 - 1))
+def test_frame_column_equals_uncached_restriction(n, s, m, seed):
+    # one frame serves a random tuple, then a second one on the same tensors:
+    # each column's restriction equals the uncached one field for field, bit for bit
+    rng = np.random.default_rng(seed)
+    lines = [random_line(rng, n) for _ in range(m)]
+    frame = cells.CountFrame(lines, SamplingConfig(), 0, exact_lines=True)
+    for x in (random_point(s, (seed, 0)), random_point(s, (seed, 1))):
+        for p in to_polys(x, n):
+            got = frame.column(p)[0]
+            want = cells.line_restriction_roots(*cells.line_frames(lines), p)
+            for a, b in zip(got, want, strict=True):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def test_frame_builds_each_tensor_once(monkeypatch):
+    # 50 proposals over the six blocks of s = 6 build one tensor per distinct degree
+    built = []
+    real = cells.line_restriction_tensor
+    monkeypatch.setattr(
+        cells, "line_restriction_tensor", lambda b, A, U: built.append(b.D) or real(b, A, U)
+    )
+    frame = cells.CountFrame(unit_disk_lines(40), SamplingConfig(), 0, exact_lines=True)
+    rng = np.random.default_rng(6)
+    degs = degree_schedule(2, 6)
+    for _ in range(50):
+        frame.column(random_unit_poly(rng, 2, degs[rng.integers(6)]))
+    assert sorted(built) == sorted(set(degs)) == sorted(b.D for b in frame.tensors)
+
+
 def test_near_zero_restrictions_read_by_parity():
     xaxis = line((0.0, 0.0), (1.0, 0.0))
     # (x-1)^2 + 2e-11 has no real root, and at x = 1 it is 2e-11 above zero

@@ -221,6 +221,30 @@ def test_basis_budget_exit_2(tmp_path, capsys, monkeypatch, command):
         polyalg.MonomialBasis(2, 1023)
 
 
+def test_line_tensor_budget_exit_2(tmp_path, capsys, monkeypatch):
+    # s = 12 in R^2 keeps 206,319 tensor floats per line, so 40 lines fit the
+    # budget of 2^23 floats and 41 do not; the guard refuses them before any
+    # count frame is built, in the library and on the command line
+    from polypart import cells
+    from polypart.solver import SolveConfig, partition_varieties
+
+    def built(*args, **kwargs):
+        raise AssertionError("a count frame was built past the tensor guard")
+
+    monkeypatch.setattr(cells, "CountFrame", built)
+    out = tmp_path / "o"
+    inst = lines_instance(tmp_path, num=41)
+    assert main(["partition", "--input", inst, "--s", "12", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "--s 12 on 41 lines" in err and len(err.strip().splitlines()) == 1
+    assert not out.exists()
+    with pytest.raises(ValueError, match="^s 12 on 41 lines needs 64.5 MiB"):
+        partition_varieties(load_instance(inst).varieties, SolveConfig(s=12, n=2))
+    inst = lines_instance(tmp_path, num=40)
+    with pytest.raises(AssertionError, match="past the tensor guard"):
+        main(["partition", "--input", inst, "--s", "12", "--out", str(out)])
+
+
 @pytest.mark.parametrize(
     "varieties, why",
     [

@@ -18,7 +18,7 @@ from oracles import (
     restrict_to_line,
     restrict_to_line_exact,
 )
-from polypart import polyalg
+from polypart import cells, polyalg
 from polypart.polyalg import (
     MAX_BASIS_DIM,
     MonomialBasis,
@@ -27,6 +27,7 @@ from polypart.polyalg import (
     degree_schedule,
     eval_poly_many,
     grad_bound,
+    line_restriction_tensor,
     monomial_basis,
     monomial_matrix,
     restrict_to_line_batch,
@@ -265,8 +266,8 @@ def test_restrict_to_line_batch_matches_single():
 
 def test_restrict_to_line_batch_pinned_bits():
     # 200 lines through the unit disk and one random polynomial per block
-    # degree of s = 4; the digest pins the rows of one fresh factor cache per
-    # call, so reusing a factor must not move a single bit
+    # degree of s = 4; the digest pins the rows of one uncached restriction
+    # per call, which a frame's cached tensors must reproduce bit for bit
     rng = np.random.default_rng(21)
     theta = rng.uniform(0.0, 2 * np.pi, size=200)
     U = np.stack([np.cos(theta), np.sin(theta)], axis=1)
@@ -276,13 +277,13 @@ def test_restrict_to_line_batch_pinned_bits():
         basis = monomial_basis(2, D)
         p = Polynomial(basis, rng.normal(size=len(basis)))
         h.update(restrict_to_line_batch(p, A, U).tobytes())
-    assert h.hexdigest() == "1d2788cfa6e78d1d146d7a1df888cef70217bc87a79812fd593018c4a0437fe2"
+    assert h.hexdigest() == "e548f392718ffea5d8a27bbc2f1eb2610a16948c6bbddf20ad391f1ab6bf0934"
 
 
 def test_restrict_to_line_batch_shared_factors_pinned_bits():
-    # the pinned digest above again, with one factor cache shared by every
-    # block degree, filled in ascending and in descending degree order: a
-    # factor built for one polynomial must serve the next bit for bit
+    # the pinned digest above again, from the tensors of one frame's cache
+    # shared by every block degree, filled in ascending and in descending
+    # degree order: the cache must serve the uncached bits
     rng = np.random.default_rng(21)
     theta = rng.uniform(0.0, 2 * np.pi, size=200)
     U = np.stack([np.cos(theta), np.sin(theta)], axis=1)
@@ -292,13 +293,14 @@ def test_restrict_to_line_batch_shared_factors_pinned_bits():
         basis = monomial_basis(2, D)
         polys.append(Polynomial(basis, rng.normal(size=len(basis))))
     for fill in (polys, polys[::-1]):
-        facs = {}
-        rows = {id(p): restrict_to_line_batch(p, A, U, facs) for p in fill}
-        assert sorted(facs) == [(i, e) for i in range(2) for e in range(1, 4)]
+        tensors = {}
+        for p in fill:
+            cells.line_restriction_roots(A, U, p, tensors)
+        assert sorted(b.D for b in tensors) == [1, 2, 3]
         h = hashlib.sha256()
         for p in polys:
-            h.update(rows[id(p)].tobytes())
-        assert h.hexdigest() == "1d2788cfa6e78d1d146d7a1df888cef70217bc87a79812fd593018c4a0437fe2"
+            h.update((p.coeffs @ tensors[p.basis][0]).reshape(200, -1).tobytes())
+        assert h.hexdigest() == "e548f392718ffea5d8a27bbc2f1eb2610a16948c6bbddf20ad391f1ab6bf0934"
 
 
 def test_monomial_matrix_rounds_as_gather_prod():
@@ -340,14 +342,17 @@ def test_line_factors_equal_python_loop_on_any_floats(n, D, data):
     shape = st.tuples(st.integers(1, 4), st.just(n))
     A = data.draw(hnp.arrays(np.float64, shape, elements=_any_float))
     U = data.draw(hnp.arrays(np.float64, A.shape, elements=_any_float))
+    # the tensor rows of the pure powers x_i^e are the line factors themselves
     basis = monomial_basis(n, D)
-    facs = {}
     with np.errstate(all="ignore"):
-        restrict_to_line_batch(Polynomial(basis, np.ones(len(basis))), A, U, facs)
-    assert sorted(facs) == [(i, e) for i in range(n) for e in range(1, D + 1)]
-    for (i, e), fac in facs.items():
+        T = line_restriction_tensor(basis, A, U).reshape(len(basis), len(A), D + 1)
+    powers = [(row, int(np.argmax(e)), max(e)) for row, e in enumerate(basis.monomials)
+              if max(e) == sum(e) > 0]
+    assert len(powers) == n * D
+    for row, i, e in powers:
         ref = [line_factors_py(a, u, e) for a, u in zip(A[:, i].tolist(), U[:, i].tolist())]
-        assert np.array_equal(fac, np.array(ref), equal_nan=True)
+        assert np.array_equal(T[row, :, : e + 1], np.array(ref), equal_nan=True)
+        assert not T[row, :, e + 1 :].any()
 
 
 def test_restrict_to_line_batch_within_rounding_of_exact():

@@ -461,21 +461,25 @@ def test_default_grid_skips_the_certified_levels(monkeypatch):
 
 
 def test_line_restrictions_per_solve(monkeypatch):
-    # every line restriction goes through the cells.restrict_to_line_batch
-    # binding, which the benchmark's tracer wraps: s per restart's starting
-    # point, one per proposal and s per restart's recount. The annealing
-    # frame's calls share one factor cache; each recount's s calls share a
-    # cache of their own, which neither that frame nor another recount sees
+    # each frame builds one restriction tensor per distinct block basis, on
+    # first use, and every later proposal reuses it: the annealing frame, then
+    # each restart's recount, which builds a frame of its own and so tensors
+    # that neither the annealing frame nor another recount sees. No proposal
+    # takes restrict_to_line_batch's uncached path
     from polypart import solver as solver_mod
 
-    caches = []
-    real = cells_mod.restrict_to_line_batch
+    builds = []
+    real = cells_mod.line_restriction_tensor
 
-    def counted(p, A, U, facs=None):
-        caches.append(facs)
-        return real(p, A, U, facs)
+    def counted(basis, A, U):
+        builds.append((basis.D, A))
+        return real(basis, A, U)
 
-    monkeypatch.setattr(cells_mod, "restrict_to_line_batch", counted)
+    def uncached(*args):
+        raise AssertionError("a line restriction bypassed its frame's tensors")
+
+    monkeypatch.setattr(cells_mod, "line_restriction_tensor", counted)
+    monkeypatch.setattr(cells_mod, "restrict_to_line_batch", uncached)
     steps = []
     real_step = solver_mod._step_block
 
@@ -490,13 +494,13 @@ def test_line_restrictions_per_solve(monkeypatch):
     cfg = SolveConfig(s=3, n=2, restarts=2, iters=25, seed=5)
     partition_varieties(Gamma, cfg)
     assert len(steps) > 0
-    recounts = cfg.restarts * cfg.s
-    assert len(caches) == cfg.restarts * cfg.s + len(steps) + recounts
-    annealed, rest = caches[:-recounts], caches[-recounts:]
-    groups = [annealed] + [rest[i : i + cfg.s] for i in range(0, recounts, cfg.s)]
-    for group in groups:
-        assert isinstance(group[0], dict) and all(f is group[0] for f in group)
-    assert len({id(group[0]) for group in groups}) == 1 + cfg.restarts
+    degrees = sorted(set(degree_schedule(2, cfg.s)))  # [1, 2]: blocks 1 and 2 share a basis
+    frames = [builds[i : i + len(degrees)] for i in range(0, len(builds), len(degrees))]
+    assert len(frames) == 1 + cfg.restarts
+    for frame in frames:
+        assert [D for D, _ in frame] == degrees
+        assert all(A is frame[0][1] for _, A in frame)  # one frame's lines
+    assert len({id(frame[0][1]) for frame in frames}) == len(frames)
 
 
 def test_partition_self_check_names_first_differing_cell(monkeypatch):
