@@ -4,8 +4,8 @@ A sign vector w assigns bit w_j = 0 where P_j > 0 and w_j = 1 where P_j < 0;
 points with any |P_j| at or below tolerance sit on the boundary and belong to
 no cell. Cell entry is decided by sampling for general varieties and exactly
 for lines from the real roots of the univariate restrictions: candidate roots
-certified by Sturm counts, with Sturm-count bisection, one degree at a time,
-for the rows that certification rejects. Candidates come in closed form at
+certified by Sturm counts, with exact isolation in integers for the rows that
+certification rejects. Candidates come in closed form at
 degrees 1 to 3 and as companion-matrix eigenvalues above, and for the
 degree-2 and degree-3 rows whose closed-form candidates are rejected. Every
 row gets one Sturm chain, which certification and its retry share: a
@@ -14,7 +14,8 @@ and only a chain that meets a nontrivial gcd rejects its row. A line's cells
 follow from root parity rather than from evaluating the blocks at the gaps:
 each restriction gives the line's bit at t -> -inf from its trimmed leading
 coefficient, and crossing a root of P_j flips bit j. Certified roots are
-simple; a bisected row keeps only the roots it changes sign at.
+simple; an exactly isolated root comes once per unit of its multiplicity, so
+a cluster flips the bit only for an odd count.
 """
 
 from __future__ import annotations
@@ -36,12 +37,10 @@ MAX_S = 20  # most polynomials a cell table (of size 2^s) supports
 MAX_TENSOR_FLOATS = 2**23
 _DEGENERATE_TOL = 1e-12
 _TRIM_TOL = 1e-14  # a coefficient at or below this times its row's largest is dropped
-_ISOLATION_MAX_SPLITS = 200
-_REFINE_MAX_ITERS = 260
 
 
 class RootIsolationError(RuntimeError):
-    """Raised when univariate root isolation cannot certify a result."""
+    """Raised when a row to isolate has a non-finite coefficient."""
 
 
 def w_index(w) -> int:
@@ -219,11 +218,14 @@ def counts(
     """Per-cell counts of varieties entering each sign cell.
 
     With exact_lines=True, line varieties are counted by exact root isolation
-    over the whole line instead of sampling; other kinds always sample.
+    over the whole line instead of sampling, after check_line_tensors; other
+    kinds always sample.
     """
     s = len(pvec)
     if s > MAX_S:
         raise ValueError(f"cell tables support at most {MAX_S} polynomials, got {s}")
+    if exact_lines and Gamma:
+        check_line_tensors(Gamma, [p.basis.D for p in pvec])
     # a frame of its own: a solver's self-check shares no cache with its evaluator
     frame = CountFrame(Gamma, sampling, sum(p.degree() for p in pvec), exact_lines)
     return CellCounts(s, frame.table([frame.column(p) for p in pvec]))
@@ -309,81 +311,115 @@ def _variations(pad, rows, ts):
     return count, vals[:, 0] == 0.0
 
 
-def _variations_safe(pad, rows, ts, widths):
-    """Variations with evaluation points nudged off exact roots of p0."""
-    v, zero = _variations(pad, rows, ts)
-    tries = 0
-    while np.any(zero):
-        tries += 1
-        if tries > 8:
-            raise RootIsolationError("could not evaluate Sturm chain off a root")
-        ts = np.where(zero, ts + widths * (1e-3 * tries), ts)
-        v, zero = _variations(pad, rows, ts)
-    return v, ts
+# The exact fallback for the rows certification rejects. A float row is a
+# polynomial with dyadic rational coefficients; scaled to integers, its
+# square-free parts, their Sturm chains and their signs at dyadic points p/2^K
+# are exact in Python integers. A polynomial here is a list of ints,
+# descending. A part is known up to a constant factor, and a chain element up
+# to a positive one, which keeps its signs.
 
 
-def _isolate_by_bisection(P: np.ndarray):
-    """Sturm-count bisection of the rows of one degree d >= 1 (descending
-    coefficients), batched level-synchronously across rows: (rows, roots),
-    every distinct real root by row and ascending within a row. Raises
-    RootIsolationError instead of returning uncertain output."""
-    pad, _ = _sturm_chains(P)
-    M = 1.0 + np.abs(P[:, 1:]).max(axis=1) / np.abs(P[:, 0])
-    rows = np.arange(len(P))
-    lo, hi = -M, M
-    vlo, _ = _variations(pad, rows, lo)
-    vhi, _ = _variations(pad, rows, hi)
+def _primitive(f):
+    """f with its leading zeros dropped, divided by the positive gcd of its coefficients."""
+    while f and f[0] == 0:
+        f = f[1:]
+    g = math.gcd(*f)
+    return [c // g for c in f] if g > 1 else f
 
-    # phase 1: split until every interval holds exactly one distinct root
-    work = (rows, lo, hi, vlo, vhi)
-    iso_rows, iso_lo, iso_hi = [], [], []
-    for _ in range(_ISOLATION_MAX_SPLITS):
-        r, a, b, va, vb = work
-        nroots = va - vb
-        one = nroots == 1
-        iso_rows.append(r[one])
-        iso_lo.append(a[one])
-        iso_hi.append(b[one])
-        multi = nroots > 1
-        if not np.any(multi):
+
+def _derivative(f):
+    return [c * (len(f) - 1 - i) for i, c in enumerate(f[:-1])]
+
+
+def _divide(f, g):
+    """Pseudo-division by g, leading coefficient nonzero: (q, r) with
+    |g_0|^k f = q g + r for some k >= 0 and r of lower degree than g."""
+    lead, q, r = abs(g[0]), [], f
+    while len(r) >= len(g):
+        c = r[0] if g[0] > 0 else -r[0]
+        q = [lead * x for x in q] + [c]
+        r = [lead * a - c * b for a, b in zip(r[1:], g[1:] + [0] * (len(r) - len(g)))]
+    return q, r
+
+
+def _exact_sturm_chain(f):
+    """f, f', then minus each next remainder, made primitive, to the last
+    nonzero one: Sturm's chain of f, ending at gcd(f, f')."""
+    chain = [f, _primitive(_derivative(f))]
+    while len(chain[-1]) > 1:
+        r = _primitive(_divide(chain[-2], chain[-1])[1])
+        if not r:
             break
-        r, a, b, va, vb = r[multi], a[multi], b[multi], va[multi], vb[multi]
-        mid = 0.5 * (a + b)
-        vmid, mid = _variations_safe(pad, r, mid, b - a)
-        work = (
-            np.concatenate([r, r]),
-            np.concatenate([a, mid]),
-            np.concatenate([mid, b]),
-            np.concatenate([va, vmid]),
-            np.concatenate([vmid, vb]),
-        )
-    else:
-        raise RootIsolationError("root isolation failed to separate roots")
+        chain.append([-c for c in r])
+    return chain
 
-    r = np.concatenate(iso_rows)
-    a = np.concatenate(iso_lo)
-    b = np.concatenate(iso_hi)
-    va, _ = _variations(pad, r, a)
 
-    # phase 2: shrink each isolated interval by count-preserving bisection
-    tol = 1e-12 * np.maximum(1.0, M[r])
-    for _ in range(_REFINE_MAX_ITERS):
-        active = (b - a) > tol
-        if not np.any(active):
-            break
-        mid = 0.5 * (a + b)
-        vmid, mid = _variations_safe(pad, r[active], mid[active], (b - a)[active])
-        go_left = (va[active] - vmid) >= 1
-        b[active] = np.where(go_left, mid, b[active])
-        new_a = np.where(go_left, a[active], mid)
-        va[active] = np.where(go_left, va[active], vmid)
-        a[active] = new_a
-    else:
-        raise RootIsolationError("root refinement did not converge")
+def _squarefree_parts(f):
+    """The square-free factorization of f, of degree >= 1, as [(part,
+    multiplicity)]: with g_0 = f and g_i = gcd(g_(i-1), g_(i-1)'), the
+    quotient h_i = g_(i-1)/g_i has each root of multiplicity at least i once,
+    and h_i/h_(i+1), where not constant, is the part of multiplicity i."""
+    g = [f]
+    while len(g[-1]) > 1:
+        g.append(_primitive(_exact_sturm_chain(g[-1])[-1]))
+    h = [_primitive(_divide(a, b)[0]) for a, b in zip(g, g[1:])] + [[1]]
+    pairs = enumerate(zip(h, h[1:]), 1)
+    return [(_primitive(_divide(a, b)[0]), i) for i, (a, b) in pairs if len(a) > len(b)]
 
-    centers = 0.5 * (a + b)
-    order = np.lexsort((centers, r))
-    return r[order], centers[order]
+
+def _exact_variations(chain, p, K) -> int:
+    """Sign variations of the chain at p/2^K, zeros skipped, each sign that of
+    2^(K deg g) g(p/2^K) by Horner in integers. V(a) - V(b) is the number of
+    distinct roots in (a, b]."""
+    signs = []
+    for g in chain:
+        v = 0
+        for i, c in enumerate(g):
+            v = v * p + (c << (K * i))
+        if v:
+            signs.append(v > 0)
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def _part_roots(f) -> list[float]:
+    """The real roots of the square-free f, of degree >= 1, ascending: Sturm
+    bisection from the Cauchy bound 2^k until each bracket (a, b] holds one
+    root and is at most 2^-41*max(1, min(|a|, |b|)) wide, then the float
+    nearest its center. A bracket of width 1 at scale 2^-K moves to 2^-(K+1)."""
+    if len(f) == 2:
+        return [-f[1] / f[0]]  # a quotient of ints, correctly rounded
+    chain = _exact_sturm_chain(f)
+    k = max(1, max(abs(c).bit_length() for c in f[1:]) - abs(f[0]).bit_length() + 2)
+    lo, hi = -(1 << k), 1 << k
+    work = [(lo, hi, 0, _exact_variations(chain, lo, 0), _exact_variations(chain, hi, 0))]
+    roots = []
+    while work:
+        a, b, K, va, vb = work.pop()
+        if va - vb == 1 and (b - a) << 41 <= max(1 << K, min(abs(a), abs(b))):
+            roots.append((a + b) / (1 << (K + 1)))
+        elif va > vb:
+            if b - a == 1:
+                a, b, K = 2 * a, 2 * b, K + 1
+            mid = (a + b) >> 1
+            vm = _exact_variations(chain, mid, K)
+            work += [(mid, b, K, vm, vb), (a, mid, K, va, vm)]  # the left half first
+    return roots
+
+
+def _exact_roots(P: np.ndarray):
+    """Every real root of the finite rows of one degree d >= 1 (descending,
+    leading coefficient nonzero), taken as the exact dyadic rationals they
+    are: (rows, roots), by row and ascending within a row. Each root comes
+    once per unit of its multiplicity, within 0.5e-12*max(1, |root|)."""
+    rows, roots = [], []
+    for i, row in enumerate(P.tolist()):
+        ratios = [c.as_integer_ratio() for c in row]
+        den = max(d for _, d in ratios)  # every denominator is a power of 2
+        f = _primitive([n * (den // d) for n, d in ratios])
+        t = sorted(r for part, mult in _squarefree_parts(f) for r in _part_roots(part) * mult)
+        rows += [i] * len(t)
+        roots += t
+    return np.array(rows, dtype=np.int64), np.array(roots, dtype=np.float64)
 
 
 def _as_rows(coeff_rows) -> np.ndarray:
@@ -526,8 +562,11 @@ def _trimmed_degrees(mag: np.ndarray, top: np.ndarray) -> np.ndarray:
 
 def _isolate(C: np.ndarray, deg: np.ndarray):
     """isolate_real_roots_flat of the (m, w) array C with trimmed degrees deg,
-    plus the mask of rows that certification rejected and bisection isolated."""
-    bisected = np.zeros(len(C), dtype=bool)
+    plus the mask of rows that certification rejected and _exact_roots isolated."""
+    if not np.isfinite(C).all():
+        row = np.argmin(np.isfinite(C).all(axis=1))
+        raise RootIsolationError(f"row {row} has a non-finite coefficient")
+    fallback = np.zeros(len(C), dtype=bool)
     owners, roots = [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
     for d in np.unique(deg[deg > 0]):
         rows = np.flatnonzero(deg == d)
@@ -540,29 +579,30 @@ def _isolate(C: np.ndarray, deg: np.ndarray):
         owners.append(rows[ri])
         roots.append(t)
         if bad.any():
-            bisected[rows[bad]] = True
-            ri, t = _isolate_by_bisection(P[bad])
+            fallback[rows[bad]] = True
+            ri, t = _exact_roots(P[bad])
             owners.append(rows[bad][ri])
             roots.append(t)
     owners, roots = np.concatenate(owners), np.concatenate(roots)
     order = np.argsort(owners, kind="stable")  # each row's roots are one run
-    return owners[order], roots[order], bisected
+    return owners[order], roots[order], fallback
 
 
 def isolate_real_roots_flat(coeff_rows) -> tuple[np.ndarray, np.ndarray]:
-    """All distinct real roots of ascending-coefficient univariate polynomials,
-    as (owners, roots): each root with its row index, grouped by row in row
-    order and ascending within a row.
+    """All real roots of ascending-coefficient univariate polynomials, as
+    (owners, roots): each root with its row index, grouped by row in row order
+    and ascending within a row.
 
-    Takes an (m, w) array or a list of rows. Rows grouped by trimmed degree
-    (as _degrees trims) get their roots in closed form at degree 1; above it,
-    _certified_roots certifies closed-form candidates at degrees 2 and 3,
-    companion eigenvalues at higher degrees and for the degree-2 and -3 rows
-    it rejected on the closed form, on one Sturm chain per row. The rows of
-    each degree that certification rejects get Sturm-count bisection, which
-    raises RootIsolationError rather than return uncertain roots. Each root
-    is within 0.5e-12*max(1, M) of a true root as far as float Sturm counts
-    can tell; near a double root they can be off.
+    Takes an (m, w) array or a list of finite rows; a non-finite row raises
+    RootIsolationError. Rows grouped by trimmed degree (as _degrees trims) get
+    their roots in closed form at degree 1; above it, _certified_roots
+    certifies closed-form candidates at degrees 2 and 3, companion eigenvalues
+    at higher degrees and for the degree-2 and -3 rows it rejected on the
+    closed form, on one Sturm chain per row. A certified root is simple and
+    within 0.5e-12*max(1, M) of a true root as far as float Sturm counts can
+    tell; near a double root they can be off. The rows that certification
+    rejects go to _exact_roots, which returns each root once per unit of its
+    multiplicity, within 0.5e-12*max(1, |root|) of the true one.
     """
     C = _as_rows(coeff_rows)
     owners, roots, _ = _isolate(C, _degrees(C))
@@ -590,8 +630,9 @@ class LineRestriction(NamedTuple):
     """One polynomial p restricted to m lines t -> A[i] + t*U[i].
 
     degenerate: the lines inside Z(p), whose restrictions vanish;
-    owners, roots: every real root at which p changes sign, with the index of
-        its line, grouped by line;
+    owners, roots: every real root, once per unit of its multiplicity, with
+        the index of its line, grouped by line; p changes sign at a cluster
+        of an odd number of them;
     start: each line's bit at t -> -inf, set where p is negative there: the
         sign of the trimmed leading coefficient times (-1)^degree.
     """
@@ -602,46 +643,6 @@ class LineRestriction(NamedTuple):
     start: np.ndarray
 
 
-def _exact_sign(c, t) -> int:
-    """Sign of the ascending coefficients c at t, in exact rational arithmetic."""
-    from fractions import Fraction  # only this rare path needs it; it adds ~2 ms to every import
-
-    v, t = Fraction(0), Fraction(float(t))
-    for ck in c[::-1]:
-        v = v * t + Fraction(float(ck))
-    return (v > 0) - (v < 0)
-
-
-def _sign_changes(C, owners, roots):
-    """Which of the given roots of the rows of C their row changes sign at.
-
-    Each row is read by Horner between its consecutive roots and beyond its
-    extreme roots by max(1, |root|). A reading within Horner's rounding bound
-    of zero is redone in exact rational arithmetic; an exact zero raises
-    RootIsolationError.
-    """
-    rows = C[owners]
-    same = owners[1:] == owners[:-1]
-    mid = 0.5 * (roots[1:] + roots[:-1])
-    reach = np.maximum(1.0, np.abs(roots))
-    before = np.where(np.r_[False, same], np.r_[0.0, mid], roots - reach)
-    after = np.where(np.r_[same, False], np.r_[mid, 0.0], roots + reach)
-    signs = []
-    for t in (before, after):
-        v, bound = rows[:, -1], np.abs(rows[:, -1])
-        for k in range(rows.shape[1] - 2, -1, -1):
-            v = v * t + rows[:, k]
-            bound = bound * np.abs(t) + np.abs(rows[:, k])
-        sign = np.sign(v)
-        for k in np.flatnonzero(np.abs(v) <= 2 * rows.shape[1] * np.finfo(float).eps * bound):
-            sign[k] = _exact_sign(rows[k], t[k])
-        if not sign.all():
-            k = np.argmin(np.abs(sign))
-            raise RootIsolationError(f"ambiguous sign reading on line {owners[k]} at t = {t[k]}")
-        signs.append(sign < 0)
-    return signs[0] != signs[1]
-
-
 def line_restriction_roots(
     A: np.ndarray, U: np.ndarray, p: Polynomial, tensors: dict | None = None
 ) -> LineRestriction:
@@ -649,9 +650,7 @@ def line_restriction_roots(
     and read the start bits. tensors is a CountFrame's cache for this frame,
     which gains p's basis on first use: the restriction is then one product
     with the cached tensor, whose last bits follow the BLAS kernel, and equals
-    restrict_to_line_batch's uncached one. Certified roots are simple; a root
-    of a bisected row is kept only where the row changes sign, so no root of
-    even multiplicity is kept."""
+    restrict_to_line_batch's uncached one."""
     D = p.basis.D
     if tensors is None:
         C, reach = restrict_to_line_batch(p, A, U), _reach_power(A, D)
@@ -665,12 +664,7 @@ def line_restriction_roots(
     degenerate = top < _DEGENERATE_TOL * (max(1.0, p.coeff_norm()) * reach)
     C[degenerate] = 0.0
     deg = np.where(degenerate, 0, _trimmed_degrees(mag, top))
-    owners, roots, bisected = _isolate(C, deg)
-    check = bisected[owners]
-    if check.any():
-        keep = ~check
-        keep[check] = _sign_changes(C, owners[check], roots[check])
-        owners, roots = owners[keep], roots[keep]
+    owners, roots, _ = _isolate(C, deg)
     start = (C[np.arange(len(C)), deg] < 0) != (deg % 2 == 1)
     return LineRestriction(degenerate, owners, roots, start)
 
@@ -729,8 +723,10 @@ def cell_table_from_roots(restrictions: list[LineRestriction]) -> np.ndarray:
 
 def line_cell_sets(lines: list[VarietySpec], pvec) -> list[set]:
     """Exact sets of sign vectors each line enters (batched over lines); an
-    empty set means the line lies inside some Z(P_j), boundary everywhere."""
+    empty set means the line lies inside some Z(P_j), boundary everywhere.
+    check_line_tensors applies first."""
     A, U = line_frames(lines)
+    check_line_tensors(lines, [p.basis.D for p in pvec])
     out: list[set] = [set() for _ in lines]
     for i, w in zip(*_line_cells([line_restriction_roots(A, U, p) for p in pvec])):
         out[i].add(index_w(int(w), len(pvec)))

@@ -6,7 +6,7 @@ the one-point forms of the batched kernels, compared within a tolerance.
 multiplication order `polyalg` fixes, so the kernels must match them bit for
 bit. `restrict_to_line_exact` expands a restriction in exact rationals, and
 `sturm_chain_exact` and `sturm_count_exact` give a row's Sturm chain and its
-count of distinct real roots in them.
+count of distinct real roots in them, and `sign_exact` its sign at a float.
 `chart_fd_jacobian` is the central-difference Jacobian the analytic chart
 Jacobian is checked against. `xs_dim`, `region_measure`, `distance_to` and
 `f_delta_v` are closed forms and functionals only the tests read.
@@ -184,6 +184,14 @@ def sturm_count_exact(asc) -> int:
         return sum(a != b for a, b in zip(signs, signs[1:]))
 
     return changes(at_minus) - changes(at_plus)
+
+
+def sign_exact(asc, t: float) -> int:
+    """Sign of the ascending float coefficients asc at the float t, in exact rationals."""
+    v, t = Fraction(0), Fraction(float(t))
+    for c in asc[::-1]:
+        v = v * t + Fraction(float(c))
+    return (v > 0) - (v < 0)
 
 
 def chart_fd_jacobian(fun, y, drops, signs, h: float) -> np.ndarray:

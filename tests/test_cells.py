@@ -4,10 +4,10 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from polypart import cells
+from polypart import cells, polyalg
 from polypart.cells import (
     CellCounts,
     RootIsolationError,
@@ -20,7 +20,7 @@ from polypart.cells import (
     sign_vector_many,
     w_index,
 )
-from oracles import from_terms, restrict_to_line, sturm_chain_exact, sturm_count_exact
+from oracles import from_terms, restrict_to_line, sign_exact, sturm_chain_exact, sturm_count_exact
 from polypart.polyalg import MonomialBasis, Polynomial, degree_schedule, restrict_to_line_batch
 from polypart.sphereprod import flip, random_point, to_polys
 from polypart.varieties import circle, kplane, line
@@ -90,6 +90,25 @@ def test_counts_exact_lines_match_enumeration():
     cfg = SamplingConfig(R=4.0, count=2048, seed=3)
     Gamma = [line((0.0, 1.0), (1.0, 0.0)), line((1.0, 0.0), (0.0, 1.0))]
     assert counts(Gamma, [X, Y], cfg, exact_lines=True) == counts(Gamma, [X, Y], cfg)
+
+
+def test_library_paths_guard_the_tensor_size(monkeypatch):
+    # degree 40 in R^2 on 300 lines needs 300 * 861 * 41 floats, 81 MiB, just
+    # over the cap: both paths raise before building a tensor
+    def build(*args):
+        raise AssertionError("a tensor was built past the size guard")
+
+    monkeypatch.setattr(cells, "line_restriction_tensor", build)
+    monkeypatch.setattr(polyalg, "line_restriction_tensor", build)
+    lines = unit_disk_lines(0, m=300)
+    p = from_terms(2, {(40, 0): 1.0, (0, 0): -1.0})
+    calls = [
+        lambda: counts(lines, [p], SamplingConfig(), exact_lines=True),
+        lambda: line_cell_sets(lines, [p]),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="^s 1 on 300 lines needs 80.8 MiB"):
+            call()
 
 
 def test_counts_point_variety_single_cell():
@@ -162,22 +181,30 @@ def test_isolation_matches_companion_oracle():
                 assert np.allclose(mine, expected, atol=1e-6, rtol=1e-6)
 
 
+def within_h(got, want):
+    """got matches want root for root, each within h = 0.5e-12*max(1, |root|)."""
+    want = np.asarray(want, dtype=float)
+    return len(got) == len(want) and bool(
+        (np.abs(got - want) <= 0.5e-12 * np.maximum(1.0, np.abs(want))).all()
+    )
+
+
 def test_isolation_multiple_roots():
-    # (t-1)^2 (t+2): distinct roots {-2, 1}, one with even multiplicity
+    # (t-1)^2 (t+2): the root 1 comes once per unit of its multiplicity
     asc = np.array([2.0, -3.0, 0.0, 1.0])
     (roots,) = isolate_rows([asc])
-    assert np.allclose(roots, [-2.0, 1.0], atol=1e-9)
+    assert within_h(roots, [-2.0, 1.0, 1.0])
 
 
-def bisect_rows(coeff_rows):
-    """_isolate_by_bisection one trimmed degree at a time, split into one
-    array of roots per row; constant and all-zero rows have none."""
+def fallback_rows(coeff_rows):
+    """_exact_roots one trimmed degree at a time, split into one array of
+    roots per row; constant and all-zero rows have none."""
     C = cells._as_rows(coeff_rows)
     deg = cells._degrees(C)
     out = [np.zeros(0) for _ in C]
     for d in np.unique(deg[deg > 0]):
         rows = np.flatnonzero(deg == d)
-        ri, t = cells._isolate_by_bisection(C[rows, d::-1])
+        ri, t = cells._exact_roots(C[rows, d::-1])
         for i, r in zip(rows, np.split(t, np.searchsorted(ri, np.arange(1, len(rows))))):
             out[i] = r
     return out
@@ -189,6 +216,7 @@ def cauchy_bound(asc):
 
 
 def test_isolation_batched_agrees_with_bisection():
+    # certified rows against the exact fallback on the same rows
     rng = np.random.default_rng(10)
     rows = []
     for deg in range(1, 9):
@@ -203,7 +231,7 @@ def test_isolation_batched_agrees_with_bisection():
     padded = np.zeros((len(rows), 9))
     for i, r in enumerate(rows):
         padded[i, : len(r)] = r
-    expected = bisect_rows(rows)
+    expected = fallback_rows(rows)
     got_list = isolate_rows(rows)
     got_array = isolate_rows(padded)
     for asc, want, a, b in zip(rows, expected, got_list, got_array):
@@ -213,24 +241,73 @@ def test_isolation_batched_agrees_with_bisection():
             assert np.abs(a - want).max() <= 1e-12 * max(1.0, cauchy_bound(asc))
 
 
-def isolation_outcome(fn, rows):
-    try:
-        return [r.tolist() for r in fn(rows)]
-    except RootIsolationError:
-        return "RootIsolationError"
+def brackets_a_sign_change(asc, root):
+    """Whether the row asc takes opposite exact signs at root -+ 0.5e-12*max(1, |root|)."""
+    h = 0.5e-12 * max(1.0, abs(root))
+    return sign_exact(asc, root - h) * sign_exact(asc, root + h) == -1
 
 
 @pytest.mark.parametrize(
-    "asc",
+    "asc, mult, want",
     [
-        np.array([1.0 + 1e-10, -(2.0 + 1e-10), 1.0]),  # (t-1)(t-1-1e-10): clustered
-        np.array([2.0, -3.0, 0.0, 1.0]),  # (t-1)^2 (t+2): even multiplicity
+        # None marks a root with no closed form here
+        pytest.param([1.0 + 1e-10, -(2.0 + 1e-10), 1.0], [1, 1], [None] * 2, id="asc0"),
+        pytest.param([2.0, -3.0, 0.0, 1.0], [1, 2], [-2, 1, 1], id="asc1"),
+        pytest.param(
+            [0.0, 2.0, 3.0, 0.0, 0.0, -1.0, -5.0, -3.0],
+            [2, 1, 1, 1],
+            [-1, -1, None, 0, None],
+            id="asc2",
+        ),
+        pytest.param([-1.0, 0.0, 1.0, 2.0**-45], [1, 1, 1], [None] * 3, id="asc3"),
     ],
 )
-def test_isolation_uncertified_rows_take_bisection(asc):
+def test_isolation_uncertified_rows_take_bisection(asc, mult, want):
+    # (t-1)(t-1-1e-10) raised and (t-1)^2 (t+2) came back 1e-8 off at the float
+    # bisection; -3t^7 - 5t^6 - t^5 + 3t^2 + 2t has a double root at -1; the
+    # last row's leading coefficient is 2^-45 of its largest. Each row fails
+    # certification and takes the exact fallback.
+    asc = np.array(asc)
     bad, rows, roots = cells._certified_roots(asc[None, ::-1])
     assert bad.tolist() == [True] and len(rows) == len(roots) == 0
-    assert isolation_outcome(isolate_rows, [asc]) == isolation_outcome(bisect_rows, [asc])
+    (got,) = isolate_rows([asc])
+    assert np.array_equal(got, fallback_rows([asc])[0])
+    values, mults = np.unique(got, return_counts=True)
+    assert mults.tolist() == mult and len(mult) == sturm_count_exact(asc)
+    known = [i for i, w in enumerate(want) if w is not None]
+    assert within_h(got[known], [want[i] for i in known])
+    # every root of odd multiplicity is bracketed by an exact sign change
+    assert all(brackets_a_sign_change(asc, t) for t in values[mults % 2 == 1])
+
+
+@st.composite
+def repeated_root_rows(draw):
+    """(descending integer row times a power of two, its real roots with
+    multiplicity): a product of (t - r)^m over distinct integers r and at most
+    one (t^2 - q)^m, q = -1 giving no real root; degree 2 to 8, m 1 to 3."""
+    root = st.tuples(st.integers(-6, 6), st.integers(1, 3))
+    factors = draw(st.lists(root, min_size=1, max_size=4, unique_by=lambda f: f[0]))
+    q, mq = draw(st.sampled_from([-1, 2, 3, 5])), draw(st.integers(0, 2))
+    assume(2 <= sum(m for _, m in factors) + 2 * mq <= 8)
+    row, roots = np.array([1.0]), []
+    for r, m in factors:
+        row = np.polymul(row, np.poly([r] * m))
+        roots += [float(r)] * m
+    for _ in range(mq):
+        row = np.polymul(row, [1.0, 0.0, -q])
+    if q > 0:
+        roots += [math.sqrt(q), -math.sqrt(q)] * mq
+    return row * 2.0 ** draw(st.integers(-40, 40)), sorted(roots)
+
+
+@settings(max_examples=200)
+@given(repeated_root_rows())
+def test_exact_fallback_on_repeated_roots(case):
+    P, want = case
+    ri, got = cells._exact_roots(P[None])
+    assert ri.tolist() == [0] * len(got)
+    assert within_h(got, want)
+    assert len(np.unique(got)) == sturm_count_exact(P[::-1])
 
 
 def test_degree_drops_are_certified():
@@ -248,8 +325,8 @@ def test_degree_drops_are_certified():
         pad, gcd = cells._sturm_chains(np.array([asc[::-1]]))
         assert not gcd.any() and (np.abs(pad[0]).max(axis=1) > 0).sum() < len(asc)
     C = cells._as_rows([asc for asc, _ in rows])
-    owners, roots, bisected = cells._isolate(C, cells._degrees(C))
-    assert not bisected.any()
+    owners, roots, fallback = cells._isolate(C, cells._degrees(C))
+    assert not fallback.any()
     for i, (asc, want) in enumerate(rows):
         h = 0.5e-12 * max(1.0, cauchy_bound(asc))
         got = roots[owners == i]
@@ -316,7 +393,7 @@ def test_certification_rejects_wrong_candidates(monkeypatch, cands):
     monkeypatch.setattr(cells, "_closed_form_roots", lambda P: np.array([cands]))
     bad, rows, roots = cells._certified_roots(P)
     assert not bad.any() and rows.tolist() == [0, 0] and roots.tolist() == [-1.0, 1.0]
-    assert not cells._isolate(P[:, ::-1], np.array([2]))[2].any()  # nothing bisected
+    assert not cells._isolate(P[:, ::-1], np.array([2]))[2].any()  # no fallback row
     # both sources are wrong: the row is rejected
     monkeypatch.setattr(cells, "_companion_roots", lambda P: np.array([cands]))
     bad, rows, roots = cells._certified_roots(P)
@@ -349,18 +426,16 @@ def test_closed_form_roots_warn_nothing(P, want):
         assert not bad.any() and np.allclose(roots, want, rtol=0.0, atol=1e-15)
 
 
-def test_isolation_errors_still_raise(monkeypatch):
-    monkeypatch.setattr(cells, "_REFINE_MAX_ITERS", 1)
-    asc = np.array([2.0, -3.0, 0.0, 1.0])
-    with pytest.raises(RootIsolationError):
-        bisect_rows([asc])
-    with pytest.raises(RootIsolationError):
-        isolate_rows([np.array([1.0, -1.0]), asc])
+def test_isolation_errors_still_raise():
+    # only a non-finite row raises; a finite nonzero row always gets its roots
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(RootIsolationError, match="row 1 has a non-finite coefficient"):
+            isolate_rows([np.array([1.0, -1.0]), np.array([2.0, bad, 1.0])])
 
 
 def test_isolation_silences_overflow_on_rejected_rows():
-    # 1 + 1e-300 t + t^3: its remainder sequence divides by 1e-300 and
-    # overflows on a row that certification rejects and bisection isolates
+    # 1 + 1e-300 t + t^3: its float remainder sequence divides by 1e-300 and
+    # overflows, and certification rejects the row
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         owners, roots = isolate_real_roots_flat(np.array([[1.0, 1e-300, 0.0, 1.0]]))
@@ -679,15 +754,12 @@ def test_near_zero_restrictions_read_by_parity():
 def test_tangent_line_through_the_fallback():
     xaxis = line((0.0, 0.0), (1.0, 0.0))
     # along the x-axis P1 is (t-1)^2 (t+2): certification rejects the row, and
-    # bisection returns the double root as 1.00000001, where P1 keeps its sign
+    # the exact fallback returns the double root twice, which flips no bit
     p1 = from_terms(2, {(3, 0): 1.0, (1, 0): -3.0, (0, 0): 2.0, (0, 1): -1.0})
     p2 = from_terms(2, {(1, 0): 1.0, (0, 0): -0.5})
     C = restrict_to_line_batch(p1, *cells.line_frames([xaxis]))
     assert cells._certified_roots(C[:, ::-1])[0].tolist() == [True]
     assert line_cell_sets([xaxis], [p1, p2])[0] == {(0, 0), (0, 1), (1, 1)}
-    # a reading on an exact zero raises: t^3 - t at 0, between the roots -1 and 1
-    with pytest.raises(RootIsolationError, match="ambiguous sign reading on line 0"):
-        cells._sign_changes(np.array([[0.0, -1.0, 0.0, 1.0]]), np.zeros(2, int), np.array([-1.0, 1.0]))
 
 
 def fan_tuple(degs, center, rng):
@@ -762,14 +834,12 @@ def test_seeded_line_solve_pinned_table():
 
 
 def test_seeded_line_solve_bisects_no_row(monkeypatch):
-    # the pinned solve above, with every row that reaches Sturm bisection counted
-    bisected = []
-    real = cells._isolate_by_bisection
-    monkeypatch.setattr(
-        cells, "_isolate_by_bisection", lambda P: bisected.append(len(P)) or real(P)
-    )
+    # the pinned solve above, with every row that reaches the exact fallback counted
+    fallback = []
+    real = cells._exact_roots
+    monkeypatch.setattr(cells, "_exact_roots", lambda P: fallback.append(len(P)) or real(P))
     test_seeded_line_solve_pinned_table()
-    assert sum(bisected) == 0
+    assert sum(fallback) == 0
 
 
 def test_sampled_counts_pinned_tables():

@@ -165,6 +165,12 @@ def test_verify_commands_pass(capsys):
     assert "PASS" in out
 
 
+def test_cli_import_leaves_fractions_unimported():
+    # perfbench's setup_s times a fresh import, and fractions alone adds about 4 ms
+    code = "import sys, polypart.cli; sys.exit('fractions' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code]).returncode == 0
+
+
 def test_console_script_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "polypart.cli", "verify-spectrum", "--s", "4"],
