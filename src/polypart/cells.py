@@ -3,19 +3,16 @@
 A sign vector w assigns bit w_j = 0 where P_j > 0 and w_j = 1 where P_j < 0;
 points with any |P_j| at or below tolerance sit on the boundary and belong to
 no cell. Cell entry is decided by sampling for general varieties and exactly
-for lines from the real roots of the univariate restrictions: candidate roots
-certified by Sturm counts, with exact isolation in integers for the rows that
-certification rejects. Candidates come in closed form at
-degrees 1 to 3 and as companion-matrix eigenvalues above, and for the
-degree-2 and degree-3 rows whose closed-form candidates are rejected. Every
-row gets one Sturm chain, which certification and its retry share: a
-remainder that drops more than one degree is trimmed and the chain goes on,
-and only a chain that meets a nontrivial gcd rejects its row. A line's cells
-follow from root parity rather than from evaluating the blocks at the gaps:
-each restriction gives the line's bit at t -> -inf from its trimmed leading
-coefficient, and crossing a root of P_j flips bit j. Certified roots are
-simple; an exactly isolated root comes once per unit of its multiplicity, so
-a cluster flips the bit only for an odd count.
+for lines from the real roots of the univariate restrictions: candidate
+roots, in closed form at degrees 1 to 3 and as companion-matrix eigenvalues
+above, certified by Sturm counts on one float chain per row. A chain that
+meets a near-zero remainder or drops a degree rejects its row, as does a
+failed count, and every rejected row is isolated exactly in integers. A
+line's cells follow from root parity rather than from evaluating the blocks
+at the gaps: each restriction gives the line's bit at t -> -inf from its
+trimmed leading coefficient, and crossing a root of P_j flips bit j.
+Certified roots are simple; an exactly isolated root comes once per unit of
+its multiplicity, so a cluster flips the bit only for an odd count.
 """
 
 from __future__ import annotations
@@ -37,6 +34,9 @@ MAX_S = 20  # most polynomials a cell table (of size 2^s) supports
 MAX_TENSOR_FLOATS = 2**23
 _DEGENERATE_TOL = 1e-12
 _TRIM_TOL = 1e-14  # a coefficient at or below this times its row's largest is dropped
+# a Sturm remainder at or below this in every coefficient (chain elements are
+# scaled to max |coef| 1) marks a gcd or a near one: its row is rejected
+_NEAR_GCD_TOL = 1e-10
 
 
 class RootIsolationError(RuntimeError):
@@ -251,49 +251,32 @@ def point_counts(points, pvec) -> CellCounts:
 
 def _sturm_chains(P: np.ndarray):
     """Sturm chains of the rows of one degree d >= 1, padded to (m, d+1, d+1),
-    and a mask of the rows whose chain stopped at a nontrivial gcd.
+    and a mask of the rows whose float chain is not to be trusted.
 
     Each chain starts at the row and its derivative, each scaled to max |coef|
-    1; each next element is minus the remainder of the two before it, with its
-    leading coefficients at or below _TRIM_TOL times its largest dropped, scaled
-    to max |coef| 1. A chain ends at a constant, or at a remainder whose largest
-    coefficient is at most _DEGENERATE_TOL: the gcd, where the chain still
-    counts distinct roots. Rows go on in groups of equal (deg f, deg g): until
-    some row drops a degree or meets a gcd, all rows are one group, read as
-    slices of the padded array, and each step eliminates twice."""
+    1; each next element is minus the remainder of the two before it, by two
+    eliminations, scaled to max |coef| 1. A remainder whose largest
+    coefficient is at most _NEAR_GCD_TOL (a gcd, or a near one) or whose
+    leading one is at most _TRIM_TOL times its largest (a degree drop) flags
+    its row, and that row's chain is zero from there on."""
     m, w = P.shape
     pad = np.zeros((m, w, w))
     pad[:, 0] = P / np.abs(P).max(axis=1, keepdims=True)
     g = pad[:, 0, :-1] * np.arange(w - 1, 0, -1)
     pad[:, 1, 1:] = g / np.abs(g).max(axis=1, keepdims=True)
-    key = np.full(m, (w - 1) * w + w - 2)  # deg f * w + deg g; deg g 0 once a chain ends
-    gcd = np.zeros(m, dtype=bool)
-    mixed = False  # whether some row has dropped a degree or met a gcd
+    flag = np.zeros(m, dtype=bool)
     for level in range(2, w):
-        now = key.copy()  # the groups of this level, as key moves on
-        for k in np.unique(now) if mixed else now[:1]:
-            df, dg = divmod(int(k), w)
-            if dg == 0:
-                continue
-            rows = np.flatnonzero(now == k) if mixed else slice(None)
-            r = pad[rows, level - 2, w - 1 - df :].copy()
-            g = pad[rows, level - 1, w - 1 - dg :]
-            for _ in range(df - dg + 1):
-                r[:, : dg + 1] -= (r[:, 0] / g[:, 0])[:, None] * g
-                r = r[:, 1:]
-            # a scale at or below _DEGENERATE_TOL marks the gcd; clamped, it divides safely
-            scale = np.maximum(np.abs(r).max(axis=1), _DEGENERATE_TOL)
-            stop = scale <= _DEGENERATE_TOL
-            el = -r / scale[:, None]
-            key[rows] = dg * w + dg - 1  # the new (deg f, deg g) without a drop
-            if (stop | (np.abs(r[:, 0]) <= _TRIM_TOL * scale)).any():  # a gcd or a degree drop
-                mixed = True
-                first = np.argmax(np.abs(r) > _TRIM_TOL * scale[:, None], axis=1)
-                el = np.where((np.arange(dg) >= first[:, None]) & ~stop[:, None], el, 0.0)
-                key[rows] = np.where(stop, 0, dg * w + dg - 1 - first)
-                gcd[rows] = stop
-            pad[rows, level, w - dg :] = el
-    return pad, gcd
+        r = pad[:, level - 2, level - 2 :].copy()
+        g = pad[:, level - 1, level - 1 :]
+        lead = np.where(flag, 1.0, g[:, 0])  # a flagged row's g is zero
+        for _ in range(2):
+            r[:, : g.shape[1]] -= (r[:, 0] / lead)[:, None] * g
+            r = r[:, 1:]
+        scale = np.abs(r).max(axis=1)
+        flag |= (scale <= _NEAR_GCD_TOL) | (np.abs(r[:, 0]) <= _TRIM_TOL * scale)
+        el = -r / np.maximum(scale, _NEAR_GCD_TOL)[:, None]  # clamped, a zero scale divides safely
+        pad[:, level, level:] = np.where(flag[:, None], 0.0, el)
+    return pad, flag
 
 
 def _variations(pad, rows, ts):
@@ -495,11 +478,11 @@ def _closed_form_roots(P: np.ndarray) -> np.ndarray:
         return np.column_stack([t, np.where(large[:, None], back, fwd)])
 
 
-def _certify(P: np.ndarray, pad: np.ndarray, gcd: np.ndarray, cand: np.ndarray):
+def _certify(P: np.ndarray, pad: np.ndarray, flag: np.ndarray, cand: np.ndarray):
     """Sturm-count certification of candidate roots cand (m, d) of the rows of
-    one degree d >= 1 on their _sturm_chains (pad, gcd), non-finite entries
-    standing for none: the chain must meet no gcd, V(-M) - V(M) must equal the
-    number of finite candidates (M the Cauchy bound), and the brackets
+    one degree d >= 1 on their _sturm_chains (pad, flag), non-finite entries
+    standing for none: the chain must not be flagged, V(-M) - V(M) must equal
+    the number of finite candidates (M the Cauchy bound), and the brackets
     [r-h, r+h], h = 0.5e-12*max(1, M), must be disjoint, hold one root each
     and not end on an exact zero.
 
@@ -512,7 +495,7 @@ def _certify(P: np.ndarray, pad: np.ndarray, gcd: np.ndarray, cand: np.ndarray):
     t = cand[ri, ki]
     M = 1.0 + np.abs(P[:, 1:]).max(axis=1) / np.abs(P[:, 0])
     h = 0.5e-12 * np.maximum(1.0, M[ri])
-    bad = gcd.copy()
+    bad = flag.copy()
     at = np.concatenate([np.arange(m), np.arange(m), ri, ri])
     v, zero = _variations(pad, at, np.concatenate([-M, M, t - h, t + h]))
     v_lo, v_hi, v_a, v_b = np.split(v, np.cumsum([m, m, len(ri)]))
@@ -526,30 +509,15 @@ def _certify(P: np.ndarray, pad: np.ndarray, gcd: np.ndarray, cand: np.ndarray):
 
 def _certified_roots(P: np.ndarray):
     """_certify's (bad, rows, roots) for the rows of one degree d >= 1 in
-    descending order. Rows of degree 2 and 3 are certified on their closed-form
-    roots, and the rows that fail are certified again on their companion
-    eigenvalues; the other degrees take companion eigenvalues at once. Both
-    sources share one chain per row. A row is bad only when every source it
-    met was rejected."""
-    pad, gcd = _sturm_chains(P)
-    if P.shape[1] not in (3, 4):
-        return _certify(P, pad, gcd, _companion_roots(P))
-    bad, ri, t = _certify(P, pad, gcd, _closed_form_roots(P))
-    if bad.any():
-        redo = np.flatnonzero(bad)
-        bad[redo], ri_redo, t_redo = _certify(
-            P[redo], pad[redo], gcd[redo], _companion_roots(P[redo])
-        )
-        ri, t = np.concatenate([ri, redo[ri_redo]]), np.concatenate([t, t_redo])
-        order = np.argsort(ri, kind="stable")  # each row's roots stay one ascending run
-        ri, t = ri[order], t[order]
-    return bad, ri, t
+    descending order, on closed-form candidates at degrees 2 and 3 and on
+    companion eigenvalues at the other degrees."""
+    cand = _closed_form_roots(P) if P.shape[1] in (3, 4) else _companion_roots(P)
+    return _certify(P, *_sturm_chains(P), cand)
 
 
 def _degrees(C: np.ndarray) -> np.ndarray:
     """Degree of each row of C with its leading coefficients at or below
-    _TRIM_TOL times the row's largest dropped, as _sturm_chains drops them from
-    a remainder; 0 for an all-zero row."""
+    _TRIM_TOL times the row's largest dropped; 0 for an all-zero row."""
     mag = np.abs(C)
     return _trimmed_degrees(mag, mag.max(axis=1))
 
@@ -561,12 +529,10 @@ def _trimmed_degrees(mag: np.ndarray, top: np.ndarray) -> np.ndarray:
 
 
 def _isolate(C: np.ndarray, deg: np.ndarray):
-    """isolate_real_roots_flat of the (m, w) array C with trimmed degrees deg,
-    plus the mask of rows that certification rejected and _exact_roots isolated."""
+    """isolate_real_roots_flat of the (m, w) array C with trimmed degrees deg."""
     if not np.isfinite(C).all():
         row = np.argmin(np.isfinite(C).all(axis=1))
         raise RootIsolationError(f"row {row} has a non-finite coefficient")
-    fallback = np.zeros(len(C), dtype=bool)
     owners, roots = [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
     for d in np.unique(deg[deg > 0]):
         rows = np.flatnonzero(deg == d)
@@ -579,13 +545,12 @@ def _isolate(C: np.ndarray, deg: np.ndarray):
         owners.append(rows[ri])
         roots.append(t)
         if bad.any():
-            fallback[rows[bad]] = True
             ri, t = _exact_roots(P[bad])
             owners.append(rows[bad][ri])
             roots.append(t)
     owners, roots = np.concatenate(owners), np.concatenate(roots)
     order = np.argsort(owners, kind="stable")  # each row's roots are one run
-    return owners[order], roots[order], fallback
+    return owners[order], roots[order]
 
 
 def isolate_real_roots_flat(coeff_rows) -> tuple[np.ndarray, np.ndarray]:
@@ -596,17 +561,16 @@ def isolate_real_roots_flat(coeff_rows) -> tuple[np.ndarray, np.ndarray]:
     Takes an (m, w) array or a list of finite rows; a non-finite row raises
     RootIsolationError. Rows grouped by trimmed degree (as _degrees trims) get
     their roots in closed form at degree 1; above it, _certified_roots
-    certifies closed-form candidates at degrees 2 and 3, companion eigenvalues
-    at higher degrees and for the degree-2 and -3 rows it rejected on the
-    closed form, on one Sturm chain per row. A certified root is simple and
-    within 0.5e-12*max(1, M) of a true root as far as float Sturm counts can
-    tell; near a double root they can be off. The rows that certification
-    rejects go to _exact_roots, which returns each root once per unit of its
+    certifies closed-form candidates at degrees 2 and 3 and companion
+    eigenvalues at higher degrees, on one Sturm chain per row. A certified
+    root is simple and within 0.5e-12*max(1, M) of a true root as far as float
+    Sturm counts can tell. Every row it rejects, among them each row whose
+    chain meets a remainder at or below _NEAR_GCD_TOL or drops a degree, goes
+    to _exact_roots, which returns each root once per unit of its
     multiplicity, within 0.5e-12*max(1, |root|) of the true one.
     """
     C = _as_rows(coeff_rows)
-    owners, roots, _ = _isolate(C, _degrees(C))
-    return owners, roots
+    return _isolate(C, _degrees(C))
 
 
 def _reach_power(A: np.ndarray, D: int) -> np.ndarray:
@@ -664,7 +628,7 @@ def line_restriction_roots(
     degenerate = top < _DEGENERATE_TOL * (max(1.0, p.coeff_norm()) * reach)
     C[degenerate] = 0.0
     deg = np.where(degenerate, 0, _trimmed_degrees(mag, top))
-    owners, roots, _ = _isolate(C, deg)
+    owners, roots = _isolate(C, deg)
     start = (C[np.arange(len(C)), deg] < 0) != (deg % 2 == 1)
     return LineRestriction(degenerate, owners, roots, start)
 

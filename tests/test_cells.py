@@ -1,6 +1,5 @@
 import math
 import warnings
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -210,6 +209,15 @@ def fallback_rows(coeff_rows):
     return out
 
 
+@pytest.fixture
+def exact_rows(monkeypatch):
+    """The row count of every _exact_roots call, in call order."""
+    calls = []
+    real = cells._exact_roots
+    monkeypatch.setattr(cells, "_exact_roots", lambda P: calls.append(len(P)) or real(P))
+    return calls
+
+
 def cauchy_bound(asc):
     c = np.trim_zeros(np.asarray(asc, dtype=float)[::-1], "f")
     return 1.0 + np.abs(c[1:]).max() / abs(c[0])
@@ -260,13 +268,31 @@ def brackets_a_sign_change(asc, root):
             id="asc2",
         ),
         pytest.param([-1.0, 0.0, 1.0, 2.0**-45], [1, 1, 1], [None] * 3, id="asc3"),
+        pytest.param([2.0, 2.0, -3.0, -3.0, 0.0, -1.0, 3.0], [2], [1, 1], id="asc4"),
+        pytest.param(
+            [157.68766593933105, 9.062532424926758, -11.500007629394531, 1.0],
+            [1, 1, 1],
+            [-3, 7.25, 7.25 + 2.0**-17],
+            id="asc5",
+        ),
+        pytest.param([0.0, -2.0, 1.0, 2.0, 0.0, -2.0, 3.0, -2.0], [1, 2], [0, 1, 1], id="asc6"),
+        pytest.param(
+            [-1.0, 1.0, 4.0, 0.0, -4.0, -2.0, 0.0, -1.0, 3.0],
+            [1, 1, 2],
+            [None, None, 1, 1],
+            id="asc7",
+        ),
     ],
 )
 def test_isolation_uncertified_rows_take_bisection(asc, mult, want):
     # (t-1)(t-1-1e-10) raised and (t-1)^2 (t+2) came back 1e-8 off at the float
     # bisection; -3t^7 - 5t^6 - t^5 + 3t^2 + 2t has a double root at -1; the
-    # last row's leading coefficient is 2^-45 of its largest. Each row fails
-    # certification and takes the exact fallback.
+    # fourth row's leading coefficient is 2^-45 of its largest. Float chains
+    # certified 3t^6 - t^5 - 3t^3 - 3t^2 + 2t + 2 with no root, the close pair
+    # of (t + 3)(t - 7.25)(t - 7.25 - 2^-17) 8.6 h from its roots, and the last
+    # two rows (double roots at 1) with a wrong distinct count, each chain
+    # ending in a remainder below _NEAR_GCD_TOL. Each row fails certification
+    # and takes the exact fallback.
     asc = np.array(asc)
     bad, rows, roots = cells._certified_roots(asc[None, ::-1])
     assert bad.tolist() == [True] and len(rows) == len(roots) == 0
@@ -308,11 +334,16 @@ def test_exact_fallback_on_repeated_roots(case):
     assert ri.tolist() == [0] * len(got)
     assert within_h(got, want)
     assert len(np.unique(got)) == sturm_count_exact(P[::-1])
+    # the same roots through the float filter, certified roots held to the
+    # certificate's h = 0.5e-12*max(1, M)
+    owners, flat = isolate_real_roots_flat([P[::-1]])
+    h = 0.5e-12 * max(1.0, cauchy_bound(P[::-1]))
+    assert len(flat) == len(want) and bool((np.abs(flat - want) <= h).all())
 
 
-def test_degree_drops_are_certified():
+def test_degree_drops_take_the_exact_fallback(exact_rows):
     # each row's remainder sequence drops more than one degree in a step,
-    # and each row has simple real roots only
+    # and each row has simple real roots only: the chain flags the row
     rows = [
         ([1.0, 0.0, 0.0, 1.0], [-1.0]),  # t^3 + 1
         ([1.0, 0.0, 0.0, 2.0], [-(2.0 ** (-1 / 3))]),  # 2t^3 + 1
@@ -322,11 +353,11 @@ def test_degree_drops_are_certified():
         ([-1.0, 0.0, 0.0, 0.0, 1.0], [-1.0, 1.0]),  # t^4 - 1
     ]
     for asc, _ in rows:
-        pad, gcd = cells._sturm_chains(np.array([asc[::-1]]))
-        assert not gcd.any() and (np.abs(pad[0]).max(axis=1) > 0).sum() < len(asc)
+        pad, flag = cells._sturm_chains(np.array([asc[::-1]]))
+        assert flag.tolist() == [True] and (np.abs(pad[0]).max(axis=1) > 0).sum() < len(asc)
     C = cells._as_rows([asc for asc, _ in rows])
-    owners, roots, fallback = cells._isolate(C, cells._degrees(C))
-    assert not fallback.any()
+    owners, roots = cells._isolate(C, cells._degrees(C))
+    assert sum(exact_rows) == len(rows)
     for i, (asc, want) in enumerate(rows):
         h = 0.5e-12 * max(1.0, cauchy_bound(asc))
         got = roots[owners == i]
@@ -347,17 +378,22 @@ def sparse_integer_rows(draw):
 @settings(max_examples=300)
 @given(sparse_integer_rows())
 @example(np.array([[1.0, 0, 0, 1], [1, 3, 3, -1], [1, 0, -3, 2]]))  # two drops and a gcd
+# double roots at 1: each float chain's last remainder is about 2e-12, rounding
+# noise above _DEGENERATE_TOL and below _NEAR_GCD_TOL
+@example(np.array([[-2.0, 3, -2, 0, 2, 1, -2, 0]]))
+@example(np.array([[3.0, -1, 0, -2, -4, 0, 4, 1, -1]]))
 def test_sturm_chains_count_as_exact_chains(P):
-    pad, gcd = cells._sturm_chains(P)
+    pad, flag = cells._sturm_chains(P)
     for i in range(len(P)):  # a row's chain does not depend on its batch
-        alone, gcd_alone = cells._sturm_chains(P[i : i + 1])
-        assert np.array_equal(alone[0], pad[i]) and gcd_alone[0] == gcd[i]
-    # a row with a repeated root can leave a last remainder of rounding noise
-    # above the gcd threshold, so only rows without one are held to the
-    # exact chain's degrees and count
+        alone, flag_alone = cells._sturm_chains(P[i : i + 1])
+        assert np.array_equal(alone[0], pad[i]) and flag_alone[0] == flag[i]
+    # a row whose exact chain drops a degree, at its gcd or before it, is
+    # flagged; every other row is held to the exact chain's degrees and count
     exact = [sturm_chain_exact(r[::-1]) for r in P]
-    squarefree = np.array([len(chain[-1]) == 1 for chain in exact])
-    rows = np.flatnonzero(~gcd & squarefree)
+    full = list(range(P.shape[1] - 1, -1, -1))
+    drops = np.array([[len(e) - 1 for e in chain] != full for chain in exact])
+    assert flag[drops].all()
+    rows = np.flatnonzero(~flag)
     for i in rows:
         levels = pad[i][np.abs(pad[i]).max(axis=1) > 0]
         degrees = P.shape[1] - 1 - np.argmax(levels != 0, axis=1)
@@ -385,19 +421,16 @@ def _endpoint_on_root(h):
         [-1.0, _endpoint_on_root(1e-12)],  # a bracket ends on the root t = 1
     ],
 )
-def test_certification_rejects_wrong_candidates(monkeypatch, cands):
+def test_certification_rejects_wrong_candidates(monkeypatch, exact_rows, cands):
     P = np.array([[1.0, 0.0, -1.0]])  # t^2 - 1, Cauchy bound 2, h = 1e-12
     bad, rows, roots = cells._certified_roots(P)
     assert not bad.any() and rows.tolist() == [0, 0] and roots.tolist() == [-1.0, 1.0]
-    # only the closed form is wrong: the companion retry certifies the row
+    # wrong closed-form candidates reject the row, and the exact fallback isolates it
     monkeypatch.setattr(cells, "_closed_form_roots", lambda P: np.array([cands]))
     bad, rows, roots = cells._certified_roots(P)
-    assert not bad.any() and rows.tolist() == [0, 0] and roots.tolist() == [-1.0, 1.0]
-    assert not cells._isolate(P[:, ::-1], np.array([2]))[2].any()  # no fallback row
-    # both sources are wrong: the row is rejected
-    monkeypatch.setattr(cells, "_companion_roots", lambda P: np.array([cands]))
-    bad, rows, roots = cells._certified_roots(P)
     assert bad.tolist() == [True] and len(rows) == len(roots) == 0
+    owners, roots = cells._isolate(P[:, ::-1], np.array([2]))
+    assert exact_rows == [1] and owners.tolist() == [0, 0] and within_h(roots, [-1.0, 1.0])
 
 
 @pytest.mark.parametrize(
@@ -411,12 +444,12 @@ def test_certification_rejects_wrong_candidates(monkeypatch, cands):
         ([1.0, 0.0, -1.0, 0.0], [-1.0, 0.0, 1.0]),  # three real roots, q = 0
         ([1.0, 0.0, 1.0, 1.0], [-0.6823278038280193]),  # Cardano's branch
         # Cardano's branch with p = 0; the chain drops a degree
-        ([2.0, 0.0, 0.0, 1.0], [-(2.0 ** (-1 / 3))]),
+        ([2.0, 0.0, 0.0, 1.0], None),
     ],
 )
 def test_closed_form_roots_warn_nothing(P, want):
     # pyproject turns any RuntimeWarning into an error; None marks a row
-    # that certification rejects on both sources
+    # that certification rejects
     P = np.array([P])
     assert cells._closed_form_roots(P).shape == (1, P.shape[1] - 1)
     bad, rows, roots = cells._certified_roots(P)
@@ -497,34 +530,21 @@ def low_degree_row(draw):
 @settings(max_examples=300)
 @given(st.lists(low_degree_row(), min_size=1, max_size=6))
 @example([np.array([-1.0, 0.0, 1.0]), np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0, 1.0])])
-@example(  # a near-double root whose closed-form candidates only eigvals' retry certifies
+@example(  # a near-double root whose closed-form candidates are rejected
     [np.array([-0.15014045870797615, -1.5677092121086844, -4.710519573927404, -3.0941877836667])]
 )
 def test_closed_form_candidates_agree_with_eigvals(rows):
+    # every root, certified or exactly isolated, is within h of the exact
+    # fallback's root on its row
     C = cells._as_rows(rows)
     deg = cells._degrees(C)
-
-    def isolate():
-        try:
-            return cells._isolate(C, deg)
-        except RootIsolationError:
-            return None
-
-    got = isolate()
-    with mock.patch.object(cells, "_closed_form_roots", cells._companion_roots):
-        want = isolate()  # eigvals candidates only, as before closed forms
-    if want is None:
-        return  # bisection of a row that eigvals rejected raised
-    assert got is not None
-    (o1, r1, b1), (o2, r2, b2) = got, want
-    assert np.array_equal(o1, o2) and not (b1 & ~b2).any()
-    # roots are compared on the rows that eigvals certifies; on a row it
-    # rejects, bisection and the closed form each rest on float Sturm
-    # readings, which near a double root can stray past the bracket
+    owners, roots = isolate_real_roots_flat(C)
+    want = fallback_rows(rows)
+    assert owners.tolist() == [i for i, r in enumerate(want) for _ in r]
     lead = np.abs(C[np.arange(len(C)), deg])
     M = 1.0 + np.where(np.arange(C.shape[1]) < deg[:, None], np.abs(C), 0.0).max(axis=1) / lead
-    near = np.abs(r1 - r2) <= 0.5e-12 * np.maximum(1.0, M[o1])
-    assert (near | b2[o1]).all()
+    exact = np.concatenate(want)
+    assert (np.abs(roots - exact) <= 0.5e-12 * np.maximum(1.0, M[owners])).all()
 
 
 _coeff = st.one_of(
@@ -833,13 +853,10 @@ def test_seeded_line_solve_pinned_table():
     assert rep.counts.table.tolist() == pinned
 
 
-def test_seeded_line_solve_bisects_no_row(monkeypatch):
+def test_seeded_line_solve_bisects_no_row(exact_rows):
     # the pinned solve above, with every row that reaches the exact fallback counted
-    fallback = []
-    real = cells._exact_roots
-    monkeypatch.setattr(cells, "_exact_roots", lambda P: fallback.append(len(P)) or real(P))
     test_seeded_line_solve_pinned_table()
-    assert sum(fallback) == 0
+    assert sum(exact_rows) == 0
 
 
 def test_sampled_counts_pinned_tables():
