@@ -5,12 +5,14 @@ points with any |P_j| at or below tolerance sit on the boundary and belong to
 no cell. Cell entry is decided by sampling for general varieties and exactly
 for lines from the real roots of the univariate restrictions: candidate
 roots, in closed form at degrees 1 to 3 and as companion-matrix eigenvalues
-above, certified by Sturm counts on one float chain per row. A chain that
-meets a near-zero remainder or drops a degree rejects its row, as does a
-failed count, and every rejected row is isolated exactly in integers. A
-line's cells follow from root parity rather than from evaluating the blocks
-at the gaps: each restriction gives the line's bit at t -> -inf from its
-trimmed leading coefficient, and crossing a root of P_j flips bit j.
+above, each certified by a sign change beyond its rounding bound across a
+bracket around it, against a count of distinct real roots: the
+discriminant's sign at degrees 2 and 3, a Sturm count on one float chain
+per row above. An uncertain sign or a flagged chain rejects its row, and
+every rejected row is isolated exactly in integers. A line's cells follow
+from root parity rather than from evaluating the blocks at the gaps: each
+restriction gives the line's bit at t -> -inf from its trimmed leading
+coefficient, and crossing a root of P_j flips bit j.
 Certified roots are simple; an exactly isolated root comes once per unit of
 its multiplicity, so a cluster flips the bit only for an odd count.
 """
@@ -35,7 +37,7 @@ MAX_TENSOR_FLOATS = 2**23
 _DEGENERATE_TOL = 1e-12
 _TRIM_TOL = 1e-14  # a coefficient at or below this times its row's largest is dropped
 # a Sturm remainder at or below this in every coefficient (chain elements are
-# scaled to max |coef| 1) marks a gcd or a near one: its row is rejected
+# scaled to max |coef| 1) marks a gcd or a near one: its row (degree >= 4) is rejected
 _NEAR_GCD_TOL = 1e-10
 
 
@@ -350,31 +352,34 @@ def _squarefree_parts(f):
     return [(_primitive(_divide(a, b)[0]), i) for i, (a, b) in pairs if len(a) > len(b)]
 
 
-def _exact_variations(chain, p, K) -> int:
+def _exact_variations(chain, p, K) -> tuple[int, bool]:
     """Sign variations of the chain at p/2^K, zeros skipped, each sign that of
-    2^(K deg g) g(p/2^K) by Horner in integers. V(a) - V(b) is the number of
-    distinct roots in (a, b]."""
-    signs = []
+    2^(K deg g) g(p/2^K) by Horner in integers, and whether p/2^K is a root of
+    the chain's first element. V(a) - V(b) is the number of distinct roots in
+    (a, b]."""
+    vals = []
     for g in chain:
         v = 0
         for i, c in enumerate(g):
             v = v * p + (c << (K * i))
-        if v:
-            signs.append(v > 0)
-    return sum(a != b for a, b in zip(signs, signs[1:]))
+        vals.append(v)
+    signs = [v > 0 for v in vals if v]
+    return sum(a != b for a, b in zip(signs, signs[1:])), vals[0] == 0
 
 
 def _part_roots(f) -> list[float]:
     """The real roots of the square-free f, of degree >= 1, ascending: Sturm
     bisection from the Cauchy bound 2^k until each bracket (a, b] holds one
     root and is at most 2^-41*max(1, min(|a|, |b|)) wide, then the float
-    nearest its center. A bracket of width 1 at scale 2^-K moves to 2^-(K+1)."""
+    nearest its center. A bracket of width 1 at scale 2^-K moves to 2^-(K+1).
+    A bisection point that is a root comes back exactly, as the bracket
+    [mid, mid], and the bracket left of it counts only the roots below it."""
     if len(f) == 2:
         return [-f[1] / f[0]]  # a quotient of ints, correctly rounded
     chain = _exact_sturm_chain(f)
     k = max(1, max(abs(c).bit_length() for c in f[1:]) - abs(f[0]).bit_length() + 2)
     lo, hi = -(1 << k), 1 << k
-    work = [(lo, hi, 0, _exact_variations(chain, lo, 0), _exact_variations(chain, hi, 0))]
+    work = [(lo, hi, 0, _exact_variations(chain, lo, 0)[0], _exact_variations(chain, hi, 0)[0])]
     roots = []
     while work:
         a, b, K, va, vb = work.pop()
@@ -384,8 +389,8 @@ def _part_roots(f) -> list[float]:
             if b - a == 1:
                 a, b, K = 2 * a, 2 * b, K + 1
             mid = (a + b) >> 1
-            vm = _exact_variations(chain, mid, K)
-            work += [(mid, b, K, vm, vb), (a, mid, K, va, vm)]  # the left half first
+            vm, z = _exact_variations(chain, mid, K)  # the left half first:
+            work += [(mid, b, K, vm, vb)] + [(mid, mid, K, 1, 0)] * z + [(a, mid, K, va, vm + z)]
     return roots
 
 
@@ -478,41 +483,95 @@ def _closed_form_roots(P: np.ndarray) -> np.ndarray:
         return np.column_stack([t, np.where(large[:, None], back, fwd)])
 
 
-def _certify(P: np.ndarray, pad: np.ndarray, flag: np.ndarray, cand: np.ndarray):
-    """Sturm-count certification of candidate roots cand (m, d) of the rows of
-    one degree d >= 1 on their _sturm_chains (pad, flag), non-finite entries
-    standing for none: the chain must not be flagged, V(-M) - V(M) must equal
-    the number of finite candidates (M the Cauchy bound), and the brackets
-    [r-h, r+h], h = 0.5e-12*max(1, M), must be disjoint, hold one root each
-    and not end on an exact zero.
+def _rounding_bound(k: int, mag, reach=1.0):
+    """gamma_k*mag + 2^-1000*reach, gamma_k = k*u/(1 - k*u), u = 2^-53: bounds
+    a rounding error of at most gamma_(k-2) times the exact value of mag,
+    given mag computed to a relative error below 2/k; the spare two cover
+    that and the product. reach bounds what later products make of an
+    absolute error: the second term covers underflow and the scaling of a
+    row to max |coef| below 1."""
+    return k * 2.0**-53 / (1.0 - k * 2.0**-53) * mag + 2.0**-1000 * reach
+
+
+def _horner(Q: np.ndarray, x: np.ndarray):
+    """The rows of Q (descending, max |coef| below 1) at the points x by
+    Horner, with Higham's running error bounds. The partial sums y_i err by
+    |e_i| <= |x||e_(i+1)| + u(|x||y_(i+1)| + |y_i|), so |e_0| <= 2u*mu, mu the
+    sum of |y_i||x|^i with y_d counted half."""
+    v, ax = Q[:, 0], np.abs(x)
+    mu = 0.5 * np.abs(v)
+    for c in Q[:, 1:].T:
+        v = v * x + c
+        mu = mu * ax + np.abs(v)
+    return v, _rounding_bound(4, mu, np.maximum(1.0, ax) ** (Q.shape[1] - 1))
+
+
+def _discriminant(Q: np.ndarray):
+    """The discriminants of the rows of Q (degree 2 or 3, descending, max
+    |coef| below 1), with _rounding_bound's error bounds: each term takes at
+    most two roundings at degree 2 and eight at degree 3, the sum's included
+    (the factors 4 are exact), so the error is at most gamma_2 or gamma_8
+    times the sum of the terms' magnitudes."""
+    if Q.shape[1] == 3:
+        a, b, c = Q.T
+        return b * b - 4.0 * a * c, _rounding_bound(4, b * b + np.abs(4.0 * a * c))
+    a, b, c, d = Q.T
+    terms = (18.0 * a * b * c * d, -4.0 * b * b * b * d, b * c * b * c, -4.0 * a * c * c * c)
+    terms += (-27.0 * a * a * d * d,)
+    return sum(terms), _rounding_bound(10, sum(np.abs(x) for x in terms))
+
+
+def _certify(Q: np.ndarray, M: np.ndarray, count: np.ndarray, cand: np.ndarray):
+    """Bracket certification of candidate roots cand (m, d), non-finite
+    entries standing for none, of the rows Q of one degree d >= 1, descending
+    and scaled by powers of two to max |coef| below 1, with Cauchy bounds M
+    and certified counts of distinct real roots count (-1 rejects the row).
+
+    A row passes when it has count finite candidates t, its brackets
+    [t-h, t+h], h = 0.5e-12*max(1, M), are disjoint, and at both ends of each
+    _horner's value exceeds its bound, with opposite signs. Then each bracket
+    holds a root of odd multiplicity, so count distinct ones: each holds
+    exactly one and no real root lies outside them. Counted by a nonzero
+    discriminant, the row is square-free and the root simple.
 
     Returns (bad, rows, roots): bad flags the rows that fail, and rows, roots
     list every root of the other rows, by row and ascending within a row."""
-    m, d = P.shape[0], P.shape[1] - 1
     cand = np.sort(np.where(np.isfinite(cand), cand, np.inf), axis=1)
     nreal = np.isfinite(cand).sum(axis=1)
-    ri, ki = np.nonzero(np.arange(d) < nreal[:, None])
+    ri, ki = np.nonzero(np.arange(cand.shape[1]) < nreal[:, None])
     t = cand[ri, ki]
-    M = 1.0 + np.abs(P[:, 1:]).max(axis=1) / np.abs(P[:, 0])
     h = 0.5e-12 * np.maximum(1.0, M[ri])
-    bad = flag.copy()
-    at = np.concatenate([np.arange(m), np.arange(m), ri, ri])
-    v, zero = _variations(pad, at, np.concatenate([-M, M, t - h, t + h]))
-    v_lo, v_hi, v_a, v_b = np.split(v, np.cumsum([m, m, len(ri)]))
-    bad |= v_lo - v_hi != nreal
-    bad[at[zero]] = True
-    bad[ri[v_a - v_b != 1]] = True
-    bad[ri[1:][(ri[1:] == ri[:-1]) & (np.diff(t) <= 2.0 * h[1:])]] = True
+    lo, hi = t - h, t + h
+    with np.errstate(all="ignore"):  # an overflow gives no sign, which rejects the row
+        v, err = _horner(Q[np.tile(ri, 2)], np.concatenate([lo, hi]))
+        v_lo, v_hi = np.split(np.where(np.abs(v) > err, np.sign(v), 0.0), 2)
+    bad = count != nreal
+    bad[ri[v_lo * v_hi != -1.0]] = True
+    bad[ri[1:][(ri[1:] == ri[:-1]) & (lo[1:] <= hi[:-1])]] = True
     ok = ~bad[ri]
     return bad, ri[ok], t[ok]
 
 
 def _certified_roots(P: np.ndarray):
     """_certify's (bad, rows, roots) for the rows of one degree d >= 1 in
-    descending order, on closed-form candidates at degrees 2 and 3 and on
-    companion eigenvalues at the other degrees."""
-    cand = _closed_form_roots(P) if P.shape[1] in (3, 4) else _companion_roots(P)
-    return _certify(P, *_sturm_chains(P), cand)
+    descending order, on closed-form candidates at degrees 2 and 3 and
+    companion eigenvalues at the other degrees. The counts: 1 at degree 1,
+    the discriminant's sign at 2 and 3 (none within its bound: a repeated or
+    nearly repeated root), and above V(-M) - V(M) on _sturm_chains (none on a
+    flagged chain or a zero reading)."""
+    m, d = P.shape[0], P.shape[1] - 1
+    Q = np.ldexp(P, -np.frexp(np.abs(P).max(axis=1))[1][:, None])
+    M = 1.0 + np.abs(P[:, 1:]).max(axis=1) / np.abs(P[:, 0])
+    if d in (2, 3):
+        disc, err = _discriminant(Q)
+        count = np.where(np.abs(disc) > err, np.where(disc > 0, d, d - 2), -1)
+        return _certify(Q, M, count, _closed_form_roots(P))
+    count = np.ones(m, dtype=np.int64)
+    if d > 3:
+        pad, flag = _sturm_chains(P)
+        v, zero = _variations(pad, np.tile(np.arange(m), 2), np.r_[-M, M])
+        count = np.where(flag | zero[:m] | zero[m:], -1, v[:m] - v[m:])
+    return _certify(Q, M, count, _companion_roots(P))
 
 
 def _degrees(C: np.ndarray) -> np.ndarray:
@@ -562,12 +621,12 @@ def isolate_real_roots_flat(coeff_rows) -> tuple[np.ndarray, np.ndarray]:
     RootIsolationError. Rows grouped by trimmed degree (as _degrees trims) get
     their roots in closed form at degree 1; above it, _certified_roots
     certifies closed-form candidates at degrees 2 and 3 and companion
-    eigenvalues at higher degrees, on one Sturm chain per row. A certified
-    root is simple and within 0.5e-12*max(1, M) of a true root as far as float
-    Sturm counts can tell. Every row it rejects, among them each row whose
-    chain meets a remainder at or below _NEAR_GCD_TOL or drops a degree, goes
-    to _exact_roots, which returns each root once per unit of its
-    multiplicity, within 0.5e-12*max(1, |root|) of the true one.
+    eigenvalues at higher degrees: the row changes sign, beyond rounding,
+    across [t-h, t+h] around a root t, h = 0.5e-12*max(1, M). Every row it
+    rejects, among them each row whose chain meets a remainder at or below
+    _NEAR_GCD_TOL or drops a degree, goes to _exact_roots, which returns each
+    root once per unit of its multiplicity, within 0.5e-12*max(1, |root|) of
+    the true one.
     """
     C = _as_rows(coeff_rows)
     return _isolate(C, _degrees(C))

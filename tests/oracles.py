@@ -6,7 +6,8 @@ the one-point forms of the batched kernels, compared within a tolerance.
 multiplication order `polyalg` fixes, so the kernels must match them bit for
 bit. `restrict_to_line_exact` expands a restriction in exact rationals, and
 `sturm_chain_exact` and `sturm_count_exact` give a row's Sturm chain and its
-count of distinct real roots in them, and `sign_exact` its sign at a float.
+count of distinct real roots in them, `sign_exact` its sign at a float, and
+`bracket_holds_root` whether it changes sign across a float bracket.
 `chart_fd_jacobian` is the central-difference Jacobian the analytic chart
 Jacobian is checked against. `xs_dim`, `region_measure`, `distance_to` and
 `f_delta_v` are closed forms and functionals only the tests read.
@@ -192,6 +193,13 @@ def sign_exact(asc, t: float) -> int:
     for c in asc[::-1]:
         v = v * t + Fraction(float(c))
     return (v > 0) - (v < 0)
+
+
+def bracket_holds_root(asc, r: float, h: float) -> bool:
+    """Whether the ascending float coefficients asc take opposite exact signs
+    at the floats r - h and r + h, as rounded: the bracket between them then
+    holds a root of odd multiplicity."""
+    return sign_exact(asc, r - h) * sign_exact(asc, r + h) == -1
 
 
 def chart_fd_jacobian(fun, y, drops, signs, h: float) -> np.ndarray:

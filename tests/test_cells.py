@@ -1,5 +1,6 @@
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,7 +20,13 @@ from polypart.cells import (
     sign_vector_many,
     w_index,
 )
-from oracles import from_terms, restrict_to_line, sign_exact, sturm_chain_exact, sturm_count_exact
+from oracles import (
+    bracket_holds_root,
+    from_terms,
+    restrict_to_line,
+    sturm_chain_exact,
+    sturm_count_exact,
+)
 from polypart.polyalg import MonomialBasis, Polynomial, degree_schedule, restrict_to_line_batch
 from polypart.sphereprod import flip, random_point, to_polys
 from polypart.varieties import circle, kplane, line
@@ -251,8 +258,7 @@ def test_isolation_batched_agrees_with_bisection():
 
 def brackets_a_sign_change(asc, root):
     """Whether the row asc takes opposite exact signs at root -+ 0.5e-12*max(1, |root|)."""
-    h = 0.5e-12 * max(1.0, abs(root))
-    return sign_exact(asc, root - h) * sign_exact(asc, root + h) == -1
+    return bracket_holds_root(asc, root, 0.5e-12 * max(1.0, abs(root)))
 
 
 @pytest.mark.parametrize(
@@ -343,25 +349,116 @@ def test_exact_fallback_on_repeated_roots(case):
 
 def test_degree_drops_take_the_exact_fallback(exact_rows):
     # each row's remainder sequence drops more than one degree in a step,
-    # and each row has simple real roots only: the chain flags the row
-    rows = [
+    # and each row has simple real roots only: the chain flags the row. The
+    # cubics need no chain: their discriminants certify them. The rows of
+    # degree 4 and 5 are counted on their chains and take the exact fallback.
+    cubics = [
         ([1.0, 0.0, 0.0, 1.0], [-1.0]),  # t^3 + 1
         ([1.0, 0.0, 0.0, 2.0], [-(2.0 ** (-1 / 3))]),  # 2t^3 + 1
         ([-8.0, 0.0, 0.0, 1.0], [2.0]),  # t^3 - 8
         ([-1.0, 3.0, 3.0, 1.0], [2.0 ** (1 / 3) - 1.0]),  # (t + 1)^3 - 2
+    ]
+    rows = cubics + [
         ([0.0, -1.0, 0.0, 0.0, 0.0, 1.0], [-1.0, 0.0, 1.0]),  # t^5 - t
         ([-1.0, 0.0, 0.0, 0.0, 1.0], [-1.0, 1.0]),  # t^4 - 1
     ]
     for asc, _ in rows:
         pad, flag = cells._sturm_chains(np.array([asc[::-1]]))
         assert flag.tolist() == [True] and (np.abs(pad[0]).max(axis=1) > 0).sum() < len(asc)
+    bad, _, _ = cells._certified_roots(np.array([asc[::-1] for asc, _ in cubics]))
+    assert not bad.any()
     C = cells._as_rows([asc for asc, _ in rows])
     owners, roots = cells._isolate(C, cells._degrees(C))
-    assert sum(exact_rows) == len(rows)
+    assert exact_rows == [1, 1]  # t^4 - 1, then t^5 - t
     for i, (asc, want) in enumerate(rows):
         h = 0.5e-12 * max(1.0, cauchy_bound(asc))
         got = roots[owners == i]
         assert len(got) == len(want) and np.abs(got - want).max() <= h
+
+
+def test_exact_fallback_returns_dyadic_roots_exactly():
+    # a part that is exactly zero at a bisection point returns that point
+    assert cells._exact_roots(np.array([[1.0, 0.0, -1.0]]))[1].tolist() == [-1.0, 1.0]
+    # -2t^7 + 3t^6 - 2t^5 + 2t^3 + t^2 - 2t: the root 0 once and 1 twice
+    P = np.array([[-2.0, 3.0, -2.0, 0.0, 2.0, 1.0, -2.0, 0.0]])
+    assert cells._exact_roots(P)[1].tolist() == [0.0, 1.0, 1.0]
+
+
+@pytest.mark.parametrize(
+    "asc",
+    [
+        ["-0x1.5b505c90a0654p+23", "0x1.428557ce995d6p+23", "-0x1.8f53f118655cdp+21", "0x1.499d92d8e84b6p+18"],
+        ["-0x1.ba604694a0f75p+19", "0x1.71be28ddbe2bdp+19", "-0x1.9b22697fa3164p+17", "0x1.3007abe9a6a97p+14"],
+    ],
+    ids=["cubic0", "cubic1"],
+)
+def test_close_pair_cubics_keep_their_roots_in_the_brackets(asc):
+    # float Sturm readings at t -+ h certified both roots of each close pair,
+    # roots about 1e-3 and 1e-4 apart, with no root in either bracket
+    asc = np.array([float.fromhex(c) for c in asc])
+    (got,) = isolate_rows([asc])
+    h = 0.5e-12 * max(1.0, cauchy_bound(asc))
+    assert len(got) == sturm_count_exact(asc) == 3
+    assert all(bracket_holds_root(asc, t, h) for t in got)
+
+
+@st.composite
+def close_pair_rows(draw):
+    """Ascending square-free rows of degree 2 to 6 with two real roots
+    10^U(-6, -2) apart, the other roots distinct integers or complex pairs
+    +-i, +-sqrt(3)i, scaled by 10^U(-8, 8)."""
+    d = draw(st.integers(2, 6))
+    r, gap = draw(st.floats(-10.0, 10.0)), 10.0 ** draw(st.floats(-6.0, -2.0))
+    cplx = draw(st.lists(st.sampled_from([1.0, 3.0]), unique=True, max_size=(d - 2) // 2))
+    n = d - 2 - 2 * len(cplx)
+    others = draw(st.lists(st.integers(-10, 10), min_size=n, max_size=n, unique=True))
+    assume(all(abs(o - r) >= 0.25 and abs(o - r - gap) >= 0.25 for o in others))
+    row = np.poly([r, r + gap, *others])
+    for q in cplx:
+        row = np.polymul(row, [1.0, 0.0, q])
+    return row[::-1] * 10.0 ** draw(st.floats(-8.0, 8.0))
+
+
+@settings(max_examples=120)
+@given(close_pair_rows())
+def test_close_pair_roots_are_bracketed(asc):
+    (got,) = isolate_rows([asc])
+    h = 0.5e-12 * max(1.0, cauchy_bound(asc))
+    assert len(got) == sturm_count_exact(asc)
+    assert all(bracket_holds_root(asc, t, h) for t in got)
+
+
+def _exact_value(asc, x):
+    return sum(Fraction(c) * Fraction(x) ** i for i, c in enumerate(asc))
+
+
+def _exact_discriminant(asc):
+    if len(asc) == 3:
+        c, b, a = map(Fraction, asc)
+        return b * b - 4 * a * c
+    d, c, b, a = map(Fraction, asc)
+    return 18 * a * b * c * d - 4 * b**3 * d + b * b * c * c - 4 * a * c**3 - 27 * a * a * d * d
+
+
+@settings(max_examples=150)
+@given(
+    st.lists(st.one_of(st.just(0.0), st.floats(-1.0, 1.0)), min_size=2, max_size=9),
+    st.sampled_from([-60, 0, 60]),
+    st.lists(st.floats(-20.0, 20.0), max_size=3),
+)
+@example([0.0, 0.0, 1.0], 0, [])  # t^2: a zero discriminant
+@example([2.0**-600, 0.0, 0.0, 2.0**-600], 0, [1e-300])  # underflow
+def test_rounding_bounds_hold(asc, k, xs):
+    asc = np.ldexp(np.array(asc), k)
+    assume(abs(asc[-1]) > cells._TRIM_TOL * np.abs(asc).max())  # rows that survive the trim
+    M = cauchy_bound(asc)
+    x = np.array([-M, M, *xs])
+    v, err = cells._horner(np.tile(asc[::-1], (len(x), 1)), x)
+    for vi, ei, xi in zip(v, err, x):
+        assert abs(Fraction(vi) - _exact_value(asc, xi)) <= Fraction(ei)
+    if len(asc) in (3, 4):
+        (disc,), (err,) = cells._discriminant(asc[None, ::-1])
+        assert abs(Fraction(disc) - _exact_discriminant(asc)) <= Fraction(err)
 
 
 @st.composite
@@ -443,8 +540,8 @@ def test_certification_rejects_wrong_candidates(monkeypatch, exact_rows, cands):
         ([1.0, 0.0, 1.0, 0.0], [0.0]),  # t^3 + t: one real root, q = 0
         ([1.0, 0.0, -1.0, 0.0], [-1.0, 0.0, 1.0]),  # three real roots, q = 0
         ([1.0, 0.0, 1.0, 1.0], [-0.6823278038280193]),  # Cardano's branch
-        # Cardano's branch with p = 0; the chain drops a degree
-        ([2.0, 0.0, 0.0, 1.0], None),
+        # Cardano's branch with p = 0; its discriminant certifies it
+        ([2.0, 0.0, 0.0, 1.0], [-(2.0 ** (-1 / 3))]),
     ],
 )
 def test_closed_form_roots_warn_nothing(P, want):
