@@ -7,9 +7,10 @@ for lines from the real roots of the univariate restrictions: candidate
 roots, in closed form at degrees 1 to 3 and as companion-matrix eigenvalues
 above, each certified by a sign change beyond its rounding bound across a
 bracket around it, against a count of distinct real roots: the
-discriminant's sign at degrees 2 and 3, a Sturm count on one float chain
-per row above. An uncertain sign or a flagged chain rejects its row, and
-every rejected row is isolated exactly in integers. A line's cells follow
+discriminant's sign at degrees 2 and 3, and above it the real eigenvalues,
+counted when Smith's inclusion disks around all the eigenvalues are
+disjoint. An uncertain sign or overlapping disks reject the row, and every
+rejected row is isolated exactly in integers. A line's cells follow
 from root parity rather than from evaluating the blocks at the gaps: each
 restriction gives the line's bit at t -> -inf from its trimmed leading
 coefficient, and crossing a root of P_j flips bit j.
@@ -36,9 +37,6 @@ MAX_S = 20  # most polynomials a cell table (of size 2^s) supports
 MAX_TENSOR_FLOATS = 2**23
 _DEGENERATE_TOL = 1e-12
 _TRIM_TOL = 1e-14  # a coefficient at or below this times its row's largest is dropped
-# a Sturm remainder at or below this in every coefficient (chain elements are
-# scaled to max |coef| 1) marks a gcd or a near one: its row (degree >= 4) is rejected
-_NEAR_GCD_TOL = 1e-10
 
 
 class RootIsolationError(RuntimeError):
@@ -246,55 +244,6 @@ def point_counts(points, pvec) -> CellCounts:
 
 # ---------------------------------------------------------------------------
 # Exact cell enumeration along lines via certified real root isolation.
-# A row of degree d has its Sturm chain as one (d+1, d+1) block: element l in
-# row l, descending (np.polyval order) and right-aligned, scaled to max |coef|
-# 1. A chain that ends early leaves zero rows, which count no variation.
-
-
-def _sturm_chains(P: np.ndarray):
-    """Sturm chains of the rows of one degree d >= 1, padded to (m, d+1, d+1),
-    and a mask of the rows whose float chain is not to be trusted.
-
-    Each chain starts at the row and its derivative, each scaled to max |coef|
-    1; each next element is minus the remainder of the two before it, by two
-    eliminations, scaled to max |coef| 1. A remainder whose largest
-    coefficient is at most _NEAR_GCD_TOL (a gcd, or a near one) or whose
-    leading one is at most _TRIM_TOL times its largest (a degree drop) flags
-    its row, and that row's chain is zero from there on."""
-    m, w = P.shape
-    pad = np.zeros((m, w, w))
-    pad[:, 0] = P / np.abs(P).max(axis=1, keepdims=True)
-    g = pad[:, 0, :-1] * np.arange(w - 1, 0, -1)
-    pad[:, 1, 1:] = g / np.abs(g).max(axis=1, keepdims=True)
-    flag = np.zeros(m, dtype=bool)
-    for level in range(2, w):
-        r = pad[:, level - 2, level - 2 :].copy()
-        g = pad[:, level - 1, level - 1 :]
-        lead = np.where(flag, 1.0, g[:, 0])  # a flagged row's g is zero
-        for _ in range(2):
-            r[:, : g.shape[1]] -= (r[:, 0] / lead)[:, None] * g
-            r = r[:, 1:]
-        scale = np.abs(r).max(axis=1)
-        flag |= (scale <= _NEAR_GCD_TOL) | (np.abs(r[:, 0]) <= _TRIM_TOL * scale)
-        el = -r / np.maximum(scale, _NEAR_GCD_TOL)[:, None]  # clamped, a zero scale divides safely
-        pad[:, level, level:] = np.where(flag[:, None], 0.0, el)
-    return pad, flag
-
-
-def _variations(pad, rows, ts):
-    """Sign variation count of each chain at each t; also p0(t)==0 flags."""
-    c = pad[rows]
-    vals = c[:, :, 0]
-    for p in range(1, pad.shape[2]):
-        vals = vals * ts[:, None] + c[:, :, p]
-    count = np.zeros(len(rows), dtype=np.int64)
-    last = np.zeros(len(rows))
-    for col in range(pad.shape[1]):
-        s = np.sign(vals[:, col])
-        count += (s != 0) & (last != 0) & (s != last)
-        last = np.where(s != 0, s, last)
-    return count, vals[:, 0] == 0.0
-
 
 # The exact fallback for the rows certification rejects. A float row is a
 # polynomial with dyadic rational coefficients; scaled to integers, its
@@ -423,15 +372,12 @@ def _as_rows(coeff_rows) -> np.ndarray:
 
 def _companion_roots(P: np.ndarray) -> np.ndarray:
     """Eigenvalues of the companion matrices of the rows of one degree d >= 1,
-    as (m, d) with +inf in place of each non-real one."""
+    complex (m, d): _disk_count's centres, the real ones the candidates."""
     m, d = P.shape[0], P.shape[1] - 1
     comp = np.zeros((m, d, d))
     comp[:, 0] = -P[:, 1:] / P[:, :1]
     comp[:, np.arange(1, d), np.arange(d - 1)] = 1.0
-    if d == 1:
-        return comp[:, :, 0]
-    cand = np.linalg.eigvals(comp)
-    return np.where(cand.imag == 0.0, cand.real, np.inf)
+    return np.linalg.eigvals(comp).astype(np.complex128)
 
 
 def _quadratic_roots(a, b, c):
@@ -494,16 +440,21 @@ def _rounding_bound(k: int, mag, reach=1.0):
 
 
 def _horner(Q: np.ndarray, x: np.ndarray):
-    """The rows of Q (descending, max |coef| below 1) at the points x by
-    Horner, with Higham's running error bounds. The partial sums y_i err by
-    |e_i| <= |x||e_(i+1)| + u(|x||y_(i+1)| + |y_i|), so |e_0| <= 2u*mu, mu the
-    sum of |y_i||x|^i with y_d counted half."""
+    """The rows of Q (descending, max |coef| below 1) at the points x, real
+    or complex, by Horner, with Higham's running error bounds. The partial
+    sums y_i err by |e_i| <= |x||e_(i+1)| + a|x||y_(i+1)| + b|y_i|, a and b
+    bounding the relative errors of a product and a sum: u and u in reals, so
+    |e_0| <= 2u*mu, mu the sum of |y_i||x|^i with y_d counted half. In
+    complex numbers a sum errs by at most u and a product by sqrt(2)*gamma_2
+    (Higham, Lemma 3.5), so |e_0| <= 2(sqrt(2)*gamma_2 + u)*mu <= gamma_8*mu.
+    np.abs of a complex number, a hypot, is within one ulp."""
     v, ax = Q[:, 0], np.abs(x)
     mu = 0.5 * np.abs(v)
     for c in Q[:, 1:].T:
         v = v * x + c
         mu = mu * ax + np.abs(v)
-    return v, _rounding_bound(4, mu, np.maximum(1.0, ax) ** (Q.shape[1] - 1))
+    k = 10 if np.iscomplexobj(x) else 4
+    return v, _rounding_bound(k, mu, np.maximum(1.0, ax) ** (Q.shape[1] - 1))
 
 
 def _discriminant(Q: np.ndarray):
@@ -531,8 +482,7 @@ def _certify(Q: np.ndarray, M: np.ndarray, count: np.ndarray, cand: np.ndarray):
     [t-h, t+h], h = 0.5e-12*max(1, M), are disjoint, and at both ends of each
     _horner's value exceeds its bound, with opposite signs. Then each bracket
     holds a root of odd multiplicity, so count distinct ones: each holds
-    exactly one and no real root lies outside them. Counted by a nonzero
-    discriminant, the row is square-free and the root simple.
+    exactly one, simple by either count's proof, and none lies outside them.
 
     Returns (bad, rows, roots): bad flags the rows that fail, and rows, roots
     list every root of the other rows, by row and ascending within a row."""
@@ -552,26 +502,62 @@ def _certify(Q: np.ndarray, M: np.ndarray, count: np.ndarray, cand: np.ndarray):
     return bad, ri[ok], t[ok]
 
 
+def _disk_count(Q: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """The distinct real roots of each row of Q (degree d >= 1, descending,
+    max |coef| below 1) counted by inclusion disks around its companion
+    eigenvalues z (complex, (m, d)), or -1 where the disks prove no count.
+
+    Smith's theorem (B. T. Smith, J. ACM 17, 1970): for distinct z_i the
+    disks |t - z_i| <= r_i, r_i = d|Q(z_i)|/(|q_0| prod_(j != i) |z_i - z_j|),
+    cover the roots of Q, and a connected component of their union made of k
+    disks holds k roots, with multiplicity. Pairwise disjoint disks thus hold
+    one simple root each. A disk with a non-real centre that misses the real
+    axis holds a non-real root. A disk centred on the axis holds a real one:
+    the conjugate of its root, a root of the real Q, lies in the same disk,
+    which holds one root. A row whose disks are disjoint and all of these two
+    kinds has as many distinct real roots as real eigenvalues.
+
+    Each r_i is held above its exact value. _horner gives |Q(z_i)| <= |v| +
+    err, and the quotient takes at most 5d + 2 roundings: three for |v| (a
+    hypot, within one ulp), one each for the sum and the factor d, four for
+    each of the d - 1 distances (a difference and a hypot), d for the
+    product of their frexp mantissas and |q_0| (no underflow on a trimmed
+    row) and one for the quotient; the ldexp is exact. _rounding_bound with
+    k = 5d + 4 covers them; its 2^-1000 term keeps each r_i above 2^-1000,
+    so no pair whose distance underflows is disjoint. A pair is disjoint
+    when its distance, less _rounding_bound with k = 7 (four roundings, one
+    more in r_i + r_j), exceeds r_i + r_j. A zero distance or an overflow
+    makes a radius non-finite, which rejects the row.
+    """
+    m, d = z.shape
+    diag = np.eye(d, dtype=bool)
+    with np.errstate(all="ignore"):
+        v, err = _horner(Q[np.repeat(np.arange(m), d)], z.ravel())
+        num = d * (np.abs(v) + err).reshape(m, d)
+        dist = np.abs(z[:, :, None] - z[:, None, :])
+        frac, expo = np.frexp(np.where(diag, 1.0, dist))
+        r = np.ldexp(num / (np.abs(Q[:, :1]) * frac.prod(axis=2)), -expo.sum(axis=2))
+        r += _rounding_bound(5 * d + 4, r)
+        apart = dist - _rounding_bound(7, dist) > r[:, :, None] + r[:, None, :]
+    kinds = np.where(z.imag == 0.0, r < np.inf, np.abs(z.imag) > r).all(axis=1)
+    return np.where((apart | diag).all(axis=(1, 2)) & kinds, (z.imag == 0.0).sum(axis=1), -1)
+
+
 def _certified_roots(P: np.ndarray):
     """_certify's (bad, rows, roots) for the rows of one degree d >= 1 in
-    descending order, on closed-form candidates at degrees 2 and 3 and
-    companion eigenvalues at the other degrees. The counts: 1 at degree 1,
-    the discriminant's sign at 2 and 3 (none within its bound: a repeated or
-    nearly repeated root), and above V(-M) - V(M) on _sturm_chains (none on a
-    flagged chain or a zero reading)."""
-    m, d = P.shape[0], P.shape[1] - 1
+    descending order: at degrees 2 and 3 on closed-form candidates, counted
+    by the discriminant's sign (none within its bound: a repeated or nearly
+    repeated root), and at the other degrees on the real companion
+    eigenvalues, counted by _disk_count on all of them."""
+    d = P.shape[1] - 1
     Q = np.ldexp(P, -np.frexp(np.abs(P).max(axis=1))[1][:, None])
     M = 1.0 + np.abs(P[:, 1:]).max(axis=1) / np.abs(P[:, 0])
     if d in (2, 3):
         disc, err = _discriminant(Q)
         count = np.where(np.abs(disc) > err, np.where(disc > 0, d, d - 2), -1)
         return _certify(Q, M, count, _closed_form_roots(P))
-    count = np.ones(m, dtype=np.int64)
-    if d > 3:
-        pad, flag = _sturm_chains(P)
-        v, zero = _variations(pad, np.tile(np.arange(m), 2), np.r_[-M, M])
-        count = np.where(flag | zero[:m] | zero[m:], -1, v[:m] - v[m:])
-    return _certify(Q, M, count, _companion_roots(P))
+    z = _companion_roots(P)
+    return _certify(Q, M, _disk_count(Q, z), np.where(z.imag == 0.0, z.real, np.inf))
 
 
 def _degrees(C: np.ndarray) -> np.ndarray:
@@ -622,11 +608,11 @@ def isolate_real_roots_flat(coeff_rows) -> tuple[np.ndarray, np.ndarray]:
     their roots in closed form at degree 1; above it, _certified_roots
     certifies closed-form candidates at degrees 2 and 3 and companion
     eigenvalues at higher degrees: the row changes sign, beyond rounding,
-    across [t-h, t+h] around a root t, h = 0.5e-12*max(1, M). Every row it
-    rejects, among them each row whose chain meets a remainder at or below
-    _NEAR_GCD_TOL or drops a degree, goes to _exact_roots, which returns each
-    root once per unit of its multiplicity, within 0.5e-12*max(1, |root|) of
-    the true one.
+    across [t-h, t+h] around a root t, h = 0.5e-12*max(1, M), and the roots
+    number as many as the row's proved count of distinct real roots. Every
+    row it rejects, among them each row with a repeated root, goes to
+    _exact_roots, which returns each root once per unit of its multiplicity,
+    within 0.5e-12*max(1, |root|) of the true one.
     """
     C = _as_rows(coeff_rows)
     return _isolate(C, _degrees(C))

@@ -46,9 +46,13 @@ class Instance:
 
 def load_instance(path: str) -> Instance:
     try:
-        raw = json.loads(Path(path).read_text())
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise InstanceError(f"instance file not found: {path}")
+    except OSError as err:
+        raise InstanceError(f"cannot read instance file {path}: {err.strerror}")
+    except UnicodeDecodeError:
+        raise InstanceError(f"instance file is not UTF-8 text: {path}")
     except json.JSONDecodeError as err:
         raise InstanceError(f"invalid JSON at line {err.lineno}, column {err.colno}: {err.msg}")
     if not isinstance(raw, dict):
@@ -390,7 +394,15 @@ def _solve_config(args, n: int, **extra) -> SolveConfig:
     )
 
 
+def _check_out(out: str) -> None:
+    """InstanceError unless the nearest existing one of out and its parents is a directory."""
+    path = next(p for p in (Path(out), *Path(out).absolute().parents) if p.exists())
+    if not path.is_dir():
+        raise InstanceError(f"--out: {path} exists and is not a directory")
+
+
 def cmd_partition(args) -> int:
+    _check_out(args.out)
     sampling = _translated(SamplingConfig, R=args.radius, seed=args.seed, prefix="--radius: ")
     inst = load_instance(args.input)
     cfg = _solve_config(args, inst.n, objective=args.objective, sampling=sampling)
@@ -408,6 +420,7 @@ def cmd_partition(args) -> int:
 
 
 def cmd_partition_points(args) -> int:
+    _check_out(args.out)
     inst = load_instance(args.input)
     cfg = _solve_config(args, inst.n)
     if inst.points is None:

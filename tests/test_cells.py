@@ -296,9 +296,9 @@ def test_isolation_uncertified_rows_take_bisection(asc, mult, want):
     # fourth row's leading coefficient is 2^-45 of its largest. Float chains
     # certified 3t^6 - t^5 - 3t^3 - 3t^2 + 2t + 2 with no root, the close pair
     # of (t + 3)(t - 7.25)(t - 7.25 - 2^-17) 8.6 h from its roots, and the last
-    # two rows (double roots at 1) with a wrong distinct count, each chain
-    # ending in a remainder below _NEAR_GCD_TOL. Each row fails certification
-    # and takes the exact fallback.
+    # two rows (double roots at 1) with a wrong distinct count. Each row
+    # fails certification and takes the exact fallback: the rows of degree 4
+    # and up have a repeated root, so their inclusion disks overlap.
     asc = np.array(asc)
     bad, rows, roots = cells._certified_roots(asc[None, ::-1])
     assert bad.tolist() == [True] and len(rows) == len(roots) == 0
@@ -347,29 +347,26 @@ def test_exact_fallback_on_repeated_roots(case):
     assert len(flat) == len(want) and bool((np.abs(flat - want) <= h).all())
 
 
-def test_degree_drops_take_the_exact_fallback(exact_rows):
-    # each row's remainder sequence drops more than one degree in a step,
-    # and each row has simple real roots only: the chain flags the row. The
-    # cubics need no chain: their discriminants certify them. The rows of
-    # degree 4 and 5 are counted on their chains and take the exact fallback.
-    cubics = [
+def test_degree_drops_are_certified(exact_rows):
+    # each row's exact remainder sequence drops more than one degree in a
+    # step, and each row has simple real roots only. The cubics'
+    # discriminants certify them; the inclusion disks around the eigenvalues
+    # of t^5 - t and t^4 - 1 are disjoint, which certifies those two, so no
+    # row takes the exact fallback.
+    rows = [
         ([1.0, 0.0, 0.0, 1.0], [-1.0]),  # t^3 + 1
         ([1.0, 0.0, 0.0, 2.0], [-(2.0 ** (-1 / 3))]),  # 2t^3 + 1
         ([-8.0, 0.0, 0.0, 1.0], [2.0]),  # t^3 - 8
         ([-1.0, 3.0, 3.0, 1.0], [2.0 ** (1 / 3) - 1.0]),  # (t + 1)^3 - 2
-    ]
-    rows = cubics + [
         ([0.0, -1.0, 0.0, 0.0, 0.0, 1.0], [-1.0, 0.0, 1.0]),  # t^5 - t
         ([-1.0, 0.0, 0.0, 0.0, 1.0], [-1.0, 1.0]),  # t^4 - 1
     ]
     for asc, _ in rows:
-        pad, flag = cells._sturm_chains(np.array([asc[::-1]]))
-        assert flag.tolist() == [True] and (np.abs(pad[0]).max(axis=1) > 0).sum() < len(asc)
-    bad, _, _ = cells._certified_roots(np.array([asc[::-1] for asc, _ in cubics]))
-    assert not bad.any()
+        degrees = [len(e) - 1 for e in sturm_chain_exact(asc)]
+        assert max(a - b for a, b in zip(degrees, degrees[1:])) > 1
     C = cells._as_rows([asc for asc, _ in rows])
     owners, roots = cells._isolate(C, cells._degrees(C))
-    assert exact_rows == [1, 1]  # t^4 - 1, then t^5 - t
+    assert exact_rows == []
     for i, (asc, want) in enumerate(rows):
         h = 0.5e-12 * max(1.0, cauchy_bound(asc))
         got = roots[owners == i]
@@ -429,7 +426,11 @@ def test_close_pair_roots_are_bracketed(asc):
 
 
 def _exact_value(asc, x):
-    return sum(Fraction(c) * Fraction(x) ** i for i, c in enumerate(asc))
+    """asc at the float or complex x in exact rationals, as (real, imaginary)."""
+    re, im, xr, xi = Fraction(0), Fraction(0), Fraction(x.real), Fraction(x.imag)
+    for c in asc[::-1]:
+        re, im = re * xr - im * xi + Fraction(c), re * xi + im * xr
+    return re, im
 
 
 def _exact_discriminant(asc):
@@ -445,17 +446,24 @@ def _exact_discriminant(asc):
     st.lists(st.one_of(st.just(0.0), st.floats(-1.0, 1.0)), min_size=2, max_size=9),
     st.sampled_from([-60, 0, 60]),
     st.lists(st.floats(-20.0, 20.0), max_size=3),
+    st.lists(st.tuples(st.floats(-20.0, 20.0), st.floats(-20.0, 20.0)), max_size=2),
+    st.lists(st.floats(0.0, 2.0 * np.pi), max_size=2),
 )
-@example([0.0, 0.0, 1.0], 0, [])  # t^2: a zero discriminant
-@example([2.0**-600, 0.0, 0.0, 2.0**-600], 0, [1e-300])  # underflow
-def test_rounding_bounds_hold(asc, k, xs):
+@example([0.0, 0.0, 1.0], 0, [], [], [])  # t^2: a zero discriminant
+@example([2.0**-600, 0.0, 0.0, 2.0**-600], 0, [1e-300], [(1e-300, -1e-300)], [])  # underflow
+def test_rounding_bounds_hold(asc, k, xs, zs, angles):
     asc = np.ldexp(np.array(asc), k)
     assume(abs(asc[-1]) > cells._TRIM_TOL * np.abs(asc).max())  # rows that survive the trim
     M = cauchy_bound(asc)
+    # real points, and complex ones: drawn, and on or near the circle |z| = M
     x = np.array([-M, M, *xs])
-    v, err = cells._horner(np.tile(asc[::-1], (len(x), 1)), x)
-    for vi, ei, xi in zip(v, err, x):
-        assert abs(Fraction(vi) - _exact_value(asc, xi)) <= Fraction(ei)
+    z = np.array([complex(*p) for p in zs] + [M * np.exp(1j * a) for a in angles])
+    for pts in (x, z):
+        v, err = cells._horner(np.tile(asc[::-1], (len(pts), 1)), pts)
+        for vi, ei, pi in zip(np.asarray(v, dtype=complex), err, pts):
+            re, im = _exact_value(asc, pi)
+            off = (Fraction(vi.real) - re) ** 2 + (Fraction(vi.imag) - im) ** 2
+            assert off <= Fraction(ei) ** 2
     if len(asc) in (3, 4):
         (disc,), (err,) = cells._discriminant(asc[None, ::-1])
         assert abs(Fraction(disc) - _exact_discriminant(asc)) <= Fraction(err)
@@ -463,43 +471,41 @@ def test_rounding_bounds_hold(asc, k, xs):
 
 @st.composite
 def sparse_integer_rows(draw):
-    """Rows of one degree d in 2..8, as descending coefficients: small
-    integers, most of them zero, so that remainder sequences drop degrees."""
-    d = draw(st.integers(2, 8))
-    coeff = st.one_of(st.just(0), st.just(0), st.integers(-4, 4))
-    row = st.tuples(st.sampled_from([-3, -2, -1, 1, 2, 3]), st.lists(coeff, min_size=d, max_size=d))
-    rows = draw(st.lists(row, min_size=1, max_size=6))
-    return np.array([[lead, *rest] for lead, rest in rows], dtype=float)
+    """Rows of one degree d in 4..8, as descending coefficients: small
+    integers, most of them zero, so that remainder sequences drop degrees;
+    some rows are multiplied by the square of a small integer factor of
+    degree 1 or 2, which forces a repeated root, real or not."""
+    d = draw(st.integers(4, 8))
+    factor = st.lists(st.integers(-3, 3), min_size=2, max_size=3).filter(lambda g: g[0] != 0)
+    rows = []
+    for g in draw(st.lists(st.one_of(st.none(), factor), min_size=1, max_size=6)):
+        k = d if g is None else d + 2 - 2 * len(g)
+        rest = np.array(draw(st.lists(st.integers(-4, 4), min_size=k, max_size=k)))
+        zeros = draw(st.integers(0, 2**k - 1)) >> np.arange(k) & 1  # about half of them
+        row = [draw(st.sampled_from([-3, -2, -1, 1, 2, 3])), *rest * (1 - zeros)]
+        rows.append(row if g is None else np.polymul(row, np.polymul(g, g)))
+    return np.array(rows, dtype=float)
 
 
-@settings(max_examples=300)
+@settings(max_examples=120)
 @given(sparse_integer_rows())
-@example(np.array([[1.0, 0, 0, 1], [1, 3, 3, -1], [1, 0, -3, 2]]))  # two drops and a gcd
-# double roots at 1: each float chain's last remainder is about 2e-12, rounding
-# noise above _DEGENERATE_TOL and below _NEAR_GCD_TOL
+# double roots at 1, whose float Sturm chains ended in a remainder of rounding noise
 @example(np.array([[-2.0, 3, -2, 0, 2, 1, -2, 0]]))
 @example(np.array([[3.0, -1, 0, -2, -4, 0, 4, 1, -1]]))
-def test_sturm_chains_count_as_exact_chains(P):
-    pad, flag = cells._sturm_chains(P)
-    for i in range(len(P)):  # a row's chain does not depend on its batch
-        alone, flag_alone = cells._sturm_chains(P[i : i + 1])
-        assert np.array_equal(alone[0], pad[i]) and flag_alone[0] == flag[i]
-    # a row whose exact chain drops a degree, at its gcd or before it, is
-    # flagged; every other row is held to the exact chain's degrees and count
-    exact = [sturm_chain_exact(r[::-1]) for r in P]
-    full = list(range(P.shape[1] - 1, -1, -1))
-    drops = np.array([[len(e) - 1 for e in chain] != full for chain in exact])
-    assert flag[drops].all()
-    rows = np.flatnonzero(~flag)
-    for i in rows:
-        levels = pad[i][np.abs(pad[i]).max(axis=1) > 0]
-        degrees = P.shape[1] - 1 - np.argmax(levels != 0, axis=1)
-        assert degrees.tolist() == [len(e) - 1 for e in exact[i]]
-    M = 1.0 + np.abs(P[:, 1:]).max(axis=1) / np.abs(P[:, 0])
-    v, zero = cells._variations(pad, np.r_[rows, rows], np.r_[-M[rows], M[rows]])
-    assert not zero.any()
-    want = [sturm_count_exact(P[i, ::-1]) for i in rows]
-    assert (v[: len(rows)] - v[len(rows) :]).tolist() == want
+def test_disk_counts_are_exact(P):
+    # a row the inclusion disks accept has the exact count of distinct real
+    # roots, and a row with a repeated root (a non-constant exact gcd of the
+    # row and its derivative) is rejected
+    Q = np.ldexp(P, -np.frexp(np.abs(P).max(axis=1))[1][:, None])
+    count = cells._disk_count(Q, cells._companion_roots(P))
+    bad, rows, _ = cells._certified_roots(P)
+    for i, row in enumerate(P):
+        if len(sturm_chain_exact(row[::-1])[-1]) > 1:
+            assert count[i] == -1 and bad[i]
+        elif count[i] >= 0:
+            assert count[i] == sturm_count_exact(row[::-1])
+        if not bad[i]:
+            assert (rows == i).sum() == count[i]
 
 
 def _endpoint_on_root(h):

@@ -446,7 +446,9 @@ def test_verify_mollifier_defaults_to_the_solver_grid(monkeypatch):
 
 _LINE = '{"kind": "line", "point": [0, 0], "dir": [1, 0]}'
 
-# (command, instance text or None for a missing file, what the error names)
+# (command, instance text, bytes, DIRECTORY or None for a missing file, what
+# the error names)
+DIRECTORY = object()
 BAD_INSTANCES = {
     "line-point-nan": (
         "partition", '{"n": 2, "varieties": [{"kind": "line", "point": [NaN, 0], "dir": [1, 0]}]}',
@@ -490,6 +492,8 @@ BAD_INSTANCES = {
         "dimension k"),
     "json-invalid": ("partition", "{not json", "invalid JSON"),
     "file-missing": ("partition", None, "not found"),
+    "file-directory": ("partition", DIRECTORY, "Is a directory"),
+    "file-not-utf8": ("partition", b'{"n": 2, "varieties": [], "x": "\xff"}', "not UTF-8"),
     "points-nan": ("partition-points", '{"n": 2, "points": [[0.1, 0.2], [NaN, 0.3]]}', "points[1]"),
     "points-bool": (
         "partition-points", '{"n": 2, "points": [[true, 0.5], [0.2, false]]}',
@@ -505,7 +509,11 @@ def test_bad_instance_exits_2_without_traceback(tmp_path, case):
     # a fresh process, as a user runs it: one error line, no traceback, no output
     command, text, names = BAD_INSTANCES[case]
     path, out = tmp_path / "inst.json", tmp_path / "o"
-    if text is not None:
+    if text is DIRECTORY:
+        path.mkdir()
+    elif isinstance(text, bytes):
+        path.write_bytes(text)
+    elif text is not None:
         path.write_text(text)
     proc = subprocess.run(
         [sys.executable, "-m", "polypart.cli", command, "--input", str(path), "--s", "2",
@@ -518,3 +526,21 @@ def test_bad_instance_exits_2_without_traceback(tmp_path, case):
     err = proc.stderr.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and names in err[0], err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["partition", "partition-points"])
+@pytest.mark.parametrize("below", [False, True])
+def test_out_that_is_a_file_exits_2_before_solving(tmp_path, monkeypatch, capsys, command, below):
+    # --out naming an existing file, or a path below one, fails before the solve
+    path = tmp_path / "inst.json"
+    path.write_text('{"n": 2, "varieties": [%s], "points": [[0.1, 0.2]]}' % _LINE)
+    blocker = tmp_path / "report"
+    blocker.write_text("kept")
+    out = blocker / "sub" if below else blocker
+    monkeypatch.setattr(cli, "partition_varieties", lambda *a: pytest.fail("solved"))
+    monkeypatch.setattr(cli, "partition_points", lambda *a: pytest.fail("solved"))
+    argv = [command, "--input", str(path), "--s", "1", "--iters", "5", "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"error: --out: {blocker} exists and is not a directory"]
+    assert blocker.read_text() == "kept"
