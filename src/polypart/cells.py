@@ -27,7 +27,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .polyalg import (
-    Polynomial, _powers, basis_dim, eval_poly_many, line_restriction_tensor, restrict_to_line_batch
+    Polynomial, _powers, basis_dim, check_reach, eval_poly_many, line_restriction_tensor,
+    restrict_to_line_batch,
 )
 from .varieties import LineSampler, UnsupportedVarietyError, VarietySpec, sample_in_ball
 
@@ -149,13 +150,23 @@ def _entry_table(owners: np.ndarray, idx: np.ndarray, s: int) -> np.ndarray:
     return np.bincount(entered, minlength=2**s).astype(np.int64)
 
 
+def check_line_reach(Gamma, D) -> None:
+    """polyalg.check_reach on the foot points of Gamma's lines at degree D:
+    ValueError, with a message that starts with varieties[i], for the first
+    line i whose restrictions could overflow."""
+    index = [i for i, g in enumerate(Gamma) if isinstance(g.sampler, LineSampler)]
+    if index:
+        check_reach(np.stack([Gamma[i].sampler.point for i in index]), D, "varieties", index)
+
+
 def check_line_tensors(Gamma, degrees) -> None:
-    """ValueError, with a message that starts with "s", when the
-    line-restriction tensors of a tuple with these block degrees on the lines
-    of Gamma would hold more than MAX_TENSOR_FLOATS floats: a CountFrame keeps
-    one (dim, m·(D+1)) tensor per distinct degree D for its m lines. Gamma
-    is nonempty; partition_varieties applies it before building any basis or
-    frame."""
+    """check_line_reach at the largest degree, then ValueError, with a
+    message that starts with "s", when the line-restriction tensors of a
+    tuple with these block degrees on the lines of Gamma would hold more
+    than MAX_TENSOR_FLOATS floats: a CountFrame keeps one (dim, m·(D+1))
+    tensor per distinct degree D for its m lines. Gamma is nonempty;
+    partition_varieties applies it before building any basis or frame."""
+    check_line_reach(Gamma, max(degrees, default=0))
     m = sum(isinstance(g.sampler, LineSampler) for g in Gamma)
     floats = m * sum(basis_dim(Gamma[0].n, D) * (D + 1) for D in set(degrees))
     if floats > MAX_TENSOR_FLOATS:

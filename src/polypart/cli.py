@@ -22,9 +22,11 @@ from pathlib import Path
 import numpy as np
 
 from . import equivariant as eq
-from .cells import MAX_S, CellCounts, SamplingConfig, check_line_tensors, index_w, line_cell_sets
+from .cells import (
+    MAX_S, CellCounts, SamplingConfig, check_line_reach, check_line_tensors, index_w, line_cell_sets
+)
 from .mollifier import DELTA_GRID, check_delta_grid, i_delta, schedule
-from .polyalg import MonomialBasis, Polynomial, degree_schedule, grad_bound
+from .polyalg import MonomialBasis, Polynomial, check_reach, degree_schedule, grad_bound
 from .solver import (
     PartitionReport, SolveConfig, family_dims, partition_points, partition_varieties
 )
@@ -413,7 +415,9 @@ def cmd_partition(args) -> int:
         write_report(args.out, rep, "partition", {"input": args.input})
         return 0
     _translated(family_dims, inst.varieties, prefix="")
-    _translated(check_line_tensors, inst.varieties, degree_schedule(inst.n, args.s))
+    sched = degree_schedule(inst.n, args.s)
+    _translated(check_line_reach, inst.varieties, sched[-1], prefix="")
+    _translated(check_line_tensors, inst.varieties, sched)
     rep = partition_varieties(inst.varieties, cfg)
     write_report(args.out, rep, "partition", {"input": args.input})
     return 0
@@ -425,6 +429,7 @@ def cmd_partition_points(args) -> int:
     cfg = _solve_config(args, inst.n)
     if inst.points is None:
         raise InstanceError("field 'points': required for partition-points")
+    _translated(check_reach, inst.points, degree_schedule(inst.n, args.s)[-1], "points", prefix="")
     rep = partition_points(inst.points, args.s, cfg)
     write_report(args.out, rep, "partition-points", {"input": args.input})
     return 0

@@ -189,36 +189,46 @@ def grad_bound(basis: MonomialBasis, R: float) -> float:
     return math.sqrt(len(basis)) * basis.n * basis.D * max(1.0, R) ** (basis.D - 1)
 
 
+def check_reach(X: np.ndarray, D: int, name: str, index=None) -> None:
+    """ValueError, with a message that starts with name[i], for the first row
+    of X whose reach r = 1 + max |coordinate| has r^D > 2^512; i is the row,
+    or its entry in index. Every monomial of degree <= D at the row, and
+    every coefficient of its restriction to a line through it with a unit
+    direction, is at most r^D; half the float exponent range leaves the
+    solvers' sums and weights of such values room to stay finite."""
+    reach = 1.0 + np.abs(X).max(axis=1)
+    far = np.flatnonzero(D * np.log2(reach) > 512)
+    if len(far):
+        i = far[0]
+        raise ValueError(
+            f"{name}[{i if index is None else index[i]}]: a coordinate of magnitude "
+            f"{reach[i] - 1.0:.3g} is too large for degree {D}; 1 + max |coordinate| "
+            f"must be at most {2.0 ** (512 / D):.4g}"
+        )
+
+
 def line_restriction_tensor(basis: MonomialBasis, A: np.ndarray, U: np.ndarray) -> np.ndarray:
     """The restriction of every monomial of `basis` to the m lines given by the
     rows of A and U, shape (dim, m·(D+1)): row i holds monomial i's ascending
     coefficients in t -> (A_k + t U_k)^e_i, line by line.
 
-    A monomial is the convolution, from 1.0 and coordinate by coordinate, of
-    its factors (A_i + U_i t)^e, whose entry r is C(e, r) * A_i^(e-r) * U_i^r,
-    multiplied left to right, with the powers built as monomial_matrix builds
-    them. Each factor is built once and shared by the monomials that use it.
+    The row of x^e is the row of its parent x^(e - e_i), with i the last
+    coordinate where e is nonzero, times (A_i + U_i t): coefficient r is
+    parent_r · A_i + parent_(r-1) · U_i, one multiply-add. Graded-lex order
+    lists every parent before its children, so the rows fill in order from
+    the constant monomial's 1.0.
     """
     A = np.asarray(A, dtype=np.float64)
     U = np.asarray(U, dtype=np.float64)
-    m = A.shape[0]
-    out = np.zeros((len(basis), m, basis.D + 1))
-    facs = {}
-    for row, expo in enumerate(basis.monomials):
-        conv = np.ones((m, 1))
-        for i, e in enumerate(expo):
-            if e == 0:
-                continue
-            fac = facs.get((i, e))
-            if fac is None:
-                binom = np.array([math.comb(e, r) for r in range(e + 1)], dtype=np.float64)
-                fac = binom * _powers(A[:, i], e)[:, ::-1] * _powers(U[:, i], e)
-                facs[(i, e)] = fac
-            new = np.zeros((m, conv.shape[1] + e))
-            for k in range(conv.shape[1]):
-                new[:, k : k + e + 1] += conv[:, k : k + 1] * fac
-            conv = new
-        out[row, :, : conv.shape[1]] = conv
+    out = np.zeros((len(basis), A.shape[0], basis.D + 1))
+    out[0, :, 0] = 1.0
+    row_of = {e: row for row, e in enumerate(basis.monomials)}
+    for row, expo in enumerate(basis.monomials[1:], start=1):
+        i = max(k for k, e in enumerate(expo) if e)
+        d = sum(expo)
+        parent = out[row_of[expo[:i] + (expo[i] - 1,) + expo[i + 1 :]], :, :d]
+        np.multiply(parent, A[:, i, None], out=out[row, :, :d])
+        out[row, :, 1 : d + 1] += parent * U[:, i, None]
     return out.reshape(len(basis), -1)
 
 

@@ -31,7 +31,9 @@ from . import mollifier as moll_mod
 # sign_vector_many and eval_poly_many are unused here, but perfbench's tracer
 # requires these bindings
 from .cells import CellCounts, SamplingConfig, point_counts, sign_vector_many
-from .polyalg import Polynomial, degree_schedule, eval_poly_many, monomial_basis, monomial_matrix
+from .polyalg import (
+    Polynomial, check_reach, degree_schedule, eval_poly_many, monomial_basis, monomial_matrix
+)
 from .spectrum import Spectrum, spectral_power, wht
 from .sphereprod import XsPoint, block_poly, block_size, random_point, to_polys
 from .varieties import VarietySpec
@@ -376,16 +378,11 @@ def _polish(M, bucket, c, n_parts, rng, proposals):
     The proposal noise is drawn in one call, which gives the same stream as
     one draw per proposal; the caller does not use rng afterwards.
 
-    Proposals are scored _CHUNK at a time from the current best: one product
-    of the chunk's normalized rows with the live points sorted by part, and
-    one reduceat over the parts. The walk takes the first row that scores no
-    worse, rebuilt exactly as a lone proposal, and the next chunk starts after
-    it. A batched value is a row of M dotted, in another order, with the
-    proposal normalized by a norm that may round differently; with |M| <=
-    scale and u = 2^-53 it differs from the lone M @ cand by at most about
-    4 dim (dim + 1) u scale, and `margin` is at least four times that. A
-    row with a value within margin of TAU is scored again from M @ cand, so
-    every sign, and every decision, is the lone proposal's.
+    Proposals come _CHUNK at a time, each a step from the best point at the
+    chunk's start. One product of the chunk's normalized rows with the live
+    points sorted by part, and one reduceat over the parts, give every row's
+    imbalances, and _bisect_score scores each row once. The walk moves to
+    the chunk's first row that scores no worse; its later rows are dropped.
     """
     best = c
     best_score = _bisect_score(_imbalances(M @ c, bucket, n_parts))
@@ -393,41 +390,16 @@ def _polish(M, bucket, c, n_parts, rng, proposals):
     steps = np.array(
         [0.3 * (0.03 / 0.3) ** (k / max(proposals - 1, 1)) for k in range(proposals)]
     )
-
-    def lone(k):  # proposal k from the current best, built as if scored alone
-        cand = best + steps[k] * noise[k]
-        cand /= math.sqrt(cand.dot(cand))  # np.linalg.norm of a 1-D array
-        return cand
-
     order, starts, filled = _part_segments(bucket, n_parts)
     live_t = M[order].T.copy()
-    dim = M.shape[1]
-    scale = float(np.abs(M).max(initial=0.0))
-    # |v| <= scale * dim, so below 1e300 nothing overflows; else score exactly
-    margin = 8 * (dim + 2) * dim * 2.0**-52 * scale if scale * dim < 1e300 else math.inf
-    k0 = 0
-    while k0 < proposals:
+    for k0 in range(0, proposals, _CHUNK):
         rows = best + steps[k0 : k0 + _CHUNK, None] * noise[k0 : k0 + _CHUNK]
         rows /= np.sqrt(np.einsum("ij,ij->i", rows, rows))[:, None]
-        vals = rows @ live_t
-        imbs = _imbalance_rows(vals, starts, filled, n_parts)
-        # each value's distance from TAU, in place; NaN fails the comparison,
-        # so its row is scored exactly as well
-        dist = np.abs(vals)
-        dist -= TAU
-        sure = np.abs(dist, out=dist).min(axis=1, initial=math.inf) > margin
-        start, k0 = k0, k0 + len(rows)
-        for i, imb in enumerate(imbs):
-            cand = None
-            if not sure[i]:
-                cand = lone(start + i)
-                imb = _imbalances(M @ cand, bucket, n_parts)
-            score = _bisect_score(imb)
-            if score <= best_score:
-                best = lone(start + i) if cand is None else cand
-                best_score = score
-                k0 = start + i + 1
-                break
+        imbs = _imbalance_rows(rows @ live_t, starts, filled, n_parts)
+        scores = [_bisect_score(imb) for imb in imbs]
+        i = next((i for i, score in enumerate(scores) if score <= best_score), None)
+        if i is not None:
+            best, best_score = rows[i], scores[i]
     return best, best_score
 
 
@@ -446,6 +418,7 @@ def partition_points(X, s: int, cfg: SolveConfig) -> PartitionReport:
     if n != cfg.n:
         raise ValueError(f"config n = {cfg.n} but points live in R^{n}")
     sched = degree_schedule(n, s)
+    check_reach(X, sched[-1], "points")
     D = sum(sched)
     part = np.zeros(len(X), dtype=np.int64)
     alive = np.ones(len(X), dtype=bool)

@@ -2,7 +2,7 @@
 
 No `src/` path calls these. `eval_poly`, `grad` and `restrict_to_line` are
 the one-point forms of the batched kernels, compared within a tolerance.
-`monomial_table_py` and `line_factors_py` spell out, in Python floats, the
+`monomial_table_py` and `line_tensor_py` spell out, in Python floats, the
 multiplication order `polyalg` fixes, so the kernels must match them bit for
 bit. `restrict_to_line_exact` expands a restriction in exact rationals, and
 `sturm_chain_exact` and `sturm_count_exact` give a row's Sturm chain and its
@@ -125,11 +125,24 @@ def monomial_table_py(X: np.ndarray, basis: MonomialBasis) -> np.ndarray:
     return out
 
 
-def line_factors_py(a: float, u: float, e: int) -> list[float]:
-    """Ascending coefficients of (a + u t)^e as line_restriction_tensor builds
-    them, in Python floats: C(e, r) * a^(e-r) * u^r, powers as above."""
-    pa, pu = _powers_py(a, e), _powers_py(u, e)
-    return [float(math.comb(e, r)) * pa[e - r] * pu[r] for r in range(e + 1)]
+def line_tensor_py(a: list[float], u: list[float], basis: MonomialBasis) -> list[list[float]]:
+    """One line's rows of line_restriction_tensor in Python floats: x^e is its
+    parent x^(e - e_i), i the last coordinate where e is nonzero, times
+    (a_i + u_i t), coefficient r being parent_r * a_i + parent_(r-1) * u_i,
+    each padded with zeros to D + 1."""
+    rows = {}
+    for expo in basis.monomials:
+        nz = [k for k, e in enumerate(expo) if e]
+        if not nz:
+            rows[expo] = [1.0]
+            continue
+        i = nz[-1]
+        parent = rows[expo[:i] + (expo[i] - 1,) + expo[i + 1 :]]
+        row = [c * a[i] for c in parent] + [0.0]
+        for r in range(1, len(row)):
+            row[r] += parent[r - 1] * u[i]
+        rows[expo] = row
+    return [row + [0.0] * (basis.D + 1 - len(row)) for row in rows.values()]
 
 
 def restrict_to_line_exact(p: Polynomial, point, direction, absolute: bool = False) -> list[Fraction]:

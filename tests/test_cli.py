@@ -399,6 +399,55 @@ def test_non_finite_point_exit_2(tmp_path, capsys, bad):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command, payload, name",
+    [
+        ("partition-points", {"n": 2, "points": [[1e300, 1e300], [0, 0]]}, "points"),
+        (
+            "partition",
+            {"n": 2, "varieties": [{"kind": "line", "point": [1e300, 0], "dir": [0, 1]}]},
+            "varieties",
+        ),
+    ],
+)
+def test_overflowing_input_exit_2(tmp_path, capsys, monkeypatch, command, payload, name):
+    # degree-2 monomials of 1e300 overflow, which would fill the point
+    # solver's products with inf and NaN and give the line a non-finite
+    # restriction; both inputs are refused before the first step, on the
+    # command line and in the library
+    from polypart import cells, solver
+
+    def solved(*args, **kwargs):
+        raise AssertionError("the solve ran past the overflow check")
+
+    inst = write_instance(tmp_path, payload)
+    loaded = load_instance(inst)
+    cfg = solver.SolveConfig(s=3, n=2)
+    x2 = polyalg.Polynomial(polyalg.monomial_basis(2, 2), np.eye(6)[3])
+    library = {
+        "points": [lambda: solver.partition_points(loaded.points, 3, cfg)],
+        "varieties": [
+            lambda: solver.partition_varieties(loaded.varieties, cfg),
+            lambda: cells.line_cell_sets(loaded.varieties, [x2]),
+            lambda: counts(loaded.varieties, [x2], SamplingConfig(), exact_lines=True),
+        ],
+    }[name]
+    monkeypatch.setattr(solver, "monomial_basis", solved)
+    monkeypatch.setattr(cells, "line_restriction_tensor", solved)
+    monkeypatch.setattr(cells, "restrict_to_line_batch", solved)
+    why = rf"^{name}\[0\]: .* 1e\+300 is too large for degree 2"
+    for call in library:
+        with pytest.raises(ValueError, match=why):
+            call()
+    monkeypatch.setattr(cli, "partition_points", solved)
+    monkeypatch.setattr(cli, "partition_varieties", solved)
+    out = tmp_path / "o"
+    assert main([command, "--input", inst, "--s", "3", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {name}[0]: ") and len(err.strip().splitlines()) == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("grid", ["0.0625,0.125,0.0625", "0.25,0.25"])
 def test_verify_mollifier_non_decreasing_grid_exit_2(monkeypatch, capsys, grid):
     # rejected before any check runs: a repeated or rising level is an input

@@ -590,3 +590,27 @@ def test_partition_points_determinism():
     a = partition_points(X, 3, cfg)
     b = partition_points(X, 3, cfg)
     assert a.counts == b.counts and a.trace == b.trace
+
+
+@pytest.mark.parametrize("s", [3, 4, 6])
+def test_solves_stay_finite_up_to_the_reach_limit(s):
+    # a point, or a line's foot point, just inside polyalg.check_reach's
+    # limit solves with nothing overflowing (a RuntimeWarning fails the
+    # test), and one just outside is refused before the first step
+    D = degree_schedule(2, s)[-1]
+    limit = 2.0 ** (512 / D) - 1.0
+    rng = np.random.default_rng(s)
+    X = rng.uniform(-1.0, 1.0, size=(50, 2))
+    lines = [line(a, (np.cos(t), np.sin(t))) for a, t in zip(X[:20], rng.uniform(0, np.pi, 20))]
+    cfg = SolveConfig(s=s, n=2, restarts=1, iters=60)
+    for far in (0.999 * limit, 1.001 * limit):
+        X[3] = (far, -far)
+        lines[5] = line((far, 0.3), (0.0, 1.0))
+        if far < limit:
+            assert partition_points(X, s, cfg).counts.table.sum() > 0
+            assert partition_varieties(lines, cfg).max_count > 0
+            continue
+        with pytest.raises(ValueError, match=rf"^points\[3\]: .* too large for degree {D}"):
+            partition_points(X, s, cfg)
+        with pytest.raises(ValueError, match=rf"^varieties\[5\]: .* too large for degree {D}"):
+            partition_varieties(lines, cfg)
