@@ -25,7 +25,7 @@ class UnsupportedVarietyError(ValueError):
 
 @dataclass
 class LineSampler:
-    point: np.ndarray
+    point: np.ndarray  # foot point
     direction: np.ndarray  # unit
     normals: np.ndarray  # (n-1, n)
 
@@ -40,7 +40,7 @@ class CircleSampler:
 
 @dataclass
 class PlaneSampler:
-    point: np.ndarray
+    point: np.ndarray  # foot point
     frame: np.ndarray  # (k, n) orthonormal
     normals: np.ndarray  # (n-k, n)
 
@@ -90,7 +90,7 @@ def _orthonormal(frame, n, what):
     if F.ndim != 2 or F.shape[1] != n:
         raise ValueError(f"{what} must have shape (k, {n}), got {F.shape}")
     gram = F @ F.T
-    if not np.allclose(gram, np.eye(F.shape[0]), atol=_ORTHO_TOL):
+    if not np.allclose(gram, np.eye(F.shape[0]), rtol=0.0, atol=_ORTHO_TOL):
         raise ValueError(f"{what} rows must be orthonormal")
     return F
 
@@ -103,6 +103,9 @@ def _complement(rows: np.ndarray, n: int) -> np.ndarray:
 
 
 def line(point, direction) -> VarietySpec:
+    """The line through point with unit direction u. point may be any point of
+    the line; the line keeps its foot point a - (a.u)u, the point nearest the
+    origin, so that no consumer depends on where the line was anchored."""
     a = _finite(point, "line point", 1)
     n = a.shape[0]
     if n < 2:
@@ -111,7 +114,7 @@ def line(point, direction) -> VarietySpec:
     if u.shape != (n,):
         raise ValueError("line point/direction dimension mismatch")
     normals = _complement(u[None, :], n)
-    return VarietySpec(n=n, k=1, sampler=LineSampler(a, u, normals))
+    return VarietySpec(n=n, k=1, sampler=LineSampler(a - (a @ u) * u, u, normals))
 
 
 def circle(center, radius, frame=None) -> VarietySpec:
@@ -135,7 +138,10 @@ def circle(center, radius, frame=None) -> VarietySpec:
 
 
 def kplane(point, frame) -> VarietySpec:
-    """Affine k-plane; an empty frame gives a single-point (k = 0) variety."""
+    """The affine k-plane through point spanned by the orthonormal rows of
+    frame. point may be any point of the plane; the plane keeps its foot point
+    a - F^T(F a), which for an empty frame (a single-point, k = 0 variety) is
+    a bit for bit. A 1-plane is a line, built by line()."""
     a = _finite(point, "k-plane point", 1)
     n = a.shape[0]
     frame = _finite(frame, "k-plane frame")
@@ -145,8 +151,10 @@ def kplane(point, frame) -> VarietySpec:
     k = F.shape[0]
     if k >= n:
         raise ValueError(f"need variety dimension k < n, got k={k}, n={n}")
+    if k == 1:
+        return line(a, F[0])
     normals = _complement(F, n)
-    return VarietySpec(n=n, k=k, sampler=PlaneSampler(a, F, normals))
+    return VarietySpec(n=n, k=k, sampler=PlaneSampler(a - F.T @ (F @ a), F, normals))
 
 
 def build(kind: str, params: dict) -> VarietySpec:
@@ -160,20 +168,11 @@ def build(kind: str, params: dict) -> VarietySpec:
     raise ValueError(f"unsupported variety kind {kind!r}")
 
 
-def _line_interval(a, u, R):
-    # |a + t u| <= R  <=>  t^2 + 2 (a.u) t + |a|^2 - R^2 <= 0
-    b = float(a @ u)
-    c = float(a @ a - R * R)
-    disc = b * b - c
-    if disc <= 0:
-        return None
-    r = math.sqrt(disc)
-    return (-b - r, -b + r)
-
-
 def _circle_arc(sampler: CircleSampler, R):
     # |x(theta)|^2 = A + Bm cos(theta - phi) <= R^2 on a single arc
     c, r, (u, v) = sampler.center, sampler.radius, sampler.frame
+    if math.hypot(*c) - r > R:
+        return None  # every point is at least |c| - r from the origin
     A = float(c @ c + r * r)
     bc = 2.0 * r * float(c @ u)
     bs = 2.0 * r * float(c @ v)
@@ -190,35 +189,27 @@ def _circle_arc(sampler: CircleSampler, R):
     return (phi + alpha, phi + 2.0 * math.pi - alpha)
 
 
-def _plane_disk(sampler: PlaneSampler, R):
-    # parameters z with |point + F^T z| <= R form a ball around -F @ point
-    a, F = sampler.point, sampler.frame
-    b = F @ a
-    rho2 = R * R - float(a @ a - b @ b)
-    if rho2 <= 0:
-        return None
-    return (-b, math.sqrt(rho2))
-
-
 def _span(spec: VarietySpec, R: float):
     """The parameters of the variety's part inside B_R: an interval (lo, hi)
-    of a line's t or a circle's angle, or a k-plane's disk (center, radius);
-    None when the variety misses B_R."""
+    of a circle's angle, or, for a line or k-plane, the radius of the k-ball
+    around its foot point in which it meets B_R; None when the variety misses
+    B_R. A flat whose foot point lies at distance d < R from the origin meets
+    B_R in the ball of radius sqrt(R^2 - d^2), taken as sqrt((R - d)(R + d)):
+    d comes from math.hypot, and nothing is squared that could overflow."""
     s = spec.sampler
-    if isinstance(s, LineSampler):
-        return _line_interval(s.point, s.direction, R)
     if isinstance(s, CircleSampler):
         return _circle_arc(s, R)
-    return _plane_disk(s, R)
+    d = math.hypot(*s.point)
+    return None if d >= R else math.sqrt((R - d) * (R + d))
 
 
 def _span_measure(spec: VarietySpec, span) -> float:
     s = spec.sampler
     if isinstance(s, LineSampler):
-        return span[1] - span[0]
+        return 2.0 * span
     if isinstance(s, CircleSampler):
         return s.radius * (span[1] - span[0])
-    return _ball_volume(spec.k) * span[1] ** spec.k
+    return _ball_volume(spec.k) * span**spec.k
 
 
 def _ball_volume(d: int) -> float:
@@ -248,9 +239,10 @@ def _base_points(specs, R, count, rngs):
     their points, and radial maps each row of base on a circle to the unit
     radial direction at its points. Each variety's span is found once.
     Lines and circles draw one stratified parameter per point over their
-    span, k-planes their disk coordinates; the arithmetic on the lines' and
-    the circles' draws runs on the whole stack, one coordinate at a time so
-    that numpy's inner loops run along the points.
+    interval or arc, k-planes a point of their k-ball about the foot point;
+    the arithmetic on the lines' and the circles' draws runs on the whole
+    stack, one coordinate at a time so that numpy's inner loops run along
+    the points.
     """
     if len({g.n for g in specs}) > 1:
         raise ValueError("varieties must share the ambient dimension")
@@ -261,16 +253,16 @@ def _base_points(specs, R, count, rngs):
             continue
         s = spec.sampler
         if isinstance(s, PlaneSampler):
-            z0, rho = span
             z = np.zeros((count, 0))
             if spec.k > 0:
                 g, u = rng.normal(size=(count, spec.k)), rng.uniform(size=(count, 1))
-                z = z0[None, :] + _in_ball(g, u, rho)
+                z = _in_ball(g, u, span)
             planes[len(live)] = s.point[None, :] + z @ s.frame
+        elif isinstance(s, LineSampler):
+            lines.append((len(live), s, -span, 2.0 * span / count, rng.uniform(size=count)))
         else:
             lo, hi = span
-            group = lines if isinstance(s, LineSampler) else arcs
-            group.append((len(live), s, lo, (hi - lo) / count, rng.uniform(size=count)))
+            arcs.append((len(live), s, lo, (hi - lo) / count, rng.uniform(size=count)))
         live.append(i)
         measure.append(_span_measure(spec, span))
     base = np.empty((len(live), count, specs[0].n))

@@ -9,9 +9,12 @@ to a temporary directory removed at exit, so a test run leaves no
 
 pyproject's `pythonpath` puts `src/` on this process's import path; the
 same directory is prepended to PYTHONPATH so that the subprocesses a test
-starts (`python -m polypart.cli ...`) import this checkout as well. The tests
-import their reference implementations as `oracles` from this directory,
-which goes on the import path here so that any pytest import mode finds it.
+starts (`python -m polypart.cli ...`) import this checkout as well, and
+`error::RuntimeWarning` is appended to PYTHONWARNINGS so that a numpy
+overflow fails such a subprocess as pyproject's filter fails an in-process
+test. The tests import their reference implementations as `oracles` from
+this directory, which goes on the import path here so that any pytest import
+mode finds it.
 """
 
 import os
@@ -30,3 +33,6 @@ configuration.set_hypothesis_home_dir(_storage.name)
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 _SRC = str(Path(__file__).resolve().parent.parent / "src")
 os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
+os.environ["PYTHONWARNINGS"] = ",".join(
+    filter(None, [os.environ.get("PYTHONWARNINGS"), "error::RuntimeWarning"])
+)

@@ -76,6 +76,14 @@ def test_counts_quadrant_example():
     assert cc.table.tolist() == [2, 1, 1, 0]
 
 
+def test_one_plane_is_counted_exactly():
+    # y = 0.5 given as a 1-plane crosses x = 0: exactly, it enters both
+    # cells of X, where one sample of it would see one
+    plane = kplane((0.0, 0.5), [[1.0, 0.0]])
+    sampling = SamplingConfig(R=2.0, count=1, seed=0)
+    assert counts([plane], [X], sampling, exact_lines=True).table.tolist() == [1, 1]
+
+
 def test_counts_empty_and_monotone():
     cfg = SamplingConfig(R=2.0, count=256, seed=1)
     assert counts([], [X, Y], cfg) == CellCounts.zeros(2)
@@ -960,6 +968,66 @@ def test_seeded_line_solve_bisects_no_row(exact_rows):
     # the pinned solve above, with every row that reaches the exact fallback counted
     test_seeded_line_solve_pinned_table()
     assert sum(exact_rows) == 0
+
+
+# dyadic shifts k / 2^j up to 2^40 in magnitude
+DYADIC_SHIFTS = st.builds(lambda k, j: k * 2.0**-j, st.integers(-(2**40), 2**40), st.integers(0, 12))
+
+
+@settings(max_examples=25)
+@given(
+    st.lists(
+        st.tuples(st.integers(0, 1), st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), DYADIC_SHIFTS),
+        min_size=1,
+        max_size=6,
+    )
+)
+def test_axis_line_counts_do_not_depend_on_its_anchor(draws):
+    # a line along e_i given at f + t e_i keeps f's foot point bit for bit
+    # (+ 0.0 turns a drawn -0.0 into 0.0), so it enters the same cells
+    given, shifted = [], []
+    for i, x, y, t in draws:
+        u, f = np.eye(2)[i], np.array([x, y]) + 0.0
+        given.append(line(f, u))
+        shifted.append(line(f + t * u, u))
+        assert shifted[-1].sampler.point.tobytes() == given[-1].sampler.point.tobytes()
+    sampling = SamplingConfig(R=4.0, seed=0)
+    for s in (4, 6):
+        pvec = to_polys(random_point(s, (5, s)), 2)
+        assert line_cell_sets(shifted, pvec) == line_cell_sets(given, pvec)
+        want = counts(given, pvec, sampling, exact_lines=True).table
+        assert np.array_equal(counts(shifted, pvec, sampling, exact_lines=True).table, want)
+
+
+@settings(max_examples=200)
+@given(st.floats(0.0, 2 * math.pi), st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), DYADIC_SHIFTS)
+def test_line_stores_its_foot_point_within_rounding(theta, x, y, t):
+    # the stored point is the exact projection a - (a.u)/(u.u) u of the given
+    # point a, within 2^-48 |a|: a few roundings of a product of size |a|
+    u = (math.cos(theta), math.sin(theta))
+    a = np.array([x, y]) + t * np.array(u)
+    au = sum(Fraction(c) * Fraction(d) for c, d in zip(a, u))
+    uu = sum(Fraction(d) ** 2 for d in u)
+    foot = [Fraction(c) - au / uu * Fraction(d) for c, d in zip(a, u)]
+    got = line(a, u).sampler.point
+    err = max(abs(Fraction(g) - f) for g, f in zip(got, foot))
+    assert err <= Fraction(2) ** -48 * max(1.0, float(np.linalg.norm(a)))
+
+
+@pytest.mark.parametrize("shift", [1e5, 1e6])
+def test_shifted_line_solve_reports_the_exact_counts(shift):
+    # the family of the `lines` benchmark's first instance at seed 0, every
+    # line given `shift` along itself: the solve must report the exact table
+    # of its tuple on the lines as drawn, whose points lie in the unit disk
+    from polypart.solver import SolveConfig, partition_varieties
+
+    Gamma = unit_disk_lines([0, 0, 0])
+    far = [line(g.sampler.point + shift * g.sampler.direction, g.sampler.direction) for g in Gamma]
+    sampling = SamplingConfig(R=4.0, seed=0)
+    cfg = SolveConfig(s=4, n=2, restarts=1, iters=200, seed=0, sampling=sampling)
+    rep = partition_varieties(far, cfg)
+    want = counts(Gamma, rep.pvec, sampling, exact_lines=True).table
+    assert np.array_equal(rep.counts.table, want)
 
 
 def test_sampled_counts_pinned_tables():

@@ -577,6 +577,57 @@ def test_bad_instance_exits_2_without_traceback(tmp_path, case):
     assert not out.exists()
 
 
+# families with a variety far from the origin, beside one near it, whose
+# spans used to square the far coordinates
+FAR_FAMILIES = {
+    "circle": [
+        {"kind": "circle", "center": [1e300, 0], "radius": 1.0},
+        {"kind": "circle", "center": [0, 0], "radius": 1.0},
+    ],
+    "2-plane": [
+        {"kind": "kplane", "point": [1e160, 0, 0.3], "frame": [[1, 0, 0], [0, 1, 0]]},
+        {"kind": "kplane", "point": [0, 0, 1e300], "frame": [[1, 0, 0], [0, 1, 0]]},
+    ],
+    "0-plane": [
+        {"kind": "kplane", "point": [1e300, 0], "frame": []},
+        {"kind": "kplane", "point": [0.1, 0.2], "frame": []},
+    ],
+}
+
+
+@pytest.mark.parametrize("objective", ["discrete", "smooth"])
+@pytest.mark.parametrize("case", sorted(FAR_FAMILIES))
+def test_far_varieties_solve_without_overflow(tmp_path, case, objective):
+    # a fresh process, in which conftest makes a RuntimeWarning an error
+    varieties = FAR_FAMILIES[case]
+    n = len(varieties[0].get("center", varieties[0].get("point")))
+    inst = write_instance(tmp_path, {"n": n, "varieties": varieties})
+    proc = subprocess.run(
+        [sys.executable, "-m", "polypart.cli", "partition", "--input", inst, "--s", "2",
+         "--iters", "5", "--restarts", "1", "--objective", objective, "--out", str(tmp_path / "o")],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "Warning" not in proc.stderr
+
+
+def test_far_anchored_line_counts_as_its_foot_point(tmp_path):
+    # [1e200, 0.3] was once refused as too large for the degrees of s = 3;
+    # the line keeps its foot point [0, 0.3] and counts as that line does
+    tables = []
+    for x in (1e200, 0.0):
+        varieties = [
+            {"kind": "line", "point": [x, 0.3], "dir": [1, 0]},
+            {"kind": "line", "point": [0.2, 0], "dir": [0.6, 0.8]},
+        ]
+        inst = write_instance(tmp_path, {"n": 2, "varieties": varieties}, f"{x}.json")
+        out = tmp_path / f"o{x}"
+        assert main(["partition", "--input", inst, "--s", "3", "--iters", "20", "--out", str(out)]) == 0
+        tables.append((out / "counts.csv").read_text())
+    assert tables[0] == tables[1]
+
+
 @pytest.mark.parametrize("command", ["partition", "partition-points"])
 @pytest.mark.parametrize("below", [False, True])
 def test_out_that_is_a_file_exits_2_before_solving(tmp_path, monkeypatch, capsys, command, below):

@@ -52,6 +52,9 @@ def test_build_errors():
         kplane((0.0, 0.0), np.eye(2))  # k >= n
     with pytest.raises(ValueError):
         kplane((0.0, 0.0, 0.0), np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]]))
+    with pytest.raises(ValueError, match="orthonormal"):
+        # the 1e-9 tolerance holds on the Gram diagonal too, as line()'s does
+        kplane((0.0, 0.0, 0.0), [[1.0 + 1e-6, 0.0, 0.0]])
 
 
 @pytest.mark.parametrize(
@@ -86,6 +89,24 @@ def test_point_variety_k0():
     cloud = tube_sample(spec, 0.1, 1.0, 4000, seed=1)
     total = cloud.weight * len(cloud.points)
     assert total == pytest.approx(math.pi * 0.1**2, rel=0.02)  # the delta-ball
+
+
+def test_flats_keep_their_foot_points():
+    # the point given may be any point of the flat; a 0-plane keeps it bit
+    # for bit, and a far anchor neither overflows nor loses the span
+    a = np.array([0.3, -0.4, 1e-310])
+    assert kplane(a, np.zeros((0, 3))).sampler.point.tobytes() == a.tobytes()
+    far = kplane((1e8, -3e7, 0.3), np.eye(3)[:2])
+    assert far.sampler.point.tolist() == [0.0, 0.0, 0.3]
+    assert region_measure(far, 4.0) == pytest.approx(math.pi * (16.0 - 0.09), rel=1e-12)
+    huge = kplane((1e160, 0.0, 0.3), np.eye(3)[:2])
+    assert distance_to(huge, sample_in_ball(huge, 4.0, 20, seed=0)).max() < 1e-12
+    assert line((5.0, 1.0), (1.0, 0.0)).sampler.point.tolist() == [0.0, 1.0]
+    # a 1-plane is the line along its frame row
+    one = kplane((0.1, 0.4, -0.2), [[0.0, 0.6, 0.8]]).sampler
+    want = line((0.1, 0.4, -0.2), (0.0, 0.6, 0.8)).sampler
+    assert isinstance(one, LineSampler)
+    assert np.array_equal(one.point, want.point) and np.array_equal(one.direction, want.direction)
 
 
 def test_build_dispatch():
@@ -255,10 +276,13 @@ TUBE_FAMILIES = {
     ),
 }
 # per variety i on seed (17, i): kept points, sha256 prefix of their bytes,
-# weight as float.hex
+# weight as float.hex. The r2 line, the r3 1-plane (a line since 1-planes are
+# built as lines) and the r3 line were given off their foot points: their
+# digests were re-recorded when flats came to keep the foot point, with the
+# same kept counts and weights.
 PINNED_TUBES = {
     "r2": [
-        (58, "130852eba09a6d16", "0x1.bb0cd605d7512p-8"),
+        (58, "fad25b33525a187b", "0x1.bb0cd605d7512p-8"),
         (54, "5c19eca8e23a6267", "0x1.cbbf02d6e785cp-8"),
         (64, "553a7e27c69f31c9", "0x1.015bf92172719p-7"),
         (0, "e3b0c44298fc1c14", "0x0.0p+0"),
@@ -269,9 +293,9 @@ PINNED_TUBES = {
         (45, "24d2ce6f8340dd3d", "0x1.6abc651029a51p-11"),
         (48, "3acf15f92ab8793a", "0x1.6e05a695f8191p-17"),
         (0, "e3b0c44298fc1c14", "0x0.0p+0"),
-        (46, "fd98c406cb10366c", "0x1.fcd70df948241p-12"),
+        (46, "7681031e4ad7d151", "0x1.fcd70df948241p-12"),
         (45, "35d86afb85b7bfc0", "0x1.008e15f3be161p-6"),
-        (46, "b780a06ca3fd87d8", "0x1.02a492d5cf2ebp-11"),
+        (46, "22bd398534ba80ae", "0x1.02a492d5cf2ebp-11"),
     ],
 }
 
