@@ -205,12 +205,14 @@ def verify_borsuk(s: int):
     fd_worst = 0.0
     h = 1e-6
     model = eq.model_map(s)
+    x_cols = [v + v.bit_length() - 1 for v in range(1, 2**s)]  # x_v's column
     for z in zeros:
         J = eq.jacobian_g(z)
         d = np.diag(J)
         diag_ok &= bool(np.all(np.isin(d, (-1.0, 1.0)))) and np.all(J == np.diag(d))
-        # model_map's jac as continuation's Newton steps see it, through the chart
-        analytic_ok &= bool(np.array_equal(eq.chart_jacobian(model.jac(z), z), J))
+        # at a model zero the x_v columns span the tangent space that
+        # continuation's Newton steps move in
+        analytic_ok &= bool(np.array_equal(model.jac(z)[:, x_cols], J))
         for col, v in enumerate(range(1, 2**s)):
             j, slot = eq.slot_of_v(v)
             bp = [b.copy() for b in z.blocks]
@@ -224,9 +226,8 @@ def verify_borsuk(s: int):
     fd_ok = fd_worst < 1e-6
     checks.append(("jacobian-diagonal", diag_ok, "entries in {-1, +1}"))
     checks.append(("jacobian-fd", fd_ok, f"max deviation {fd_worst:.3e}"))
-    checks.append(
-        ("jacobian-analytic", analytic_ok, "charted model_map jac equals jacobian_g exactly")
-    )
+    detail = "model_map jac on the x_v columns equals jacobian_g exactly"
+    checks.append(("jacobian-analytic", analytic_ok, detail))
     viol = eq.check_equivariance(eq.model_map(s), trials=100, seed=0)
     checks.append(("equivariance", viol < 1e-14, f"max violation {viol:.3e}"))
     return checks

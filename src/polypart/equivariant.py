@@ -5,18 +5,18 @@ nonzero bit vector v = 2^(j-1) + i - 1, so v ranges over exactly those v whose
 highest set bit is j. The model map sends x_v times the product of t_j over
 lower set bits of v; its zeros are the 2^s points with t_j = +-1, x_v = 0.
 Zeros of perturbed equivariant maps are found by homotopy continuation from
-the model zeros, with Newton correction in per-block charts.
+the model zeros. Each Newton step moves in the tangent space of the sphere
+product and normalises every block back onto its sphere.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .sphereprod import XsPoint, block_size, flip, random_point
+from .sphereprod import XsPoint, block_size, flip, random_point, retract
 
 # largest s whose 2^s model zeros g_zeros enumerates
 MAX_ZERO_S = 10
@@ -58,8 +58,8 @@ class EquivariantMap:
     """Map X_s -> R^(2^s - 1) indexed by nonzero v, odd in each flipped block.
 
     jac returns the (2^s - 1) x (2^s - 1 + s) derivative of fn with respect
-    to the concatenated blocks, which continuation's Newton steps chain
-    through their charts.
+    to the concatenated blocks; continuation's Newton steps apply it to
+    steps tangent to the spheres.
     """
 
     s: int
@@ -260,88 +260,37 @@ class ContinuationResult:
     orbit_residuals: list = field(default_factory=list)
 
 
-def _chart(x: XsPoint):
-    drops = [int(np.argmax(np.abs(b))) for b in x.blocks]
-    signs = [1.0 if b[d] >= 0 else -1.0 for b, d in zip(x.blocks, drops)]
-    y = np.concatenate([p for b, d in zip(x.blocks, drops) for p in (b[:d], b[d + 1 :])])
-    return y, drops, signs
-
-
-def _lift_block(part: np.ndarray, d: int, sign: float) -> np.ndarray | None:
-    rest = 1.0 - float(part @ part)
-    if rest <= 1e-12:
-        return None  # left the chart's valid patch
-    b = np.empty(len(part) + 1)
-    b[:d] = part[:d]
-    b[d] = sign * math.sqrt(rest)
-    b[d + 1 :] = part[d:]
-    return b
-
-
-def _lift(y: np.ndarray, drops, signs) -> XsPoint | None:
-    # block j + 1 (0-based j) holds chart coordinates 2^j - 1 .. 2^(j+1) - 2
-    blocks = tuple(
-        _lift_block(y[2**j - 1 : 2 ** (j + 1) - 1], d, sign)
-        for j, (d, sign) in enumerate(zip(drops, signs))
-    )
-    return None if any(b is None for b in blocks) else XsPoint(blocks)
-
-
-def chart_jacobian(J: np.ndarray, x: XsPoint, drops=None) -> np.ndarray:
-    """J, taken with respect to the concatenated blocks of x, chained through
-    the lift of the chart that drops coordinate d of each block (x's own chart
-    by default): chart column i of a block is J[:, i] - J[:, d] * (b_i / b_d).
-    """
-    if drops is None:
-        drops = _chart(x)[1]
-    flat = np.concatenate(x.blocks)
-    keep, owner = _chart_layout(tuple(len(b) for b in x.blocks), tuple(int(d) for d in drops))
-    return J[:, keep] - J[:, owner] * (flat[keep] / flat[owner])
-
-
-@functools.lru_cache(maxsize=256)
-def _chart_layout(sizes: tuple[int, ...], drops: tuple[int, ...]):
-    """chart_jacobian's columns for blocks of these sizes charted by these
-    drops: (mask of the kept columns, the dropped column owning each kept
-    one). A continuation keeps its charts for many steps, so each pair is
-    built once and shared read-only."""
-    dropped = np.cumsum((0,) + sizes[:-1]) + np.array(drops)
-    keep = np.ones(sum(sizes), dtype=bool)
-    keep[dropped] = False
-    owner = np.repeat(dropped, sizes)[keep]
-    keep.flags.writeable = owner.flags.writeable = False
-    return keep, owner
-
-
-def _newton_in_chart(fun, jac, x: XsPoint):
+def _newton(fun, jac, x: XsPoint):
     """Newton-correct x toward fun = 0; returns (point, residual, ok).
 
-    jac is fun's derivative with respect to the concatenated blocks. Each
-    step's Jacobian is jac at the current point chained through the chart's
-    lift by chart_jacobian.
+    jac is fun's derivative with respect to the concatenated blocks. A step d
+    solves J d = -fun with each block's part of d orthogonal to its block:
+    below J sits one row per block, the block itself in its own columns, which
+    makes the system square. The moved blocks are then normalised back onto
+    their spheres.
     """
-    y, drops, signs = _chart(x)
-    cur = _lift(y, drops, signs)
+    sizes = [len(b) for b in x.blocks]
+    rows = np.repeat(np.arange(x.s), sizes)
+    cur = x
     fx = fun(cur)
     res = float(np.abs(fx).max())
     for _ in range(NEWTON_MAX):
         if res < NEWTON_TOL:
             return cur, res, True
+        flat = np.concatenate(cur.blocks)
+        tangent = np.zeros((x.s, len(flat)))
+        tangent[rows, np.arange(len(flat))] = flat
         try:
-            step = np.linalg.solve(chart_jacobian(jac(cur), cur, drops), -fx)
+            step = np.linalg.solve(
+                np.vstack((jac(cur), tangent)), np.concatenate((-fx, np.zeros(x.s)))
+            )
         except np.linalg.LinAlgError:
             return cur, res, False
-        if not np.all(np.isfinite(step)):
+        if not np.isfinite(step @ step):  # also refuses a step too long to normalise
             return cur, res, False
-        y = y + step
-        nxt = _lift(y, drops, signs)
-        if nxt is None:
-            return cur, res, False
-        cur = nxt
+        cur = retract(np.split(flat + step, np.cumsum(sizes)[:-1]))
         fx = fun(cur)
         res = float(np.abs(fx).max())
-        # re-chart so the dropped coordinate stays the dominant one
-        y, drops, signs = _chart(cur)
     return cur, res, res < NEWTON_TOL
 
 
@@ -359,7 +308,7 @@ def _track_from(f: EquivariantMap, x0: XsPoint):
         def jac(pt, tv=t_next):
             return (1.0 - tv) * model_jac(pt) + tv * f.jac(pt)
 
-        cand, res, converged = _newton_in_chart(fun, jac, x)
+        cand, res, converged = _newton(fun, jac, x)
         if converged:
             x, t = cand, t_next
             dt = min(2.0 * dt, 1.0 / T_STEPS)

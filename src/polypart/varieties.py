@@ -102,6 +102,21 @@ def _complement(rows: np.ndarray, n: int) -> np.ndarray:
     return vt[rows.shape[0] :]
 
 
+def _foot(a: np.ndarray, F: np.ndarray, what: str) -> np.ndarray:
+    """a - F^T(F a): the point nearest the origin on the flat through a along
+    the orthonormal rows of F. From max |a| = 2^960 on, the projection is
+    taken on a / 2^64, an exact scaling, so that none of its sums overflows;
+    ValueError, naming the point, when the foot point itself lies beyond the
+    float range."""
+    if max(map(abs, a.tolist())) < 2.0**960:
+        return a - F.T @ (F @ a)
+    with np.errstate(over="ignore", invalid="ignore"):
+        foot = a - F.T @ (F @ (a / 2.0**64)) * 2.0**64
+    if not np.all(np.isfinite(foot)):
+        raise ValueError(f"{what} {a.tolist()} has a foot point beyond the float range")
+    return foot
+
+
 def line(point, direction) -> VarietySpec:
     """The line through point with unit direction u. point may be any point of
     the line; the line keeps its foot point a - (a.u)u, the point nearest the
@@ -113,8 +128,8 @@ def line(point, direction) -> VarietySpec:
     u = _unit(direction, "line direction")
     if u.shape != (n,):
         raise ValueError("line point/direction dimension mismatch")
-    normals = _complement(u[None, :], n)
-    return VarietySpec(n=n, k=1, sampler=LineSampler(a - (a @ u) * u, u, normals))
+    foot = _foot(a, u[None, :], "line point")
+    return VarietySpec(n=n, k=1, sampler=LineSampler(foot, u, _complement(u[None, :], n)))
 
 
 def circle(center, radius, frame=None) -> VarietySpec:
@@ -154,7 +169,7 @@ def kplane(point, frame) -> VarietySpec:
     if k == 1:
         return line(a, F[0])
     normals = _complement(F, n)
-    return VarietySpec(n=n, k=k, sampler=PlaneSampler(a - F.T @ (F @ a), F, normals))
+    return VarietySpec(n=n, k=k, sampler=PlaneSampler(_foot(a, F, "k-plane point"), F, normals))
 
 
 def build(kind: str, params: dict) -> VarietySpec:

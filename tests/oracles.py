@@ -8,9 +8,8 @@ bit. `restrict_to_line_exact` expands a restriction in exact rationals, and
 `sturm_chain_exact` and `sturm_count_exact` give a row's Sturm chain and its
 count of distinct real roots in them, `sign_exact` its sign at a float, and
 `bracket_holds_root` whether it changes sign across a float bracket.
-`chart_fd_jacobian` is the central-difference Jacobian the analytic chart
-Jacobian is checked against. `xs_dim`, `region_measure`, `distance_to` and
-`f_delta_v` are closed forms and functionals only the tests read.
+`xs_dim`, `region_measure`, `distance_to` and `f_delta_v` are closed forms
+and functionals only the tests read.
 """
 
 from __future__ import annotations
@@ -21,11 +20,9 @@ from fractions import Fraction
 import numpy as np
 
 from polypart.cells import w_index
-from polypart.equivariant import _lift, _lift_block
 from polypart.mollifier import mollified_table
 from polypart.polyalg import MonomialBasis, Polynomial, monomial_basis
 from polypart.spectrum import wht_table
-from polypart.sphereprod import XsPoint
 from polypart.varieties import LineSampler, PlaneSampler, VarietySpec, _span, _span_measure
 
 
@@ -213,26 +210,6 @@ def bracket_holds_root(asc, r: float, h: float) -> bool:
     at the floats r - h and r + h, as rounded: the bracket between them then
     holds a root of odd multiplicity."""
     return sign_exact(asc, r - h) * sign_exact(asc, r + h) == -1
-
-
-def chart_fd_jacobian(fun, y, drops, signs, h: float) -> np.ndarray:
-    """Central-difference Jacobian, step h, of fun in the chart at y.
-
-    A column re-lifts only the block of its chart coordinate and keeps the
-    other blocks of the lift of y.
-    """
-    base = _lift(y, drops, signs).blocks
-    N = len(y)
-    J = np.empty((N, N))
-    for i in range(N):
-        e = np.zeros(N)
-        e[i] = h
-        j = (i + 1).bit_length() - 1  # 0-based block holding coordinate i
-        lo, hi = 2**j - 1, 2 ** (j + 1) - 1
-        moved = [_lift_block(z[lo:hi], drops[j], signs[j]) for z in (y + e, y - e)]
-        xp, xm = (XsPoint(base[:j] + (b,) + base[j + 1 :]) for b in moved)
-        J[:, i] = (fun(xp) - fun(xm)) / (2.0 * h)
-    return J
 
 
 def xs_dim(s: int) -> int:

@@ -592,6 +592,11 @@ FAR_FAMILIES = {
         {"kind": "kplane", "point": [1e300, 0], "frame": []},
         {"kind": "kplane", "point": [0.1, 0.2], "frame": []},
     ],
+    # F a overflows at this anchor; the foot point (2.4e307, -1.8e307, 0) does not
+    "2-plane-anchor": [
+        {"kind": "kplane", "point": [1.5e308, 1.5e308, 0], "frame": [[0.6, 0.8, 0], [0, 0, 1]]},
+        {"kind": "kplane", "point": [0, 0, 0.1], "frame": [[1, 0, 0], [0, 1, 0]]},
+    ],
 }
 
 
@@ -626,6 +631,35 @@ def test_far_anchored_line_counts_as_its_foot_point(tmp_path):
         assert main(["partition", "--input", inst, "--s", "3", "--iters", "20", "--out", str(out)]) == 0
         tables.append((out / "counts.csv").read_text())
     assert tables[0] == tables[1]
+
+
+# lines whose anchor overflows a.u: the first has the finite foot point
+# (2.4e307, -1.8e307), too far for any degree, and the second's foot point
+# lies beyond the float range
+FAR_ANCHOR_LINES = {
+    "r2": ([1.5e308, 1.5e308], [0.6, 0.8], "a coordinate of magnitude 2.4e+307 is too large"),
+    "r3": ([1.5e308, 1.5e308, 0], [0.6, 0.8, 0], "a coordinate of magnitude 2.4e+307 is too large"),
+    "beyond": ([1.7e308, 1.7e308], [0.9238795325112867, -0.3826834323650898],
+               "line point [1.7e+308, 1.7e+308] has a foot point beyond the float range"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FAR_ANCHOR_LINES))
+def test_far_anchored_line_exits_2_in_one_line(tmp_path, case):
+    point, direction, message = FAR_ANCHOR_LINES[case]
+    n = len(point)
+    near = {"kind": "line", "point": [0.0] * (n - 1) + [0.1], "dir": [1.0] + [0.0] * (n - 1)}
+    varieties = [{"kind": "line", "point": point, "dir": direction}, near]
+    inst = write_instance(tmp_path, {"n": n, "varieties": varieties})
+    proc = subprocess.run(
+        [sys.executable, "-m", "polypart.cli", "partition", "--input", inst, "--s", "2",
+         "--iters", "5", "--out", str(tmp_path / "o")],
+        capture_output=True,
+        text=True,
+    )
+    err = proc.stderr.splitlines()
+    assert proc.returncode == 2 and len(err) == 1, proc.stderr
+    assert err[0].startswith(f"error: varieties[0]: {message}")
 
 
 @pytest.mark.parametrize("command", ["partition", "partition-points"])

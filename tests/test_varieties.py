@@ -1,8 +1,12 @@
 import hashlib
 import math
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from oracles import distance_to, region_measure
 from polypart.varieties import (
@@ -107,6 +111,40 @@ def test_flats_keep_their_foot_points():
     want = line((0.1, 0.4, -0.2), (0.0, 0.6, 0.8)).sampler
     assert isinstance(one, LineSampler)
     assert np.array_equal(one.point, want.point) and np.array_equal(one.direction, want.direction)
+
+
+@settings(max_examples=200)
+@given(
+    st.floats(0.0, 2 * math.pi),
+    st.floats(-math.pi / 2, math.pi / 2),
+    st.lists(st.floats(-1.79, 1.79), min_size=3, max_size=3),
+    st.integers(0, 308),
+)
+@example(math.atan2(0.8, 0.6), 0.0, [1.5, 1.5, 0.0], 308)  # a.u overflows
+@example(-math.pi / 8, 0.0, [1.7, 1.7, 0.0], 308)  # the foot point overflows
+def test_flats_store_the_exact_projection_up_to_1e308(theta, phi, xyz, e):
+    # lines and 2-planes in R^3 through points with coordinates up to 1.79e308:
+    # the stored point is the exact projection of the given point a, within
+    # 2^-48 max |a|, or ValueError when that projection is beyond the float
+    # range; nothing overflows on the way
+    a = np.array(xyz) * 10.0**e
+    u = (math.cos(theta) * math.cos(phi), math.sin(theta) * math.cos(phi), math.sin(phi))
+    rows = [(math.cos(theta), math.sin(theta), 0.0), (0.0, 0.0, 1.0)]  # exactly orthogonal
+    for build_flat, span in (((lambda: line(a, u)), [u]), ((lambda: kplane(a, rows)), rows)):
+        foot = [Fraction(c) for c in a]
+        for f in span:
+            coef = sum(Fraction(c) * Fraction(d) for c, d in zip(a, f)) / sum(
+                Fraction(d) ** 2 for d in f
+            )
+            foot = [c - coef * Fraction(d) for c, d in zip(foot, f)]
+        top = max(abs(w) for w in foot) / Fraction(sys.float_info.max)
+        if top > 1 + Fraction(2) ** -40:
+            with pytest.raises(ValueError, match="foot point beyond the float range"):
+                build_flat()
+        elif top < 1 - Fraction(2) ** -40:
+            got = build_flat().sampler.point
+            err = max(abs(Fraction(g) - w) for g, w in zip(got, foot))
+            assert err <= Fraction(2) ** -48 * max(1, max(Fraction(abs(c)) for c in a))
 
 
 def test_build_dispatch():
